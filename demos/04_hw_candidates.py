@@ -34,10 +34,10 @@ for signs, rep in table.entries:
     print(f"  {signs}: representative {rep}")
 
 lattice = translation_lattice(c)
-print("\ntranslation lattice (Schreier generators, HNF):")
+print("\ntranslation lattice (normal generators g_i^2, [g_i, g_j], F2 parity masks):")
 print("  rank", lattice.rank, "basis", lattice.basis, "denominator", lattice.den)
 
-print("\ntorsion-free (membership test):", is_torsion_free(c))
+print("\ntorsion-free (Gray-code walk over the holonomy classes):", is_torsion_free(c))
 print("torsion-free (bounded brute force):", torsion_oracle(c))
 print("classification:", classify(c))
 

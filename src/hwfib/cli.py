@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
-from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Iterable, Optional
 
@@ -38,7 +38,6 @@ from .hwgroup import (
     candidate_to_json_dict,
     classify,
     cyclic_hw,
-    holonomy,
     translation_lattice,
 )
 
@@ -47,22 +46,11 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 FULL_ENUMERATION_LIMIT = 5  # dimensions above this need --sample
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: one command plus its options."""
-
-    command: str
-    dim: Optional[int] = None
-    k: Optional[int] = None
-    input_path: Optional[str] = None
-    sample: Optional[int] = None
-    seed: Optional[int] = None
-    jobs: int = 1
-    output_format: str = "text"
-    r: Optional[int] = None
-    n: Optional[int] = None
+# Largest dimension verify, show and survey accept: classifying a candidate
+# walks its 2^(n-1) holonomy classes.  Measured on a 2-core x86-64 VM with
+# Python 3.11: classify of cyclic n=21 takes 1.0-1.5 s (1.7 s conjugated by
+# a dense integer translation), and each step of 2 in n costs about 4x.
+MAX_DIM = 21
 
 
 def _emit(line: str) -> None:
@@ -74,6 +62,13 @@ def _fail_usage(message: str) -> int:
     return EXIT_USAGE
 
 
+def _over_cap(dim: int) -> str:
+    return (
+        f"dimension {dim} is above the limit of {MAX_DIM}: classifying one "
+        f"candidate walks 2^{dim - 1} holonomy classes"
+    )
+
+
 def _dumps(data: dict) -> str:
     return json.dumps(data, separators=(",", ":"))
 
@@ -81,7 +76,10 @@ def _dumps(data: dict) -> str:
 def _load_candidate(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    return candidate_from_json_dict(data)
+    candidate = candidate_from_json_dict(data)
+    if candidate.dim > MAX_DIM:
+        raise ValueError(_over_cap(candidate.dim))
+    return candidate
 
 
 def _translations_text(candidate) -> str:
@@ -91,7 +89,7 @@ def _translations_text(candidate) -> str:
     )
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     if not cfg.input_path:
         return _fail_usage("verify needs --input FILE")
     try:
@@ -138,7 +136,7 @@ def _survey_record(args: tuple[int, int]) -> dict:
     }
 
 
-def _survey_indices(cfg: RunConfig) -> Iterable[int]:
+def _survey_indices(cfg: argparse.Namespace) -> Iterable[int]:
     total = candidate_count(cfg.dim)
     if cfg.sample is None:
         return range(total)
@@ -146,7 +144,7 @@ def _survey_indices(cfg: RunConfig) -> Iterable[int]:
     return [rng.randrange(total) for _ in range(cfg.sample)]
 
 
-def cmd_survey(cfg: RunConfig) -> int:
+def cmd_survey(cfg: argparse.Namespace) -> int:
     if cfg.dim is None:
         return _fail_usage("survey needs --dim N")
     if cfg.dim % 2 == 0 or cfg.dim < 3:
@@ -156,8 +154,13 @@ def cmd_survey(cfg: RunConfig) -> int:
             f"full enumeration of dimension {cfg.dim} has {candidate_count(cfg.dim)} "
             f"candidates; pass --sample N (with --seed) instead"
         )
+    if cfg.dim > MAX_DIM:
+        return _fail_usage(_over_cap(cfg.dim))
     if cfg.sample is not None and cfg.sample < 1:
         return _fail_usage("--sample must be positive")
+    cpus = os.cpu_count() or 1
+    if not 1 <= cfg.jobs <= cpus:
+        return _fail_usage(f"--jobs must lie in [1, {cpus}], got {cfg.jobs}")
 
     work = [(cfg.dim, idx) for idx in _survey_indices(cfg)]
     if cfg.jobs > 1:
@@ -193,7 +196,7 @@ def cmd_survey(cfg: RunConfig) -> int:
     return EXIT_PASS if counts["fail"] == 0 else EXIT_FAIL
 
 
-def _emit_survey_records(cfg: RunConfig, records: Iterable[dict]) -> dict:
+def _emit_survey_records(cfg: argparse.Namespace, records: Iterable[dict]) -> dict:
     counts = {"total": 0, "crystallographic": 0, "torsion_free": 0, "hw": 0, "pass": 0, "fail": 0}
     for record in records:
         counts["total"] += 1
@@ -216,7 +219,7 @@ def _emit_survey_records(cfg: RunConfig, records: Iterable[dict]) -> dict:
     return counts
 
 
-def cmd_symbolic(cfg: RunConfig) -> int:
+def cmd_symbolic(cfg: argparse.Namespace) -> int:
     if cfg.dim is None:
         return _fail_usage("symbolic needs --dim N")
     n = cfg.dim
@@ -263,7 +266,7 @@ def cmd_symbolic(cfg: RunConfig) -> int:
     return EXIT_PASS if all_ok else EXIT_FAIL
 
 
-def cmd_abelianize(cfg: RunConfig) -> int:
+def cmd_abelianize(cfg: argparse.Namespace) -> int:
     r, n = cfg.r, cfg.n
     if r is None or n is None or r < 1 or n < 1:
         return _fail_usage("abelianize needs positive r and n")
@@ -308,13 +311,15 @@ def cmd_abelianize(cfg: RunConfig) -> int:
     return EXIT_PASS
 
 
-def cmd_show(cfg: RunConfig) -> int:
+def cmd_show(cfg: argparse.Namespace) -> int:
     if cfg.input_path:
         try:
             candidate = _load_candidate(cfg.input_path)
         except (OSError, ValueError) as exc:
             return _fail_usage(f"cannot load candidate: {exc}")
     elif cfg.dim is not None:
+        if cfg.dim > MAX_DIM:
+            return _fail_usage(_over_cap(cfg.dim))
         try:
             candidate = cyclic_hw(cfg.dim)
         except ValueError as exc:
@@ -323,14 +328,13 @@ def cmd_show(cfg: RunConfig) -> int:
         return _fail_usage("show needs --input FILE or --dim N")
     cl = classify(candidate)
     lattice = translation_lattice(candidate)
-    table = holonomy(candidate)
     if cfg.output_format == "json":
         _emit(
             _dumps(
                 {
                     "candidate": candidate_to_json_dict(candidate),
                     "classification": cl.to_json_dict(),
-                    "holonomy_order": len(table),
+                    "holonomy_order": cl.holonomy_order,
                     "lattice": {
                         "rank": lattice.rank,
                         "denominator": lattice.den,
@@ -343,7 +347,7 @@ def cmd_show(cfg: RunConfig) -> int:
         _emit(f"candidate: dim {candidate.dim}")
         for i, g in enumerate(candidate.generators):
             _emit(f"generator {i}: {g}")
-        _emit(f"holonomy order: {len(table)}")
+        _emit(f"holonomy order: {cl.holonomy_order}")
         _emit(
             f"translation lattice: rank {lattice.rank}, basis rows/" + str(lattice.den)
         )
@@ -418,19 +422,7 @@ COMMANDS = {
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        dim=getattr(args, "dim", None),
-        k=getattr(args, "k", None),
-        input_path=getattr(args, "input_path", None),
-        sample=getattr(args, "sample", None),
-        seed=getattr(args, "seed", None),
-        jobs=getattr(args, "jobs", 1) or 1,
-        output_format=args.output_format,
-        r=getattr(args, "r", None),
-        n=getattr(args, "n", None),
-    )
-    return COMMANDS[cfg.command](cfg)
+    return COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

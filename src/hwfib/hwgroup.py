@@ -3,13 +3,15 @@
 A candidate in dimension n (odd) is the group generated by n-1 isometries
 whose linear parts are the standard sign matrices (+1 at exactly one
 coordinate, -1 elsewhere) and whose translations are half-integer vectors.
-This module classifies such candidates: holonomy closure, translation
-lattice via Schreier generators, crystallographic and torsion-freeness
-tests, and enumeration of the whole half-integer search space.
+This module classifies such candidates: the translation lattice from its
+normal generators g_i^2 and [g_i, g_j] (a gcd per coordinate plus an F2
+space of parity masks), the crystallographic test, the torsion test by a
+Gray-code walk over the holonomy classes, the holonomy table, and
+enumeration of the whole half-integer search space.
 
-Internally translations are handled in "half units" (twice their value), so
-the heavy per-candidate work runs in plain integer arithmetic; the public
-surface is exact rationals throughout.
+Internally translations are handled in "half units" (twice their value) and
+sign matrices as bitmasks, so the per-candidate work runs on small ints; the
+public surface is exact rationals throughout.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd
-from typing import Iterator, Optional, Sequence
+from math import gcd, lcm
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .exact import ExactNumber, format_rational, hermite_normal_form, parse_rational
 from .isometry import DiagIsometry
@@ -110,62 +112,24 @@ def cyclic_hw(n: int) -> HWCandidate:
 
 
 # ---------------------------------------------------------------------------
-# sign-vector structure, shared by every candidate of a given dimension
+# holonomy table: breadth-first closure of the sign vectors
 
-@dataclass(frozen=True)
-class _SignStructure:
-    order: tuple[tuple[int, ...], ...]  # BFS discovery order, identity first
-    index: dict
-    tree: tuple  # position -> (parent position, generator index); None at 0
-    gen_signs: tuple[tuple[int, ...], ...]
-
-
-@lru_cache(maxsize=None)
-def _sign_structure(n: int) -> _SignStructure:
-    gens = tuple(standard_signs(n, i) for i in range(n - 1))
-    identity = (1,) * n
-    order = [identity]
-    index = {identity: 0}
-    tree: list = [None]
-    head = 0
-    while head < len(order):
-        base = order[head]
-        for j, gs in enumerate(gens):
-            prod = tuple(a * b for a, b in zip(base, gs))
-            if prod not in index:
-                index[prod] = len(order)
-                order.append(prod)
-                tree.append((head, j))
-        head += 1
-    return _SignStructure(tuple(order), index, tuple(tree), gens)
-
-
-def _generator_units(c: HWCandidate) -> tuple[tuple[int, ...], ...]:
-    # translations in half units: integer vector u with value u/2
-    return tuple(
-        tuple(int(t * 2) for t in g.translation) for g in c.generators
-    )
-
-
-def _rep_units_raw(
-    struct: _SignStructure, gens: tuple[tuple[int, ...], ...]
-) -> tuple[tuple[int, ...], ...]:
-    """Representative translations (half units) for every holonomy class,
-    indexed in BFS discovery order."""
-    dim = len(struct.order[0])
-    units: list[tuple[int, ...]] = [(0,) * dim]
-    for pos in range(1, len(struct.order)):
-        parent, j = struct.tree[pos]
-        psigns = struct.order[parent]
-        units.append(
-            tuple(s * b + t for s, b, t in zip(psigns, gens[j], units[parent]))
-        )
-    return tuple(units)
-
-
-@lru_cache(maxsize=256)
-def _rep_units(c: HWCandidate) -> tuple[tuple[int, ...], ...]:
-    return _rep_units_raw(_sign_structure(c.dim), _generator_units(c))
+def _bfs_representatives(c: HWCandidate) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Sign vector and representative translation (half units) of every
+    holonomy class, in breadth-first discovery order from the identity."""
+    gens = tuple(zip((g.signs for g in c.generators), _rep_units_raw(c)[0]))
+    identity = (1,) * c.dim
+    order = [(identity, (0,) * c.dim)]
+    seen = {identity}
+    for signs, units in order:  # the list grows while it is walked
+        for gsigns, gunits in gens:
+            prod = tuple(a * b for a, b in zip(signs, gsigns))
+            if prod not in seen:
+                seen.add(prod)
+                order.append(
+                    (prod, tuple(s * b + t for s, b, t in zip(signs, gunits, units)))
+                )
+    return order
 
 
 @dataclass(frozen=True)
@@ -192,13 +156,127 @@ class HolonomyTable:
 def holonomy(c: HWCandidate) -> HolonomyTable:
     """Breadth-first closure of the generators' rotational parts, keeping the
     first representative found for each sign vector; always 2^(n-1) entries."""
-    struct = _sign_structure(c.dim)
-    units = _rep_units(c)
-    entries = tuple(
-        (signs, DiagIsometry(signs, tuple(Fraction(u, 2) for u in vec)))
-        for signs, vec in zip(struct.order, units)
+    return HolonomyTable(tuple(
+        (signs, DiagIsometry(signs, tuple(Fraction(u, 2) for u in units)))
+        for signs, units in _bfs_representatives(c)
+    ))
+
+
+# ---------------------------------------------------------------------------
+# classification from half units
+#
+# The kernel L of G -> (Z/2)^(n-1) is spanned by the holonomy orbits of the
+# translations of the g_i^2 and [g_i, g_j], its normal generators.  The
+# holonomy holds, for each j, the element A that is +1 only at j, and
+# v + Av = 2 v_j e_j; so 2M lies in L for M = (+) m_j Z, m_j the gcd of
+# coordinate j over those vectors.  A sign change moves a vector by an element
+# of 2M, so L = 2M + span(vectors): the m_j plus an F2 space V of parity
+# masks (bit j is v_j / m_j mod 2).  A holonomy class is the bitmask of the
+# coordinates its sign matrix negates.  The three steps of classify keep the
+# names bench/tracing.py hooks: _rep_units_raw, _schreier_lattice, _torsion_exists.
+
+def _xor_reduce(basis: Sequence[int], v: int) -> int:
+    """v reduced by an F2 basis sorted by decreasing leading bit."""
+    for b in basis:
+        v = min(v, v ^ b)
+    return v
+
+
+def _xor_basis(vectors: Iterable[int]) -> list[int]:
+    """F2 basis of the span of the masks, sorted by decreasing leading bit."""
+    basis: list[int] = []
+    for v in vectors:
+        v = _xor_reduce(basis, v)
+        if v:
+            basis.append(v)
+            basis.sort(reverse=True)
+    return basis
+
+
+def _rep_units_raw(c: HWCandidate):
+    """Holonomy step of classify.  Returns the generators' translations in
+    half units (integer u for the value u/2), their sign masks (bit j set
+    where the sign is -1), the holonomy order 2^rank from the F2 rank of the
+    masks, and whether every holonomy matrix has determinant +1 (products of
+    masks are XORs, so even popcounts suffice)."""
+    units = tuple(tuple(int(t * 2) for t in g.translation) for g in c.generators)
+    masks = tuple(
+        sum(1 << j for j, s in enumerate(g.signs) if s < 0) for g in c.generators
     )
-    return HolonomyTable(entries)
+    order = 2 ** len(_xor_basis(masks))
+    orientation = all(bin(m).count("1") % 2 == 0 for m in masks)
+    return units, masks, order, orientation
+
+
+def _schreier_lattice(n: int, units: Sequence[Sequence[int]]):
+    """Lattice step of classify, from normal generators (no Schreier
+    vectors): the translations of the g_i^2 and [g_i, g_j] as integer
+    vectors, the moduli m_j (gcd of coordinate j over them) and an F2 basis
+    of their parity masks V.  The translation lattice is 2M + span(vectors).
+    """
+    vectors = []
+    for i, u in enumerate(units):
+        vectors.append([u[i] if k == i else 0 for k in range(n)])
+        for j in range(i):
+            w = units[j]
+            vectors.append(
+                [(u[k] if k != j else 0) - (w[k] if k != i else 0) for k in range(n)]
+            )
+    mods = [gcd(*(v[j] for v in vectors)) for j in range(n)]
+    basis = _xor_basis(
+        sum(((v[j] // m) & 1) << j for j, m in enumerate(mods) if m) for v in vectors
+    )
+    return mods, basis, vectors
+
+
+def _torsion_classes(
+    n: int, units: Sequence[Sequence[int]], masks: Sequence[int],
+    mods: Sequence[int], basis: Sequence[int],
+) -> Iterator[int]:
+    """Sign masks of the holonomy classes that hold an element of finite
+    order, at any lattice rank.
+
+    Walks the 2^(n-1) - 1 non-identity classes in Gray-code order,
+    right-multiplying a representative (A, a) by one generator per step.
+    An element (A, a + λ) with λ in L has a fixed point (and then order two)
+    exactly when a + λ vanishes on the coordinates F that A fixes: when a_j
+    lies in m_j Z on F (a_j = 0 where m_j = 0) and the parity mask of a on F
+    lies in the projection of V to F.
+    """
+    full = (1 << n) - 1
+    moduli = [2 * m for m in mods]  # a_j in m_j Z, in half units
+    # g_k times an element of 2M is still in G: reducing its half units mod
+    # 2 * moduli keeps a candidate conjugated by a translation as sparse as
+    # its standard form
+    steps = [
+        [(j, r) for j, (d, q) in enumerate(zip(u, moduli)) if (r := d % (2 * q) if q else d)]
+        for u in units
+    ]
+    rep = [0] * n
+    neg = bad = parity = 0
+    for step in range(1, 1 << (n - 1)):
+        k = (step & -step).bit_length() - 1
+        for j, d in steps[k]:
+            v = rep[j] = rep[j] - d if neg >> j & 1 else rep[j] + d
+            q, r = divmod(v, moduli[j]) if moduli[j] else (0, v)
+            bit = 1 << j
+            bad = bad | bit if r else bad & ~bit
+            parity = parity | bit if q & 1 else parity & ~bit
+        neg ^= masks[k]
+        fixed = full ^ neg
+        if not bad & fixed and not _xor_reduce(
+            _xor_basis(b & fixed for b in basis), parity & fixed
+        ):
+            yield neg
+
+
+def _torsion_exists(
+    n: int, units: Sequence[Sequence[int]], masks: Sequence[int],
+    mods: Sequence[int], basis: Sequence[int],
+) -> bool:
+    """Torsion step of classify: whether the walk of _torsion_classes finds
+    a class with torsion; it stops at the first."""
+    return next(_torsion_classes(n, units, masks, mods, basis), None) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +303,8 @@ class Lattice:
     @classmethod
     def from_scaled(cls, dim: int, rows: Sequence[Sequence[int]], den: int) -> "Lattice":
         h, rank = hermite_normal_form(list(rows))
-        basis = [row for row in h[:rank]]
-        g = den
-        for row in basis:
-            for v in row:
-                g = gcd(g, v)
+        basis = h[:rank]
+        g = gcd(den, *(v for row in basis for v in row))
         if g > 1:
             den //= g
             basis = [[v // g for v in row] for row in basis]
@@ -240,10 +315,7 @@ class Lattice:
         cls, dim: int, vectors: Sequence[Sequence[ExactNumber]]
     ) -> "Lattice":
         fracs = [[Fraction(v) for v in vec] for vec in vectors]
-        den = 1
-        for vec in fracs:
-            for v in vec:
-                den = den * v.denominator // gcd(den, v.denominator)
+        den = lcm(*(v.denominator for vec in fracs for v in vec))
         rows = [[int(v * den) for v in vec] for vec in fracs]
         return cls.from_scaled(dim, rows, den)
 
@@ -315,84 +387,25 @@ def _reduce_units(hnf_rows: Sequence[Sequence[int]], vec: Sequence[int]) -> list
     return v
 
 
-def _schreier_lattice(
-    struct: _SignStructure,
-    units: tuple[tuple[int, ...], ...],
-    gens: tuple[tuple[int, ...], ...],
-    dim: int,
-) -> Lattice:
-    vectors = set()
-    for pos, signs in enumerate(struct.order):
-        t = units[pos]
-        for j, gsigns in enumerate(struct.gen_signs):
-            prod = tuple(a * b for a, b in zip(signs, gsigns))
-            q = struct.index[prod]
-            target = units[q]
-            vec = tuple(
-                s * b + a - r for s, b, a, r in zip(signs, gens[j], t, target)
-            )
-            if any(vec):
-                vectors.add(vec)
-    return Lattice.from_scaled(dim, sorted(vectors), 2)
-
-
 @lru_cache(maxsize=256)
 def translation_lattice(c: HWCandidate) -> Lattice:
-    """Lattice of pure translations, generated by the Schreier generators of
-    the kernel of the holonomy projection: for every holonomy representative
-    t and generator g, the pure translation t g rep(tg)^(-1)."""
-    return _schreier_lattice(
-        _sign_structure(c.dim), _rep_units(c), _generator_units(c), c.dim
-    )
+    """Lattice of pure translations: spanned by the translations of the
+    squares g_i^2 and commutators [g_i, g_j] together with 2 m_j e_j, where
+    m_j is the gcd of coordinate j over those translations."""
+    n = c.dim
+    mods, _, vectors = _schreier_lattice(n, _rep_units_raw(c)[0])
+    axes = [[2 * m if k == j else 0 for k in range(n)] for j, m in enumerate(mods) if m]
+    return Lattice.from_scaled(n, vectors + axes, 1)
 
 
 def is_crystallographic(c: HWCandidate) -> bool:
     """True when the pure translations span all of R^n, i.e. the group is
-    discrete and cocompact."""
-    return translation_lattice(c).rank == c.dim
+    discrete and cocompact: every modulus m_j is nonzero."""
+    return all(_schreier_lattice(c.dim, _rep_units_raw(c)[0])[0])
 
 
 # ---------------------------------------------------------------------------
 # torsion
-
-def _torsion_classes(struct, units, lat: Lattice):
-    rows2 = lat.scaled_basis(2)  # half units, like the representatives
-    classes = []
-    for pos in range(1, len(struct.order)):
-        signs = struct.order[pos]
-        fixed = [j for j, s in enumerate(signs) if s == 1]
-        reduced = _reduce_units(rows2, units[pos])
-        classes.append((signs, fixed, reduced))
-    return rows2, classes
-
-
-def _torsion_class_data(c: HWCandidate):
-    return _torsion_classes(_sign_structure(c.dim), _rep_units(c), translation_lattice(c))
-
-
-def _torsion_exists(struct, units, lat: Lattice) -> bool:
-    """Fixed-point torsion criterion, valid for any candidate.
-
-    An element (A, a + λ) with λ in the translation lattice has a fixed
-    point (and then order two, since A is an involution) exactly when λ
-    matches -a on every coordinate the sign vector A fixes.  Each holonomy
-    class therefore needs one lattice-membership test of -a restricted to
-    the fixed coordinates; Schreier generation of the lattice works at any
-    rank, so this does not require the candidate to be crystallographic.
-    """
-    rows2, classes = _torsion_classes(struct, units, lat)
-    for _, fixed, reduced in classes:
-        proj = [[row[j] for j in fixed] for row in rows2]
-        target = [-reduced[j] for j in fixed]
-        h, rank = hermite_normal_form(proj)
-        if _in_hnf_span(h[:rank], target):
-            return True
-    return False
-
-
-def _has_torsion(c: HWCandidate) -> bool:
-    return _torsion_exists(_sign_structure(c.dim), _rep_units(c), translation_lattice(c))
-
 
 def _require_crystallographic(c: HWCandidate) -> None:
     rank = translation_lattice(c).rank
@@ -407,7 +420,7 @@ def is_torsion_free(c: HWCandidate) -> bool:
     """No non-identity holonomy class contains a finite-order element;
     defined for crystallographic candidates."""
     _require_crystallographic(c)
-    return not _has_torsion(c)
+    return classify(c).torsion_free
 
 
 def torsion_oracle(c: HWCandidate) -> bool:
@@ -418,34 +431,28 @@ def torsion_oracle(c: HWCandidate) -> bool:
     Intended for n <= 5; must agree with is_torsion_free.
     """
     _require_crystallographic(c)
-    rows2, classes = _torsion_class_data(c)
+    rows2 = translation_lattice(c).scaled_basis(2)  # half units, like the representatives
     nrows = len(rows2)
     span = range(-2, 3)
-    for _, fixed, reduced in classes:
+    for signs, units in _bfs_representatives(c)[1:]:
+        fixed = [j for j, s in enumerate(signs) if s == 1]
+        reduced = _reduce_units(rows2, units)
         proj = [tuple(row[j] for j in fixed) for row in rows2]
         target = tuple(-reduced[j] for j in fixed)
         # meet-in-the-middle over the coefficient box
         half = nrows // 2
         left, right = proj[:half], proj[half:]
-        left_sums = set()
-        for coeffs in product(span, repeat=len(left)):
-            s = tuple(
-                sum(cf * row[i] for cf, row in zip(coeffs, left))
-                for i in range(len(fixed))
-            )
-            left_sums.add(s)
-        found = False
+        left_sums = {
+            tuple(sum(cf * row[i] for cf, row in zip(coeffs, left)) for i in range(len(fixed)))
+            for coeffs in product(span, repeat=len(left))
+        }
         for coeffs in product(span, repeat=len(right)):
             s = tuple(
                 sum(cf * row[i] for cf, row in zip(coeffs, right))
                 for i in range(len(fixed))
             )
-            need = tuple(t - x for t, x in zip(target, s))
-            if need in left_sums:
-                found = True
-                break
-        if found:
-            return False
+            if tuple(t - x for t, x in zip(target, s)) in left_sums:
+                return False
     return True
 
 
@@ -471,18 +478,12 @@ class Classification:
 
 
 def classify(c: HWCandidate) -> Classification:
-    # one linear pass (no cache round trips): survey throughput matters here
-    struct = _sign_structure(c.dim)
-    gens = _generator_units(c)
-    units = _rep_units_raw(struct, gens)
-    lat = _schreier_lattice(struct, units, gens, c.dim)
-    order = len(struct.order)
-    orientation = all(
-        sum(1 for s in signs if s == -1) % 2 == 0 for signs in struct.order
-    )
-    cryst = lat.rank == c.dim
-    torsion_free = not _torsion_exists(struct, units, lat)
-    hw = cryst and torsion_free and order == 2 ** (c.dim - 1) and orientation
+    n = c.dim
+    units, masks, order, orientation = _rep_units_raw(c)
+    mods, basis, _ = _schreier_lattice(n, units)
+    cryst = all(mods)
+    torsion_free = not _torsion_exists(n, units, masks, mods, basis)
+    hw = cryst and torsion_free and order == 2 ** (n - 1) and orientation
     return Classification(cryst, torsion_free, order, orientation, hw)
 
 

@@ -1,7 +1,9 @@
 import json
+import os
 
 import pytest
 
+from hwfib import cli
 from hwfib.cli import main
 from hwfib.hwgroup import candidate_to_json_dict, cyclic_hw
 
@@ -105,6 +107,44 @@ def test_survey_jobs_matches_serial(capsys):
     _, serial, _ = run_cli(capsys, *base)
     _, parallel, _ = run_cli(capsys, *base, "--jobs", "2")
     assert serial == parallel
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("work started that the command line should refuse")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", str((os.cpu_count() or 1) + 1)])
+def test_survey_jobs_out_of_range(capsys, monkeypatch, jobs):
+    monkeypatch.setattr(cli, "Pool", _refuse)
+    code, out, err = run_cli(capsys, "survey", "--dim", "3", "--jobs", jobs)
+    assert code == 2
+    assert "--jobs" in err
+    assert out == ""
+
+
+def test_dimension_cap_refuses_before_classifying(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_main_theorem", _refuse)
+    monkeypatch.setattr(cli, "classify", _refuse)
+    path = write_candidate(tmp_path, cyclic_hw(31))
+    for argv in (
+        ("verify", "--input", path),
+        ("show", "--input", path),
+        ("show", "--dim", "31"),
+        ("survey", "--dim", "31", "--sample", "1"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert f"limit of {cli.MAX_DIM}" in err
+        assert out == ""
+
+
+def test_dimension_cap_is_inclusive(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_DIM", 5)
+    code, _, _ = run_cli(capsys, "verify", "--input", write_candidate(tmp_path, cyclic_hw(5)))
+    assert code == 0
+    code, _, err = run_cli(capsys, "show", "--dim", "7")
+    assert code == 2
+    assert "limit of 5" in err
 
 
 def test_survey_large_dim_requires_sample(capsys):

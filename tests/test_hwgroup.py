@@ -24,7 +24,10 @@ from hwfib.hwgroup import (
     torsion_oracle,
     translation_lattice,
 )
+from hwfib.hwgroup import _rep_units_raw, _schreier_lattice, _torsion_classes
 from hwfib.isometry import DiagIsometry, compose
+
+from _oracles import hnf_torsion_classes, hnf_torsion_exists, schreier_lattice
 
 F = Fraction
 HALF = F(1, 2)
@@ -210,6 +213,63 @@ def test_torsion_agreement_random_n5():
         assert is_torsion_free(c) == torsion_oracle(c)
         checked += 1
     assert checked == 1000
+
+
+def _sample(n, count, seed):
+    rng = random.Random(seed)
+    return [candidate_from_index(n, rng.randrange(candidate_count(n))) for _ in range(count)]
+
+
+def _wide_sample():
+    # translations beyond {0, 1/2}, and Hantzsche-Wendt groups conjugated by
+    # an integer translation, whose half units are dense and large
+    rng = random.Random(35)
+    out = [
+        build_candidate(5, [[F(rng.randint(-3, 3), 2) for _ in range(5)] for _ in range(4)])
+        for _ in range(300)
+    ]
+    for n in (3, 5, 7):
+        for _ in range(5):
+            v = [rng.randint(-3, 3) for _ in range(n)]
+            out.append(build_candidate(n, [
+                tuple(t + x - s * x for s, t, x in zip(g.signs, g.translation, v))
+                for g in cyclic_hw(n).generators
+            ]))
+    return out
+
+
+ORACLE_CANDIDATES = {
+    "n3-all": lambda: list(enumerate_candidates(3)),
+    "n5-sample": lambda: _sample(5, 2000, seed=33),
+    "n7-sample": lambda: _sample(7, 100, seed=34),
+    "cyclic": lambda: [cyclic_hw(n) for n in range(3, 12, 2)],
+    "wide": _wide_sample,
+}
+
+
+def torsion_class_signs(c):
+    n = c.dim
+    units, masks, _, _ = _rep_units_raw(c)
+    mods, basis, _ = _schreier_lattice(n, units)
+    return {
+        tuple(-1 if neg >> j & 1 else 1 for j in range(n))
+        for neg in _torsion_classes(n, units, masks, mods, basis)
+    }
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CANDIDATES))
+def test_classify_matches_schreier_and_hnf_oracles(name):
+    # the Schreier lattice and the per-class HNF torsion test are the
+    # previous implementation of translation_lattice and classify
+    for c in ORACLE_CANDIDATES[name]():
+        lat = schreier_lattice(c)
+        assert translation_lattice(c) == lat, c
+        cl = classify(c)
+        assert cl.crystallographic == is_crystallographic(c) == (lat.rank == c.dim), c
+        torsion = hnf_torsion_classes(c)
+        assert torsion_class_signs(c) == torsion, c
+        assert cl.torsion_free == (not hnf_torsion_exists(c)) == (not torsion), c
+        assert cl.holonomy_order == 2 ** (c.dim - 1) and cl.orientation_preserving
 
 
 def test_is_hantzsche_wendt_cyclic_family():
