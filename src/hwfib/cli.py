@@ -15,26 +15,22 @@ mode.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
-import random
 import sys
 import time
 from multiprocessing import Pool
 from typing import Iterable, Optional
 
-from .epimorphism import (
-    symbolic_sequence,
-    verify_addrel,
-    verify_main_theorem,
-    verify_periodicity,
-)
+from .epimorphism import symbolic_sequence, verify_main_theorem
 from .exact import format_rational
 from .fpgroup import abelianization, fibonacci_presentation
 from .hwgroup import (
     candidate_count,
     candidate_from_index,
     candidate_from_json_dict,
+    candidate_indices,
     candidate_to_json_dict,
     classify,
     cyclic_hw,
@@ -51,6 +47,18 @@ FULL_ENUMERATION_LIMIT = 5  # dimensions above this need --sample
 # Python 3.11: classify of cyclic n=21 takes 1.0-1.5 s (1.7 s conjugated by
 # a dense integer translation), and each step of 2 in n costs about 4x.
 MAX_DIM = 21
+# Largest dimension symbolic accepts: the all-k run builds n sequences of
+# 3n-1 terms, each a product of n-1 terms of up to n-1 coefficients, so it
+# grows about n^4.  Measured on the same VM: 0.15 s at n=21, 1.4 s at n=41,
+# 5.0 s at n=61.
+MAX_SYMBOLIC_DIM = 41
+# Largest r and n abelianize accepts, so that abelianize 2 1000000 exits
+# instead of building a 10^6 x 10^6 relator matrix.  On the F(m-1, 2m)
+# family the Smith normal form grows about n^3 (measured on the same VM:
+# 0.04 s at n=82, 0.24 s at n=162, 2.0 s at n=322).  Other (r, n) inside the
+# limit can take far longer through coefficient growth in the elimination:
+# F(162, 92) takes 11 s and F(162, 220) 86 s.
+MAX_ABELIANIZE = 322
 
 
 def _emit(line: str) -> None:
@@ -118,8 +126,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
-def _survey_record(args: tuple[int, int]) -> dict:
-    dim, index = args
+def _survey_record(dim: int, index: int) -> dict:
     candidate = candidate_from_index(dim, index)
     cl = classify(candidate)
     verdict = None
@@ -134,14 +141,6 @@ def _survey_record(args: tuple[int, int]) -> dict:
         "hw": cl.hantzsche_wendt,
         "verdict": verdict,
     }
-
-
-def _survey_indices(cfg: argparse.Namespace) -> Iterable[int]:
-    total = candidate_count(cfg.dim)
-    if cfg.sample is None:
-        return range(total)
-    rng = random.Random(cfg.seed)
-    return [rng.randrange(total) for _ in range(cfg.sample)]
 
 
 def cmd_survey(cfg: argparse.Namespace) -> int:
@@ -162,17 +161,18 @@ def cmd_survey(cfg: argparse.Namespace) -> int:
     if not 1 <= cfg.jobs <= cpus:
         return _fail_usage(f"--jobs must lie in [1, {cpus}], got {cfg.jobs}")
 
-    work = [(cfg.dim, idx) for idx in _survey_indices(cfg)]
+    record = functools.partial(_survey_record, cfg.dim)
+    indices = candidate_indices(cfg.dim, cfg.sample, cfg.seed)
     if cfg.jobs > 1:
         pool = Pool(processes=cfg.jobs)
         try:
-            records = pool.imap(_survey_record, work, chunksize=64)
+            records = pool.imap(record, indices, chunksize=64)
             counts = _emit_survey_records(cfg, records)
         finally:
             pool.close()
             pool.join()
     else:
-        counts = _emit_survey_records(cfg, map(_survey_record, work))
+        counts = _emit_survey_records(cfg, map(record, indices))
 
     summary = {
         "summary": True,
@@ -225,17 +225,23 @@ def cmd_symbolic(cfg: argparse.Namespace) -> int:
     n = cfg.dim
     if n % 2 == 0 or n < 3:
         return _fail_usage(f"dimension must be odd and >= 3, got {n}")
+    if n > MAX_SYMBOLIC_DIM:
+        return _fail_usage(
+            f"dimension {n} is above the limit of {MAX_SYMBOLIC_DIM}: the "
+            f"check for all k grows about n^4"
+        )
     if cfg.k is not None and not 0 <= cfg.k <= n - 1:
         return _fail_usage(f"--k must lie in [0, {n - 1}], got {cfg.k}")
     ks = [cfg.k] if cfg.k is not None else list(range(n))
     started = time.perf_counter()
     checks = []
     for k in ks:
+        seq = symbolic_sequence(n, k)
         checks.append(
             {
                 "k": k,
-                "periodic": verify_periodicity(n, k),
-                "recursion_consistent": verify_addrel(n, k),
+                "periodic": seq.periodic(),
+                "recursion_consistent": seq.recursion_consistent(),
             }
         )
     elapsed = time.perf_counter() - started
@@ -260,7 +266,7 @@ def cmd_symbolic(cfg: argparse.Namespace) -> int:
             bad = [str(c["k"]) for c in checks if not (c["periodic"] and c["recursion_consistent"])]
             _emit(f"period {2 * n} FAILED for k={','.join(bad)}")
         if cfg.k is not None:
-            for i, term in enumerate(symbolic_sequence(n, cfg.k).terms):
+            for i, term in enumerate(seq.terms):
                 _emit(f"term {i}: {term}")
         _emit(f"runtime: {elapsed:.3f}s")
     return EXIT_PASS if all_ok else EXIT_FAIL
@@ -270,6 +276,11 @@ def cmd_abelianize(cfg: argparse.Namespace) -> int:
     r, n = cfg.r, cfg.n
     if r is None or n is None or r < 1 or n < 1:
         return _fail_usage("abelianize needs positive r and n")
+    if max(r, n) > MAX_ABELIANIZE:
+        return _fail_usage(
+            f"F({r},{n}) is above the limit of {MAX_ABELIANIZE} on r and n: "
+            f"the Smith normal form of the n x n relator matrix grows about n^3"
+        )
     divisors = abelianization(fibonacci_presentation(r, n))
     nontrivial = [x for x in divisors if x not in (0, 1)]
     free_rank = sum(1 for x in divisors if x == 0)

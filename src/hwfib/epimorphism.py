@@ -5,7 +5,10 @@ The one-dimensional side is done symbolically: the seed isometries carry
 formal translations d_0..d_(n-2), the sequence is extended by the
 length-(n-1) product recursion, and 2n-periodicity is checked as an exact
 identity of linear forms; one computation certifies the statement for every
-choice of real parameters at once.  The n-dimensional side builds the 2n
+choice of real parameters at once.  A ``SymSequence`` is built once per
+(n, k) and carries both of its checks (``periodic`` and
+``recursion_consistent``); ``verify_periodicity`` and ``verify_addrel``
+build one and run one check.  The n-dimensional side builds the 2n
 generator images by the same recursion in E(n) and checks every relator and
 the surjectivity of the assignment.
 """
@@ -51,12 +54,32 @@ class SymSequence:
     The first n-1 terms are the seed generators: translation d_i at term i,
     sign +1 only at position k (no +1 seed when k = n-1).  Every later term
     is the left-to-right product of the n-1 terms before it, up to index
-    3n-2, far enough to compare a full period against the seeds.
+    3n-2, far enough to compare a full period against the seeds.  Both
+    checks read the stored terms, so one build serves both and any listing
+    of the terms.
     """
 
     n: int
     k: int
     terms: tuple[SymIsometry1, ...]
+
+    def periodic(self) -> bool:
+        """Exact check that the sequence has period 2n: term 2n+j equals
+        term j, coefficient by coefficient, for every seed index j."""
+        t, n = self.terms, self.n
+        return all(t[2 * n + j] == t[j] for j in range(n - 1))
+
+    def recursion_consistent(self) -> bool:
+        """Check the derived one-step recursion: each term equals (previous
+        seed-offset term)^(-1) times the square of its predecessor.  The
+        terms themselves are built by the full (n-1)-term product, so this
+        compares two independent routes to the same terms."""
+        t, n = self.terms, self.n
+        for i in range(1, 2 * n):
+            prev = t[i + n - 2]
+            if t[i + n - 1] != t[i - 1].inverse().compose(prev.compose(prev)):
+                return False
+        return True
 
 
 def symbolic_sequence(n: int, k: int) -> SymSequence:
@@ -73,24 +96,13 @@ def symbolic_sequence(n: int, k: int) -> SymSequence:
 
 
 def verify_periodicity(n: int, k: int) -> bool:
-    """Exact symbolic check that the sequence has period 2n: term 2n+j equals
-    term j, coefficient by coefficient, for every seed index j."""
-    seq = symbolic_sequence(n, k)
-    return all(seq.terms[2 * n + j] == seq.terms[j] for j in range(n - 1))
+    """``symbolic_sequence(n, k).periodic()``."""
+    return symbolic_sequence(n, k).periodic()
 
 
 def verify_addrel(n: int, k: int) -> bool:
-    """Check the derived one-step recursion: each term equals
-    (previous seed-offset term)^(-1) times the square of its predecessor."""
-    seq = symbolic_sequence(n, k)
-    t = seq.terms
-    for i in range(1, 2 * n):
-        lhs = t[i + n - 1]
-        prev = t[i + n - 2]
-        rhs = t[i - 1].inverse().compose(prev.compose(prev))
-        if lhs != rhs:
-            return False
-    return True
+    """``symbolic_sequence(n, k).recursion_consistent()``."""
+    return symbolic_sequence(n, k).recursion_consistent()
 
 
 def component_images(c: HWCandidate, j: int) -> GenImages:

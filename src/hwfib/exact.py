@@ -57,8 +57,9 @@ def parse_rational(text: str) -> Fraction:
 
 
 def _exact(value: ExactNumber) -> ExactNumber:
-    # collapse whole Fractions to int so arithmetic stays in the int fast path
-    if isinstance(value, Fraction) and value.denominator == 1:
+    # collapse whole Fractions to int so arithmetic stays in the int fast
+    # path; the exact type test skips the ABC machinery behind isinstance
+    if type(value) is Fraction and value.denominator == 1:
         return value.numerator
     return value
 
@@ -68,8 +69,16 @@ class LinForm:
     """Formal affine-linear expression ``constant + sum(q_j * d_j)``.
 
     The symbols ``d_0, d_1, ...`` are addressed by nonnegative index; the
-    symbol universe is open-ended, so one type serves every dimension.  Zero
-    coefficients are never stored and equality is coefficient-wise.
+    symbol universe is open-ended, so one type serves every dimension.
+
+    Every form is kept in one normal form: coefficients sorted by symbol
+    index, zero coefficients never stored, and whole values (constant
+    included) stored as ``int``.  Equality and hashing are therefore
+    coefficient-wise.  The public constructor validates and normalises its
+    input.  The results of ``+``, ``-``, negation and ``scaled`` come from
+    operands already in normal form, so they skip that pass: the arithmetic
+    itself drops the coefficients that cancel and collapses the whole
+    Fractions it creates.
     """
 
     constant: ExactNumber = 0
@@ -83,6 +92,17 @@ class LinForm:
         object.__setattr__(self, "coeffs", normalized)
         if any(j < 0 for j, _ in normalized):
             raise ValueError("symbol indices must be nonnegative")
+
+    @classmethod
+    def _normal(
+        cls, constant: ExactNumber, coeffs: tuple[tuple[int, ExactNumber], ...]
+    ) -> "LinForm":
+        """Wrap a constant and coefficients that are already in normal form,
+        skipping ``__post_init__``."""
+        form = object.__new__(cls)
+        object.__setattr__(form, "constant", constant)
+        object.__setattr__(form, "coeffs", coeffs)
+        return form
 
     @classmethod
     def zero(cls) -> "LinForm":
@@ -117,11 +137,19 @@ class LinForm:
             return NotImplemented
         acc = dict(self.coeffs)
         for j, c in other.coeffs:
-            acc[j] = acc.get(j, 0) + c
-        return LinForm(self.constant + other.constant, tuple(acc.items()))
+            total = _exact(acc.get(j, 0) + c)
+            if total:
+                acc[j] = total
+            else:
+                del acc[j]
+        return LinForm._normal(
+            _exact(self.constant + other.constant), tuple(sorted(acc.items()))
+        )
 
     def __neg__(self) -> "LinForm":
-        return LinForm(-self.constant, tuple((j, -c) for j, c in self.coeffs))
+        return LinForm._normal(
+            -self.constant, tuple((j, -c) for j, c in self.coeffs)
+        )
 
     def __sub__(self, other: "LinForm") -> "LinForm":
         return self + (-other)
@@ -129,9 +157,13 @@ class LinForm:
     def scaled(self, factor: ExactNumber) -> "LinForm":
         if factor == 1:
             return self
-        return LinForm(
-            self.constant * factor,
-            tuple((j, c * factor) for j, c in self.coeffs),
+        if factor == -1:
+            return -self
+        if factor == 0:
+            return LinForm._normal(0, ())
+        return LinForm._normal(
+            _exact(self.constant * factor),
+            tuple((j, _exact(c * factor)) for j, c in self.coeffs),
         )
 
     def __str__(self) -> str:

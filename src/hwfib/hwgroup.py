@@ -41,6 +41,7 @@ __all__ = [
     "torsion_oracle",
     "is_hantzsche_wendt",
     "classify",
+    "candidate_indices",
     "enumerate_candidates",
     "candidate_count",
     "candidate_from_index",
@@ -514,20 +515,28 @@ def candidate_from_index(n: int, idx: int) -> HWCandidate:
     return build_candidate(n, translations)
 
 
-def enumerate_candidates(
+def candidate_indices(
     n: int, sample: Optional[int] = None, seed: Optional[int] = None
-) -> Iterator[HWCandidate]:
-    """All candidates with translation entries in {0, 1/2}, in index order; or,
-    when ``sample`` is given, that many uniform draws from the same space
-    (seeded, with replacement)."""
+) -> Iterator[int]:
+    """Candidate indices in index order; or, when ``sample`` is given, that
+    many uniform draws from ``range(candidate_count(n))`` (seeded, with
+    replacement).  Lazy: each index is drawn when it is consumed."""
     total = candidate_count(n)
     if sample is None:
-        for idx in range(total):
-            yield candidate_from_index(n, idx)
+        yield from range(total)
     else:
         rng = random.Random(seed)
         for _ in range(sample):
-            yield candidate_from_index(n, rng.randrange(total))
+            yield rng.randrange(total)
+
+
+def enumerate_candidates(
+    n: int, sample: Optional[int] = None, seed: Optional[int] = None
+) -> Iterator[HWCandidate]:
+    """The candidates at ``candidate_indices(n, sample, seed)``: all of them
+    in index order, or a seeded sample drawn with replacement."""
+    for idx in candidate_indices(n, sample, seed):
+        yield candidate_from_index(n, idx)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import pytest
 
 from hwfib import cli
 from hwfib.cli import main
-from hwfib.hwgroup import candidate_to_json_dict, cyclic_hw
+from hwfib.epimorphism import symbolic_sequence
+from hwfib.hwgroup import candidate_to_json_dict, cyclic_hw, enumerate_candidates
 
 
 def run_cli(capsys, *argv):
@@ -102,6 +103,16 @@ def test_survey_sample_deterministic(capsys):
     assert out3 != out1
 
 
+def test_survey_sample_follows_enumerate_candidates(capsys):
+    code, out, _ = run_cli(
+        capsys, "survey", "--dim", "5", "--sample", "200", "--seed", "7", "--format", "json"
+    )
+    assert code == 0
+    records = [json.loads(line) for line in out.strip().splitlines()[:-1]]
+    expected = [candidate_to_json_dict(c) for c in enumerate_candidates(5, sample=200, seed=7)]
+    assert [{"dim": r["dim"], "translations": r["translations"]} for r in records] == expected
+
+
 def test_survey_jobs_matches_serial(capsys):
     base = ["survey", "--dim", "3", "--format", "json"]
     _, serial, _ = run_cli(capsys, *base)
@@ -147,6 +158,36 @@ def test_dimension_cap_is_inclusive(tmp_path, capsys, monkeypatch):
     assert "limit of 5" in err
 
 
+def test_symbolic_and_abelianize_caps_refuse_before_building(capsys, monkeypatch):
+    # the benchmark inputs symbolic --dim 21 and abelianize 80 162 stay inside
+    assert cli.MAX_SYMBOLIC_DIM >= 21 and cli.MAX_ABELIANIZE >= 162
+    monkeypatch.setattr(cli, "symbolic_sequence", _refuse)
+    monkeypatch.setattr(cli, "fibonacci_presentation", _refuse)
+    monkeypatch.setattr(cli, "abelianization", _refuse)
+    for argv, limit in (
+        (("symbolic", "--dim", str(cli.MAX_SYMBOLIC_DIM + 2)), cli.MAX_SYMBOLIC_DIM),
+        (("symbolic", "--dim", "10001", "--k", "0"), cli.MAX_SYMBOLIC_DIM),
+        (("abelianize", "2", "1000000"), cli.MAX_ABELIANIZE),
+        (("abelianize", "1000000", "2"), cli.MAX_ABELIANIZE),
+        (("abelianize", "2", str(cli.MAX_ABELIANIZE + 1)), cli.MAX_ABELIANIZE),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert f"limit of {limit}" in err
+        assert out == ""
+
+
+def test_symbolic_and_abelianize_caps_are_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_SYMBOLIC_DIM", 5)
+    monkeypatch.setattr(cli, "MAX_ABELIANIZE", 10)
+    assert run_cli(capsys, "symbolic", "--dim", "5")[0] == 0
+    assert run_cli(capsys, "symbolic", "--dim", "7")[0] == 2
+    assert run_cli(capsys, "abelianize", "4", "10")[0] == 0
+    assert run_cli(capsys, "abelianize", "10", "4")[0] == 0
+    assert run_cli(capsys, "abelianize", "4", "11")[0] == 2
+    assert run_cli(capsys, "abelianize", "11", "4")[0] == 2
+
+
 def test_survey_large_dim_requires_sample(capsys):
     code, _, err = run_cli(capsys, "survey", "--dim", "7")
     assert code == 2
@@ -182,6 +223,23 @@ def test_symbolic_json_deterministic(capsys):
     assert data["verdict"] == "pass"
     assert len(data["checks"]) == 5
     assert all(c["periodic"] and c["recursion_consistent"] for c in data["checks"])
+
+
+def test_symbolic_builds_each_sequence_once(capsys, monkeypatch):
+    built = []
+
+    def counting(n, k):
+        built.append((n, k))
+        return symbolic_sequence(n, k)
+
+    monkeypatch.setattr(cli, "symbolic_sequence", counting)
+    assert run_cli(capsys, "symbolic", "--dim", "9", "--format", "json")[0] == 0
+    assert built == [(9, k) for k in range(9)]
+    built.clear()
+    code, out, _ = run_cli(capsys, "symbolic", "--dim", "9", "--k", "4")
+    assert code == 0
+    assert built == [(9, 4)]
+    assert "term 25: " in out
 
 
 def test_symbolic_k_out_of_range(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -123,6 +124,22 @@ def test_verify_addrel():
     for n in (3, 5, 7):
         for k in range(n):
             assert verify_addrel(n, k)
+
+
+def test_sequence_checks_fail_on_a_perturbed_term():
+    # index 0 is a seed both checks read; index 2n is the term the
+    # periodicity check compares with it and an addrel left-hand side
+    for n in (3, 5, 7):
+        for k in range(n):
+            seq = symbolic_sequence(n, k)
+            assert seq.periodic() and seq.recursion_consistent()
+            for idx in (0, 2 * n):
+                terms = list(seq.terms)
+                term = terms[idx]
+                terms[idx] = SymIsometry1(term.sign, term.translation + LinForm.const(1))
+                bad = dataclasses.replace(seq, terms=tuple(terms))
+                assert not bad.periodic(), (n, k, idx)
+                assert not bad.recursion_consistent(), (n, k, idx)
 
 
 def test_addrel_numeric_substitution():

@@ -226,3 +226,50 @@ def test_snf_divisibility_chain_and_determinant():
             for v in divisors:
                 prod *= v
             assert prod == abs(det)
+
+
+def _random_form(rng, partner=None):
+    """A form with int and Fraction values; given a partner form, about a
+    third of the partner's symbols get a coefficient that cancels it and a
+    third one that sums with it to a whole number."""
+    coeffs = {}
+    for j in rng.sample(range(8), rng.randint(0, 5)):
+        coeffs[j] = rng.choice(
+            (rng.randint(-3, 3), Fraction(rng.randint(-6, 6), rng.choice((2, 3, 4))))
+        )
+    constant = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+    if partner is not None:
+        for j, c in partner.coeffs:
+            roll = rng.random()
+            if roll < 1 / 3:
+                coeffs[j] = -c
+            elif roll < 2 / 3:
+                coeffs[j] = rng.randint(-2, 2) - c
+        if rng.random() < 0.5:
+            constant = rng.randint(-2, 2) - partner.constant
+    return LinForm(constant, tuple(coeffs.items()))
+
+
+def _assert_normal(r):
+    renormalized = LinForm(r.constant, r.coeffs)
+    assert r.coeffs == renormalized.coeffs
+    assert [type(c) for _, c in r.coeffs] == [type(c) for _, c in renormalized.coeffs]
+    assert type(r.constant) is type(renormalized.constant)
+    assert all(c != 0 for _, c in r.coeffs)
+    assert all(type(c) is int for _, c in r.coeffs if Fraction(c).denominator == 1)
+    assert r == renormalized and hash(r) == hash(renormalized)
+
+
+def test_linform_results_stay_in_normal_form():
+    rng = random.Random(17)
+    factors = (1, -1, 2, -2, Fraction(1, 2))
+    for _ in range(400):
+        f = _random_form(rng)
+        g = _random_form(rng, partner=f)
+        results = [f + g, f - g, g - f, -f, f - f, f + (-f)]
+        results += [f.scaled(q) for q in factors]
+        results += [lf_affine_apply(s, f, g) for s in (1, -1)]
+        for r in results:
+            _assert_normal(r)
+        assert (f + g) - g == f and hash((f + g) - g) == hash(f)
+        assert f.scaled(2).scaled(Fraction(1, 2)) == f

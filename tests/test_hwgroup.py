@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -12,6 +12,7 @@ from hwfib.hwgroup import (
     candidate_count,
     candidate_from_index,
     candidate_from_json_dict,
+    candidate_indices,
     candidate_to_json_dict,
     classify,
     cyclic_hw,
@@ -317,6 +318,15 @@ def test_enumerate_candidates_sampling_deterministic():
     other = [candidate_to_json_dict(c) for c in enumerate_candidates(5, sample=25, seed=7)]
     assert a == b
     assert a != other
+
+
+def test_candidate_indices_lazy_and_shared_with_enumeration():
+    # a sample of 10^12 would need terabytes if drawn up front
+    head = list(islice(candidate_indices(5, sample=10**12, seed=7), 3))
+    assert head == list(islice(candidate_indices(5, sample=3, seed=7), 3))
+    assert list(candidate_indices(3)) == list(range(64))
+    sampled = [candidate_from_index(5, i) for i in candidate_indices(5, sample=25, seed=42)]
+    assert sampled == list(enumerate_candidates(5, sample=25, seed=42))
 
 
 def test_candidate_json_round_trip():
