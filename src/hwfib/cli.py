@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+from fractions import Fraction
 from multiprocessing import Pool
 from typing import Iterable, Optional
 
@@ -33,6 +34,7 @@ from .hwgroup import (
     candidate_indices,
     candidate_to_json_dict,
     classify,
+    classify_index,
     cyclic_hw,
     translation_lattice,
 )
@@ -126,16 +128,23 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
+# wire text of a translation entry of u half units, u in {0, 1}
+_HALF_UNIT_TEXT = tuple(format_rational(Fraction(u, 2)) for u in (0, 1))
+
+
 def _survey_record(dim: int, index: int) -> dict:
-    candidate = candidate_from_index(dim, index)
-    cl = classify(candidate)
+    """Survey record of the candidate at index, classified from the bits of
+    the index.  Only a Hantzsche-Wendt candidate is built as an HWCandidate,
+    for the quotient-map verification; the translations are written from
+    the bits, as candidate_to_json_dict would write them."""
+    units, cl = classify_index(dim, index)
     verdict = None
     if cl.hantzsche_wendt:
-        verdict = verify_main_theorem(candidate).verdict
+        verdict = verify_main_theorem(candidate_from_index(dim, index)).verdict
     return {
         "index": index,
         "dim": dim,
-        "translations": candidate_to_json_dict(candidate)["translations"],
+        "translations": [[_HALF_UNIT_TEXT[u] for u in vec] for vec in units],
         "crystallographic": cl.crystallographic,
         "torsion_free": cl.torsion_free,
         "hw": cl.hantzsche_wendt,

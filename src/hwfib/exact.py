@@ -279,7 +279,9 @@ def smith_normal_form(mat: IntMatrix) -> tuple[int, ...]:
     divisors: list[int] = []
     t = 0
     while t < size:
-        # pivot: smallest nonzero absolute value in the trailing submatrix
+        # pivot: first entry of smallest nonzero absolute value in the
+        # trailing submatrix, in row-major order; no entry is smaller than
+        # a unit, so the scan stops at the first one
         best = None
         where = None
         for i in range(t, nrows):
@@ -289,6 +291,10 @@ def smith_normal_form(mat: IntMatrix) -> tuple[int, ...]:
                 if v != 0 and (best is None or abs(v) < best):
                     best = abs(v)
                     where = (i, j)
+                    if best == 1:
+                        break
+            if best == 1:
+                break
         if where is None:
             break
         bi, bj = where

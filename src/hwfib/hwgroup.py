@@ -10,8 +10,13 @@ Gray-code walk over the holonomy classes, the holonomy table, and
 enumeration of the whole half-integer search space.
 
 Internally translations are handled in "half units" (twice their value) and
-sign matrices as bitmasks, so the per-candidate work runs on small ints; the
-public surface is exact rationals throughout.
+sign matrices as bitmasks, so the per-candidate work runs on small ints.
+The sign masks, and with them the holonomy order and orientation, are the
+same for every candidate of a dimension and are computed once per n.
+``classify`` takes an ``HWCandidate``; ``classify_index`` reads the half
+units of an enumerated candidate straight from the bits of its index, so a
+survey builds no Fractions or isometries for it.  Both run the same kernel.
+The rest of the public surface is exact rationals.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ __all__ = [
     "torsion_oracle",
     "is_hantzsche_wendt",
     "classify",
+    "classify_index",
     "candidate_indices",
     "enumerate_candidates",
     "candidate_count",
@@ -57,6 +63,14 @@ def standard_signs(n: int, i: int) -> tuple[int, ...]:
     return tuple(1 if j == i else -1 for j in range(n))
 
 
+def _check_dim(n: int) -> None:
+    if n % 2 == 0 or n < 3:
+        raise ValueError(
+            f"dimension must be odd and >= 3 (Hantzsche-Wendt groups exist "
+            f"only in odd dimensions); got {n}"
+        )
+
+
 @dataclass(frozen=True)
 class HWCandidate:
     """Generator data for a candidate group: dimension plus the n-1
@@ -67,11 +81,7 @@ class HWCandidate:
 
     def __post_init__(self) -> None:
         n = self.dim
-        if n % 2 == 0 or n < 3:
-            raise ValueError(
-                f"dimension must be odd and >= 3 (Hantzsche-Wendt groups exist "
-                f"only in odd dimensions); got {n}"
-            )
+        _check_dim(n)
         if len(self.generators) != n - 1:
             raise ValueError(f"expected {n - 1} generators, got {len(self.generators)}")
         for i, g in enumerate(self.generators):
@@ -194,19 +204,30 @@ def _xor_basis(vectors: Iterable[int]) -> list[int]:
     return basis
 
 
-def _rep_units_raw(c: HWCandidate):
-    """Holonomy step of classify.  Returns the generators' translations in
-    half units (integer u for the value u/2), their sign masks (bit j set
-    where the sign is -1), the holonomy order 2^rank from the F2 rank of the
-    masks, and whether every holonomy matrix has determinant +1 (products of
-    masks are XORs, so even popcounts suffice)."""
-    units = tuple(tuple(int(t * 2) for t in g.translation) for g in c.generators)
-    masks = tuple(
-        sum(1 << j for j, s in enumerate(g.signs) if s < 0) for g in c.generators
-    )
+@lru_cache(maxsize=None)
+def _standard_holonomy(n: int) -> tuple[tuple[int, ...], int, bool]:
+    """The sign masks of the standard generators (bit j set where the sign
+    is -1, so generator i has every bit but i), the holonomy order 2^rank
+    from the F2 rank of the masks, and whether every holonomy matrix has
+    determinant +1 (products of masks are XORs, so even popcounts suffice).
+    HWCandidate enforces the standard sign patterns, so these depend on n
+    alone."""
+    full = (1 << n) - 1
+    masks = tuple(full ^ (1 << i) for i in range(n - 1))
     order = 2 ** len(_xor_basis(masks))
     orientation = all(bin(m).count("1") % 2 == 0 for m in masks)
-    return units, masks, order, orientation
+    return masks, order, orientation
+
+
+def _rep_units_raw(c: HWCandidate):
+    """Holonomy step of classify.  Returns the generators' translations in
+    half units (integer u for the value u/2), then the masks, order and
+    orientation of _standard_holonomy."""
+    units = tuple(
+        tuple(t.numerator * (2 // t.denominator) for t in g.translation)
+        for g in c.generators
+    )
+    return (units, *_standard_holonomy(c.dim))
 
 
 def _schreier_lattice(n: int, units: Sequence[Sequence[int]]):
@@ -478,14 +499,31 @@ class Classification:
         }
 
 
-def classify(c: HWCandidate) -> Classification:
-    n = c.dim
-    units, masks, order, orientation = _rep_units_raw(c)
+def _classify_units(n: int, units: Sequence[Sequence[int]]) -> Classification:
+    """The classification kernel, on the generators' translations in half
+    units.  The lattice and torsion steps are looked up as module globals
+    on every call, so wrappers installed on them see each candidate."""
+    masks, order, orientation = _standard_holonomy(n)
     mods, basis, _ = _schreier_lattice(n, units)
     cryst = all(mods)
     torsion_free = not _torsion_exists(n, units, masks, mods, basis)
     hw = cryst and torsion_free and order == 2 ** (n - 1) and orientation
     return Classification(cryst, torsion_free, order, orientation, hw)
+
+
+def classify(c: HWCandidate) -> Classification:
+    return _classify_units(c.dim, _rep_units_raw(c)[0])
+
+
+def classify_index(
+    n: int, idx: int
+) -> tuple[tuple[tuple[int, ...], ...], Classification]:
+    """Half units and classification of ``candidate_from_index(n, idx)``,
+    read from the bits of idx without building the candidate: unit j of
+    generator i is bit i*n+j, 1 for a translation by 1/2 and 0 for none.
+    Raises ValueError for an even or small n and an index out of range."""
+    units = _index_units(n, idx)
+    return units, _classify_units(n, units)
 
 
 def is_hantzsche_wendt(c: HWCandidate) -> bool:
@@ -502,17 +540,23 @@ def candidate_count(n: int) -> int:
     return 2 ** (n * (n - 1))
 
 
+def _index_units(n: int, idx: int) -> tuple[tuple[int, ...], ...]:
+    """Half units of the candidate at idx: bit i*n+j for coordinate j of
+    generator i."""
+    _check_dim(n)
+    if not 0 <= idx < candidate_count(n):
+        raise ValueError(f"index {idx} out of range for dimension {n}")
+    return tuple(
+        tuple((idx >> (i * n + j)) & 1 for j in range(n)) for i in range(n - 1)
+    )
+
+
 def candidate_from_index(n: int, idx: int) -> HWCandidate:
     """Bit i*n+j of idx decides whether generator i translates by 1/2 along
     coordinate j; indices enumerate the whole space deterministically."""
-    if not 0 <= idx < candidate_count(n):
-        raise ValueError(f"index {idx} out of range for dimension {n}")
-    translations = []
-    for i in range(n - 1):
-        translations.append(
-            tuple(HALF if (idx >> (i * n + j)) & 1 else Fraction(0) for j in range(n))
-        )
-    return build_candidate(n, translations)
+    return build_candidate(
+        n, [[Fraction(u, 2) for u in vec] for vec in _index_units(n, idx)]
+    )
 
 
 def candidate_indices(

@@ -1,12 +1,24 @@
+import hashlib
 import json
 import os
+import random
+from fractions import Fraction
 
 import pytest
 
 from hwfib import cli
 from hwfib.cli import main
-from hwfib.epimorphism import symbolic_sequence
-from hwfib.hwgroup import candidate_to_json_dict, cyclic_hw, enumerate_candidates
+from hwfib.epimorphism import symbolic_sequence, verify_main_theorem
+from hwfib.hwgroup import (
+    build_candidate,
+    candidate_count,
+    candidate_from_index,
+    candidate_to_json_dict,
+    classify,
+    classify_index,
+    cyclic_hw,
+    enumerate_candidates,
+)
 
 
 def run_cli(capsys, *argv):
@@ -111,6 +123,81 @@ def test_survey_sample_follows_enumerate_candidates(capsys):
     records = [json.loads(line) for line in out.strip().splitlines()[:-1]]
     expected = [candidate_to_json_dict(c) for c in enumerate_candidates(5, sample=200, seed=7)]
     assert [{"dim": r["dim"], "translations": r["translations"]} for r in records] == expected
+
+
+def _record_from_candidate(n, idx):
+    # the survey record built through an HWCandidate, with the index bits
+    # decoded to Fractions here rather than by hwgroup
+    c = build_candidate(n, [
+        [Fraction(1, 2) if idx >> (i * n + j) & 1 else 0 for j in range(n)]
+        for i in range(n - 1)
+    ])
+    assert c == candidate_from_index(n, idx)
+    cl = classify(c)
+    return {
+        "index": idx,
+        "dim": n,
+        "translations": candidate_to_json_dict(c)["translations"],
+        "crystallographic": cl.crystallographic,
+        "torsion_free": cl.torsion_free,
+        "hw": cl.hantzsche_wendt,
+        "verdict": verify_main_theorem(c).verdict if cl.hantzsche_wendt else None,
+    }
+
+
+def _seeded_indices(n, count, seed):
+    rng = random.Random(seed)
+    return [rng.randrange(candidate_count(n)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("n, indices", [
+    (3, range(64)),
+    (5, _seeded_indices(5, 2000, seed=51)),
+    (7, _seeded_indices(7, 200, seed=52)),
+])
+def test_survey_record_from_index_matches_candidate_path(n, indices):
+    counts = {"crystallographic": 0, "hw": 0}
+    for idx in indices:
+        expected = _record_from_candidate(n, idx)
+        assert cli._survey_record(n, idx) == expected, idx
+        units, cl = classify_index(n, idx)
+        assert cl == classify(candidate_from_index(n, idx))
+        assert units == tuple(
+            tuple(int(2 * t) for t in vec) for vec in candidate_from_index(n, idx).translations
+        )
+        for key in counts:
+            counts[key] += expected[key]
+    assert counts["crystallographic"] > 0
+    # the verification branch ran; at n=7, HW candidates are too rare for 200 draws
+    assert counts["hw"] > 0 or n == 7
+
+
+@pytest.mark.parametrize("n, idx", [(3, 64), (3, -1), (5, candidate_count(5)), (4, 0), (1, 0)])
+def test_index_path_rejects_what_candidate_from_index_rejects(n, idx):
+    for fn in (candidate_from_index, classify_index, cli._survey_record):
+        with pytest.raises(ValueError):
+            fn(n, idx)
+
+
+# sha256 of stdout recorded from the Fraction-based survey (each candidate
+# built as an HWCandidate, classified and written with format_rational)
+SURVEY_SHA256 = {
+    ("--dim", "3", "--format", "json"):
+        "750e5b16ad77db6381d57b610c7f2a531646e3ebc1bd1b22a984a548cb9b1e58",
+    ("--dim", "3"):
+        "5cae40a42cca06c71409e7b6337fb1d280ad7443faae160941a10cab8fa41212",
+    ("--dim", "5", "--sample", "2000", "--seed", "42", "--format", "json"):
+        "fb6b63fbe8569264763845a543e5d37b7a1fd65a43d0f9c3a597a1eb2b283451",
+    ("--dim", "5", "--sample", "200", "--seed", "7"):
+        "3365b9e3da0b0cbbec294e9b1ddff030170f0097be747f441a64dee768a0600f",
+}
+
+
+@pytest.mark.parametrize("args", sorted(SURVEY_SHA256))
+def test_survey_stdout_byte_identical(capsys, args):
+    code, out, _ = run_cli(capsys, "survey", *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SURVEY_SHA256[args]
 
 
 def test_survey_jobs_matches_serial(capsys):

@@ -207,6 +207,14 @@ def test_abelianization_f4_10_two_rank():
     assert len(evens) == 10 - rank2
 
 
+@pytest.mark.parametrize("n", range(3, 42, 2))
+def test_abelianization_of_hw_family_is_4_power_plus_4_times_n_minus_2(n):
+    # F(n-1, 2n) maps onto the n-dimensional Hantzsche-Wendt groups; its
+    # abelianization is (Z/4)^(n-2) + Z/(4(n-2)), sharper than the 2-rank
+    divisors = abelianization(fibonacci_presentation(n - 1, 2 * n))
+    assert [x for x in divisors if x != 1] == [4] * (n - 2) + [4 * (n - 2)]
+
+
 def _gf2_rank(rows):
     rows = [list(r) for r in rows]
     rank = 0
