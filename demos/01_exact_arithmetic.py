@@ -7,10 +7,10 @@ normal forms over Z.
 """
 
 from hwfib import (
+    DiagIsometry,
     LinForm,
     format_rational,
     hermite_normal_form,
-    lf_affine_apply,
     rational,
     smith_normal_form,
 )
@@ -21,10 +21,13 @@ print("rational(2, 4)  =", format_rational(rational(2, 4)))
 print("rational(3, -6) =", format_rational(rational(3, -6)))
 
 # Linear forms are formal expressions over symbols d0, d1, ...; they model
-# one-dimensional translations whose values are kept as parameters.
+# one-dimensional translations whose values are kept as parameters.  As the
+# translation of an isometry x -> -x + d1 of the line, composing with
+# x -> x + 2*d0 gives x -> -x - 2*d0 + d1.
 d0, d1 = LinForm.symbol(0), LinForm.symbol(1)
 print("\nd0 + d1                  =", d0 + d1)
-print("lf_affine_apply(-1,2*d0,d1) =", lf_affine_apply(-1, d0.scaled(2), d1))
+reflect, shift = DiagIsometry((-1,), (d1,)), DiagIsometry((1,), (d0.scaled(2),))
+print("(-x + d1) o (x + 2*d0)   =", reflect.compose(shift))
 print("a form minus itself       =", d1 - d1)
 
 # Hermite normal form: the canonical basis of the row lattice.  Same span,

@@ -3,13 +3,15 @@
 
 An element (B, b) acts by x -> Bx + b with B a diagonal sign matrix; the
 product law is (A, a)(B, b) = (AB, Ab + a).  Components and direct sums
-decompose the action coordinate by coordinate.
+decompose the action coordinate by coordinate.  The translation entries may
+also be formal linear forms, which is how the symbolic sequence runs in E(1).
 """
 
 from fractions import Fraction
 
 from hwfib import (
     DiagIsometry,
+    LinForm,
     apply,
     component,
     compose,
@@ -48,3 +50,10 @@ print("g0 applied to (1/4,0,1): ", point(apply(g0, (Fraction(1, 4), 0, 1))))
 parts = [component(g0, i) for i in range(3)]
 print("\ncomponents of g0:", [(s, format_rational(t)) for s, t in parts])
 print("direct_sum(components) == g0:", direct_sum(parts) == g0)
+
+# The same type carries formal translations: in E(1) with translations d0 and
+# d1, the product law gives the translation update d0 + d1 symbolically.
+d0, d1 = LinForm.symbol(0), LinForm.symbol(1)
+a, b = DiagIsometry((1,), (d0,)), DiagIsometry((-1,), (d1,))
+print("\nsymbolic (x + d0) o (-x + d1) =", compose(a, b))
+print("its inverse                   =", inverse(compose(a, b)))

@@ -15,14 +15,12 @@ from .exact import (
     Rational,
     format_rational,
     hermite_normal_form,
-    lf_affine_apply,
     parse_rational,
     rational,
     smith_normal_form,
 )
 from .isometry import (
     DiagIsometry,
-    SymIsometry1,
     apply,
     component,
     compose,

@@ -276,7 +276,8 @@ def cmd_symbolic(cfg: argparse.Namespace) -> int:
             _emit(f"period {2 * n} FAILED for k={','.join(bad)}")
         if cfg.k is not None:
             for i, term in enumerate(seq.terms):
-                _emit(f"term {i}: {term}")
+                sign = "+" if term.signs[0] > 0 else "-"
+                _emit(f"term {i}: ({sign}1, {term.translation[0]})")
         _emit(f"runtime: {elapsed:.3f}s")
     return EXIT_PASS if all_ok else EXIT_FAIL
 

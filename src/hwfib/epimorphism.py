@@ -1,31 +1,35 @@
 """Construction and machine verification of the quotient maps from the
 Fibonacci group F(n-1, 2n) onto Hantzsche-Wendt candidate groups.
 
-The one-dimensional side is done symbolically: the seed isometries carry
-formal translations d_0..d_(n-2), the sequence is extended by the
-length-(n-1) product recursion, and 2n-periodicity is checked as an exact
+Both sides run one recursion, a_(i+n-1) = a_i a_(i+1) ··· a_(i+n-2), in
+``_product_recursion`` over ``DiagIsometry`` values.  The one-dimensional
+side is done symbolically: the seed isometries of E(1) carry formal
+translations d_0..d_(n-2), and 2n-periodicity is checked as an exact
 identity of linear forms; one computation certifies the statement for every
 choice of real parameters at once.  A ``SymSequence`` is built once per
 (n, k) and carries both of its checks (``periodic`` and
 ``recursion_consistent``); ``verify_periodicity`` and ``verify_addrel``
 build one and run one check.  The n-dimensional side builds the 2n
-generator images by the same recursion in E(n) and checks every relator and
-the surjectivity of the assignment.
+generator images in E(n) from the half-integer generators and checks every
+relator and the surjectivity of the assignment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from typing import Sequence
 
 from .exact import LinForm
 from .fpgroup import GenImages, fibonacci_presentation, verify_relators
 from .hwgroup import (
     Classification,
     HWCandidate,
+    _check_dim,
     candidate_to_json_dict,
     classify,
 )
-from .isometry import DiagIsometry, SymIsometry1, direct_sum
+from .isometry import DiagIsometry, component, direct_sum
 
 __all__ = [
     "SymSequence",
@@ -41,8 +45,7 @@ __all__ = [
 
 
 def _check_dimension(n: int, k: int) -> None:
-    if n % 2 == 0 or n < 3:
-        raise ValueError(f"dimension must be odd and >= 3, got {n}")
+    _check_dim(n)
     if not 0 <= k <= n - 1:
         raise ValueError(f"rotation position k must satisfy 0 <= k <= {n - 1}, got {k}")
 
@@ -61,7 +64,7 @@ class SymSequence:
 
     n: int
     k: int
-    terms: tuple[SymIsometry1, ...]
+    terms: tuple[DiagIsometry, ...]
 
     def periodic(self) -> bool:
         """Exact check that the sequence has period 2n: term 2n+j equals
@@ -82,17 +85,24 @@ class SymSequence:
         return True
 
 
+def _product_recursion(seeds: Sequence[DiagIsometry], length: int) -> list[DiagIsometry]:
+    """The seeds followed by the terms of the product recursion, ``length``
+    terms in all: with n-1 seeds a_0..a_(n-2), every later term is the
+    left-to-right product of the n-1 terms before it,
+    a_(i+n-1) = a_i a_(i+1) ··· a_(i+n-2)."""
+    terms = list(seeds)
+    width = len(terms)
+    while len(terms) < length:
+        terms.append(reduce(DiagIsometry.compose, terms[-width:]))
+    return terms
+
+
 def symbolic_sequence(n: int, k: int) -> SymSequence:
     _check_dimension(n, k)
-    terms: list[SymIsometry1] = [
-        SymIsometry1(1 if i == k else -1, LinForm.symbol(i)) for i in range(n - 1)
+    seeds = [
+        DiagIsometry((1 if i == k else -1,), (LinForm.symbol(i),)) for i in range(n - 1)
     ]
-    for idx in range(n - 1, 3 * n - 1):
-        acc = terms[idx - (n - 1)]
-        for m in range(idx - (n - 1) + 1, idx):
-            acc = acc.compose(terms[m])
-        terms.append(acc)
-    return SymSequence(n, k, tuple(terms))
+    return SymSequence(n, k, tuple(_product_recursion(seeds, 3 * n - 1)))
 
 
 def verify_periodicity(n: int, k: int) -> bool:
@@ -121,37 +131,19 @@ def component_images(c: HWCandidate, j: int) -> GenImages:
 def build_epimorphism(c: HWCandidate) -> GenImages:
     """Images of a_0..a_(2n-1) in E(n): the first n-1 are the group
     generators, the rest follow the length-(n-1) product recursion."""
-    n = c.dim
-    images: list[DiagIsometry] = list(c.generators)
-    for idx in range(n - 1, 2 * n):
-        acc = images[idx - (n - 1)]
-        for m in range(idx - (n - 1) + 1, idx):
-            acc = acc.compose(images[m])
-        images.append(acc)
-    return GenImages(tuple(images))
+    return GenImages(tuple(_product_recursion(c.generators, 2 * c.dim)))
 
 
 def build_epimorphism_by_components(c: HWCandidate) -> GenImages:
     """Independent route to the same images: run the recursion in E(1) for
     each coordinate separately and reassemble by direct sum."""
-    n = c.dim
-    sequences = []
-    for j in range(n):
-        terms = list(component_images(c, j).images)
-        for idx in range(n - 1, 2 * n):
-            acc = terms[idx - (n - 1)]
-            for m in range(idx - (n - 1) + 1, idx):
-                acc = acc.compose(terms[m])
-            terms.append(acc)
-        sequences.append(terms)
-    images = []
-    for idx in range(2 * n):
-        images.append(
-            direct_sum(
-                [(sequences[j][idx].signs[0], sequences[j][idx].translation[0]) for j in range(n)]
-            )
-        )
-    return GenImages(tuple(images))
+    sequences = [
+        _product_recursion(component_images(c, j).images, 2 * c.dim)
+        for j in range(c.dim)
+    ]
+    return GenImages(
+        tuple(direct_sum(component(g, 0) for g in terms) for terms in zip(*sequences))
+    )
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 Everything in this module is exact: rationals are arbitrary-precision
 ``fractions.Fraction`` values, linear forms keep exact coefficients, and the
 normal forms (Hermite, Smith) work over arbitrary-precision integers.  No
-floating point appears anywhere in the package.
+floating point appears anywhere in the package.  A ``LinForm`` is a formal
+translation: ``isometry.DiagIsometry`` accepts one in place of each rational
+translation entry, which is how the symbolic sequence runs in E(1).
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ __all__ = [
     "format_rational",
     "parse_rational",
     "LinForm",
-    "lf_affine_apply",
     "hermite_normal_form",
     "smith_normal_form",
 ]
@@ -132,27 +133,36 @@ class LinForm:
     def is_zero(self) -> bool:
         return self.constant == 0 and not self.coeffs
 
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
     def __add__(self, other: "LinForm") -> "LinForm":
         if not isinstance(other, LinForm):
             return NotImplemented
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "LinForm") -> "LinForm":
+        if not isinstance(other, LinForm):
+            return NotImplemented
+        return self._plus(other, -1)
+
+    def _plus(self, other: "LinForm", sign: int) -> "LinForm":
+        """``self + sign*other`` for sign ±1, without building ``-other``."""
         acc = dict(self.coeffs)
         for j, c in other.coeffs:
-            total = _exact(acc.get(j, 0) + c)
+            total = _exact(acc.get(j, 0) + sign * c)
             if total:
                 acc[j] = total
             else:
                 del acc[j]
         return LinForm._normal(
-            _exact(self.constant + other.constant), tuple(sorted(acc.items()))
+            _exact(self.constant + sign * other.constant), tuple(sorted(acc.items()))
         )
 
     def __neg__(self) -> "LinForm":
         return LinForm._normal(
             -self.constant, tuple((j, -c) for j, c in self.coeffs)
         )
-
-    def __sub__(self, other: "LinForm") -> "LinForm":
-        return self + (-other)
 
     def scaled(self, factor: ExactNumber) -> "LinForm":
         if factor == 1:
@@ -188,13 +198,6 @@ class LinForm:
             else:
                 parts.append(format_rational(c))
         return " ".join(parts)
-
-
-def lf_affine_apply(sign: int, f: LinForm, g: LinForm) -> LinForm:
-    """``sign*f + g``, the translation update under E(1) composition."""
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return f.scaled(sign) + g
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

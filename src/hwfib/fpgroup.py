@@ -145,7 +145,7 @@ class GenImages:
     def __post_init__(self) -> None:
         if not self.images:
             raise ValueError("at least one generator image is required")
-        dims = {getattr(img, "dim", 1) for img in self.images}
+        dims = {img.dim for img in self.images}
         if len(dims) != 1:
             raise ValueError(f"images live in different dimensions: {sorted(dims)}")
         object.__setattr__(self, "images", tuple(self.images))

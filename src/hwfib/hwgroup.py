@@ -430,8 +430,8 @@ def is_crystallographic(c: HWCandidate) -> bool:
 # torsion
 
 def _require_crystallographic(c: HWCandidate) -> None:
-    rank = translation_lattice(c).rank
-    if rank != c.dim:
+    if not is_crystallographic(c):
+        rank = translation_lattice(c).rank  # only for the message
         raise ValueError(
             "torsion test requires a crystallographic candidate "
             f"(translation lattice has rank {rank} < {c.dim})"

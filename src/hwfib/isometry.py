@@ -1,25 +1,25 @@
 """Affine isometries with diagonal ±1 linear part.
 
 ``DiagIsometry`` is an element (B, b) of E(n) whose orthogonal part is a
-diagonal sign matrix, stored as a sign vector plus an exact rational
-translation.  ``SymIsometry1`` is an element of E(1) whose translation is a
-formal linear form, so one-parameter families of one-dimensional groups can
-be manipulated symbolically.  Both carry the same semidirect-product law
-(A, a)(B, b) = (AB, A b + a); all values are immutable and all operations
-pure, so they are safe to share across workers.
+diagonal sign matrix, stored as a sign vector plus a translation.  The
+translation entries are either all exact rationals, for the groups
+themselves, or all formal linear forms (``exact.LinForm``), so that
+one-parameter families of groups can be manipulated symbolically; both carry
+the same semidirect-product law (A, a)(B, b) = (AB, A b + a).  All values are
+immutable and all operations pure, so they are safe to share across workers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
-from .exact import ExactNumber, LinForm, format_rational, lf_affine_apply, parse_rational
+from .exact import ExactNumber, LinForm, format_rational, parse_rational
 
 __all__ = [
     "DiagIsometry",
-    "SymIsometry1",
     "compose",
     "inverse",
     "rotational_part",
@@ -36,27 +36,52 @@ def _check_signs(signs: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
+def _affine_entry(s: int, b, a):
+    """One coordinate of A b + a, for the sign s of A; a - b is one
+    operation where -b + a would be two."""
+    return a + b if s > 0 else a - b
+
+
+def _check_translation(entries: Iterable) -> tuple:
+    out = tuple(entries)
+    if any(isinstance(t, LinForm) for t in out):
+        if not all(isinstance(t, LinForm) for t in out):
+            raise ValueError("translation entries must be all rational or all LinForm")
+        return out
+    return tuple(t if type(t) is Fraction else Fraction(t) for t in out)
+
+
 @dataclass(frozen=True)
 class DiagIsometry:
-    """Exact isometry x -> diag(signs) x + translation of R^n."""
+    """Exact isometry x -> diag(signs) x + translation of R^n.
+
+    The public constructor validates the signs, checks that the translation
+    entries are all ``LinForm`` or else converts them to ``Fraction``, and
+    checks the lengths.  ``compose`` and ``inverse`` build their results
+    from operands that already passed, so they skip that pass.
+    """
 
     signs: tuple[int, ...]
-    translation: tuple[Fraction, ...]
+    translation: tuple[Fraction, ...] | tuple[LinForm, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "signs", _check_signs(self.signs))
-        object.__setattr__(
-            self,
-            "translation",
-            tuple(
-                t if type(t) is Fraction else Fraction(t) for t in self.translation
-            ),
-        )
+        object.__setattr__(self, "translation", _check_translation(self.translation))
         if len(self.signs) != len(self.translation):
             raise ValueError(
                 f"sign vector has length {len(self.signs)} but translation "
                 f"has length {len(self.translation)}"
             )
+
+    @classmethod
+    def _normal(cls, signs: tuple[int, ...], translation: tuple) -> "DiagIsometry":
+        """Wrap int ±1 signs and equally many translation entries of one
+        type, all ``Fraction`` or all ``LinForm``, skipping
+        ``__post_init__``."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "signs", signs)
+        object.__setattr__(g, "translation", translation)
+        return g
 
     @property
     def dim(self) -> int:
@@ -67,26 +92,31 @@ class DiagIsometry:
         return cls((1,) * dim, (Fraction(0),) * dim)
 
     def identity_like(self) -> "DiagIsometry":
-        return DiagIsometry.identity(self.dim)
+        """The identity with zero translation entries of this isometry's own
+        type (``Fraction()`` or ``LinForm()``)."""
+        return DiagIsometry._normal(
+            (1,) * self.dim, tuple(type(t)() for t in self.translation)
+        )
 
     def is_identity(self) -> bool:
         return all(s == 1 for s in self.signs) and not any(self.translation)
 
     def compose(self, other: "DiagIsometry") -> "DiagIsometry":
         """Product self∘other in E(n): (A,a)(B,b) = (AB, A b + a)."""
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        signs = tuple(s * t for s, t in zip(self.signs, other.signs))
-        trans = tuple(
-            (b if s > 0 else -b) + a
-            for s, b, a in zip(self.signs, other.translation, self.translation)
+        signs = self.signs
+        if len(signs) != len(other.signs):
+            raise ValueError(f"dimension mismatch: {len(signs)} vs {len(other.signs)}")
+        return DiagIsometry._normal(
+            tuple(map(mul, signs, other.signs)),
+            tuple(map(_affine_entry, signs, other.translation, self.translation)),
         )
-        return DiagIsometry(signs, trans)
 
     def inverse(self) -> "DiagIsometry":
         """(A, a)^(-1) = (A, -A a) since A is an involution."""
-        trans = tuple(-t if s > 0 else t for s, t in zip(self.signs, self.translation))
-        return DiagIsometry(self.signs, trans)
+        return DiagIsometry._normal(
+            self.signs,
+            tuple(-t if s > 0 else t for s, t in zip(self.signs, self.translation)),
+        )
 
     def apply(self, point: Sequence[ExactNumber]) -> tuple[Fraction, ...]:
         if len(point) != self.dim:
@@ -110,49 +140,21 @@ class DiagIsometry:
         )
 
     def __str__(self) -> str:
+        # str of a Fraction is its format_rational text
         signs = ",".join("+" if s > 0 else "-" for s in self.signs)
-        trans = ",".join(format_rational(t) for t in self.translation)
+        trans = ",".join(str(t) for t in self.translation)
         return f"(diag({signs}), ({trans}))"
 
 
-@dataclass(frozen=True)
-class SymIsometry1:
-    """Element of E(1) with a formal translation: x -> sign*x + translation."""
-
-    sign: int
-    translation: LinForm
-
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-
-    @classmethod
-    def identity(cls) -> "SymIsometry1":
-        return cls(1, LinForm.zero())
-
-    def identity_like(self) -> "SymIsometry1":
-        return SymIsometry1.identity()
-
-    def is_identity(self) -> bool:
-        return self.sign == 1 and self.translation.is_zero()
-
-    def compose(self, other: "SymIsometry1") -> "SymIsometry1":
-        return SymIsometry1(
-            self.sign * other.sign,
-            lf_affine_apply(self.sign, other.translation, self.translation),
-        )
-
-    def inverse(self) -> "SymIsometry1":
-        return SymIsometry1(self.sign, self.translation.scaled(-self.sign))
-
-    def __str__(self) -> str:
-        return f"({'+' if self.sign > 0 else '-'}1, {self.translation})"
+# Exists only for bench/run.py, whose traced run imports this name to time
+# the symbolic compose; the symbolic terms are 1-D DiagIsometry values.
+SymIsometry1 = DiagIsometry
 
 
 # Operation-style aliases; the methods above are the implementation.
 
 def compose(g, h):
-    """Exact product g∘h in E(n) (numeric) or E(1) (symbolic)."""
+    """Exact product g∘h in E(n), numeric or symbolic."""
     return g.compose(h)
 
 
@@ -184,7 +186,7 @@ def direct_sum(parts: Sequence[tuple[int, ExactNumber]]) -> DiagIsometry:
         raise ValueError("direct_sum needs at least one component")
     return DiagIsometry(
         tuple(s for s, _ in parts),
-        tuple(Fraction(t) for _, t in parts),
+        tuple(t for _, t in parts),
     )
 
 

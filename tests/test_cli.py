@@ -179,25 +179,57 @@ def test_index_path_rejects_what_candidate_from_index_rejects(n, idx):
             fn(n, idx)
 
 
-# sha256 of stdout recorded from the Fraction-based survey (each candidate
-# built as an HWCandidate, classified and written with format_rational)
-SURVEY_SHA256 = {
-    ("--dim", "3", "--format", "json"):
+# argv item standing for a file holding the cyclic n=13 candidate
+CYCLIC13 = "cyclic13.json"
+
+# sha256 of stdout keyed by argv, without any "runtime:" line.  The survey
+# entries were recorded from the Fraction-based survey (each candidate built
+# as an HWCandidate, classified and written with format_rational); the
+# others from the code that kept a separate E(1) isometry type for the
+# symbolic sequence and copied the product recursion three times.
+STDOUT_SHA256 = {
+    ("survey", "--dim", "3", "--format", "json"):
         "750e5b16ad77db6381d57b610c7f2a531646e3ebc1bd1b22a984a548cb9b1e58",
-    ("--dim", "3"):
+    ("survey", "--dim", "3"):
         "5cae40a42cca06c71409e7b6337fb1d280ad7443faae160941a10cab8fa41212",
-    ("--dim", "5", "--sample", "2000", "--seed", "42", "--format", "json"):
+    ("survey", "--dim", "5", "--sample", "2000", "--seed", "42", "--format", "json"):
         "fb6b63fbe8569264763845a543e5d37b7a1fd65a43d0f9c3a597a1eb2b283451",
-    ("--dim", "5", "--sample", "200", "--seed", "7"):
+    ("survey", "--dim", "5", "--sample", "200", "--seed", "7"):
         "3365b9e3da0b0cbbec294e9b1ddff030170f0097be747f441a64dee768a0600f",
+    ("symbolic", "--dim", "13", "--format", "json"):
+        "0c11c6e07ce371e460abf1f2afda4f904e12f6f66aba3d78b3dff12c3705262b",
+    ("symbolic", "--dim", "7", "--k", "3"):
+        "297f5f8d0fa58f4b477bb8093b58501736e38c41ed65308a4d898ffcd8cfb384",
+    ("verify", "--input", CYCLIC13, "--format", "json"):
+        "b7463b682632d97ec12782a0c7091803e164c626932d67c51f2d37c1c871ace8",
+    ("verify", "--input", CYCLIC13):
+        "fe0c09cd77dae7b83420f44041c753842ff55de5c986d6eff16502adab4b4f03",
+    ("show", "--dim", "7", "--format", "json"):
+        "6abd804acd09fe6a9f117d585fb1f479bcdcdc439117afa06663c56535b52ef0",
+    ("abelianize", "4", "10", "--format", "json"):
+        "50e045020a3773305ad3657cf487a94dc50dbd6d3b92e4042cebf14f2485a932",
 }
 
 
-@pytest.mark.parametrize("args", sorted(SURVEY_SHA256))
-def test_survey_stdout_byte_identical(capsys, args):
-    code, out, _ = run_cli(capsys, "survey", *args)
+def _stdout_sha256(capsys, tmp_path, argv):
+    path = write_candidate(tmp_path, cyclic_hw(13), CYCLIC13)
+    code, out, _ = run_cli(capsys, *(path if a == CYCLIC13 else a for a in argv))
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == SURVEY_SHA256[args]
+    kept = [line for line in out.splitlines(keepends=True) if not line.startswith("runtime:")]
+    return hashlib.sha256("".join(kept).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("args", sorted(a[1:] for a in STDOUT_SHA256 if a[0] == "survey"))
+def test_survey_stdout_byte_identical(capsys, tmp_path, args):
+    argv = ("survey", *args)
+    assert _stdout_sha256(capsys, tmp_path, argv) == STDOUT_SHA256[argv]
+
+
+@pytest.mark.parametrize(
+    "argv", [a for a in STDOUT_SHA256 if a[0] != "survey"], ids=" ".join
+)
+def test_stdout_byte_identical(capsys, tmp_path, argv):
+    assert _stdout_sha256(capsys, tmp_path, argv) == STDOUT_SHA256[argv]
 
 
 def test_survey_jobs_matches_serial(capsys):

@@ -25,7 +25,7 @@ from hwfib.fpgroup import (
     word,
 )
 from hwfib.hwgroup import build_candidate, candidate_count, candidate_from_index, cyclic_hw
-from hwfib.isometry import DiagIsometry, SymIsometry1, component, compose
+from hwfib.isometry import DiagIsometry, component, compose
 
 F = Fraction
 HALF = F(1, 2)
@@ -33,6 +33,11 @@ HALF = F(1, 2)
 
 def d(j):
     return LinForm.symbol(j)
+
+
+def sym(sign, form):
+    """A symbolic element of E(1): x -> sign*x + form."""
+    return DiagIsometry((sign,), (form,))
 
 
 def numeric_sequence(n, k, values, length):
@@ -57,13 +62,13 @@ def substitute(form, values):
 
 def test_symbolic_sequence_first_derived_terms():
     seq = symbolic_sequence(3, 0)
-    assert seq.terms[0] == SymIsometry1(1, d(0))
-    assert seq.terms[1] == SymIsometry1(-1, d(1))
-    assert seq.terms[2] == SymIsometry1(-1, d(0) + d(1))
-    assert seq.terms[3] == SymIsometry1(1, -d(0))
+    assert seq.terms[0] == sym(1, d(0))
+    assert seq.terms[1] == sym(-1, d(1))
+    assert seq.terms[2] == sym(-1, d(0) + d(1))
+    assert seq.terms[3] == sym(1, -d(0))
     # the recursion forces the +2 coefficient here: term 4 is the product of
     # terms 2 and 3, whose leading sign flips -d0 back to +d0
-    assert seq.terms[4] == SymIsometry1(-1, d(0).scaled(2) + d(1))
+    assert seq.terms[4] == sym(-1, d(0).scaled(2) + d(1))
     assert len(seq.terms) == 3 * 3 - 1
 
 
@@ -75,8 +80,8 @@ def test_symbolic_terms_match_numeric_recursion():
             values = [F(rng.randint(-12, 12), rng.choice((1, 2, 3))) for _ in range(n - 1)]
             expected = numeric_sequence(n, k, values, 3 * n - 1)
             for term, (sign, trans) in zip(seq.terms, expected):
-                assert term.sign == sign
-                assert substitute(term.translation, values) == trans
+                assert term.signs == (sign,)
+                assert substitute(term.translation[0], values) == trans
 
 
 def test_symbolic_sequence_general_n_shape():
@@ -87,8 +92,8 @@ def test_symbolic_sequence_general_n_shape():
         expected = d(0) + d(1)
         for j in range(2, n - 1):
             expected = expected + d(j).scaled((-1) ** (j + 1))
-        assert seq.terms[n - 1] == SymIsometry1(-1, expected)
-        assert seq.terms[n] == SymIsometry1(1, -d(0))
+        assert seq.terms[n - 1] == sym(-1, expected)
+        assert seq.terms[n] == sym(1, -d(0))
 
 
 def test_symbolic_sequence_validation():
@@ -103,7 +108,7 @@ def test_symbolic_sequence_validation():
 def test_verify_periodicity_small():
     assert verify_periodicity(3, 0)
     seq = symbolic_sequence(3, 0)
-    assert seq.terms[6] == seq.terms[0] == SymIsometry1(1, d(0))
+    assert seq.terms[6] == seq.terms[0] == sym(1, d(0))
     assert verify_periodicity(3, 1)
     assert verify_periodicity(3, 2)
 
@@ -136,7 +141,7 @@ def test_sequence_checks_fail_on_a_perturbed_term():
             for idx in (0, 2 * n):
                 terms = list(seq.terms)
                 term = terms[idx]
-                terms[idx] = SymIsometry1(term.sign, term.translation + LinForm.const(1))
+                terms[idx] = sym(term.signs[0], term.translation[0] + LinForm.const(1))
                 bad = dataclasses.replace(seq, terms=tuple(terms))
                 assert not bad.periodic(), (n, k, idx)
                 assert not bad.recursion_consistent(), (n, k, idx)

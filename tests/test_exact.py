@@ -7,11 +7,11 @@ from hwfib.exact import (
     LinForm,
     format_rational,
     hermite_normal_form,
-    lf_affine_apply,
     parse_rational,
     rational,
     smith_normal_form,
 )
+from hwfib.isometry import DiagIsometry
 
 from _oracles import det_int, divisors_by_minor_gcds, in_hnf_shape, unimodular_2x2
 
@@ -78,29 +78,6 @@ def test_linform_no_zero_coefficients_stored():
     assert f.coeffs == ((1, 3),)
     g = d(4) - d(4)
     assert g.coeffs == ()
-
-
-def test_lf_affine_apply_examples():
-    # composing (1, d0) with (-1, d1) updates the translation to d0 + d1
-    assert lf_affine_apply(1, d(1), d(0)) == d(0) + d(1)
-    assert lf_affine_apply(-1, d(1), d(1)).is_zero()
-    assert lf_affine_apply(-1, d(0).scaled(2), d(1)) == d(1) - d(0).scaled(2)
-
-
-def test_lf_affine_apply_identities():
-    rng = random.Random(2)
-    for _ in range(100):
-        f = LinForm(
-            Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
-            tuple((j, rng.randint(-5, 5)) for j in range(rng.randint(0, 5))),
-        )
-        assert lf_affine_apply(1, LinForm.zero(), f) == f
-        assert lf_affine_apply(-1, f, f).is_zero()
-
-
-def test_lf_affine_apply_rejects_bad_sign():
-    with pytest.raises(ValueError):
-        lf_affine_apply(2, d(0), d(1))
 
 
 def test_linform_str():
@@ -268,7 +245,11 @@ def test_linform_results_stay_in_normal_form():
         g = _random_form(rng, partner=f)
         results = [f + g, f - g, g - f, -f, f - f, f + (-f)]
         results += [f.scaled(q) for q in factors]
-        results += [lf_affine_apply(s, f, g) for s in (1, -1)]
+        # the translation update of a symbolic E(1) composition: s*f + g
+        results += [
+            DiagIsometry((s,), (g,)).compose(DiagIsometry((1,), (f,))).translation[0]
+            for s in (1, -1)
+        ]
         for r in results:
             _assert_normal(r)
         assert (f + g) - g == f and hash((f + g) - g) == hash(f)
