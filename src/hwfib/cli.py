@@ -57,9 +57,9 @@ MAX_SYMBOLIC_DIM = 41
 # Largest r and n abelianize accepts, so that abelianize 2 1000000 exits
 # instead of building a 10^6 x 10^6 relator matrix.  On the F(m-1, 2m)
 # family the Smith normal form grows about n^3 (measured on the same VM:
-# 0.04 s at n=82, 0.24 s at n=162, 2.0 s at n=322).  Other (r, n) inside the
-# limit can take far longer through coefficient growth in the elimination:
-# F(162, 92) takes 11 s and F(162, 220) 86 s.
+# 0.007 s at n=82, 0.04 s at n=162, 0.21 s at n=322).  Other (r, n) inside
+# the limit can take far longer through coefficient growth in the
+# elimination: F(322, 60) takes 10 s, F(162, 92) 14 s and F(162, 220) 85 s.
 MAX_ABELIANIZE = 322
 
 

@@ -269,9 +269,18 @@ def smith_normal_form(mat: IntMatrix) -> tuple[int, ...]:
 
     Returns all ``min(rows, cols)`` diagonal entries of the Smith normal
     form, nonnegative, with trailing zeros when the rank is deficient.
-    Pivots are chosen by smallest nonzero absolute value, which keeps
-    coefficient growth tame on the circulant relator matrices this package
-    feeds it.
+    Pivots are chosen by smallest nonzero absolute value.  Entries can
+    still grow large: on some F(r, n) relator matrices the elimination
+    takes seconds to minutes.
+
+    Invariant of pivot t: rows above t are finished and zero in every
+    column from t on.  Once the column pass has cleared column t below
+    the pivot, the pivot is the only nonzero entry of column t, and it
+    stays so until an xgcd column operation mixes column t with another
+    one (``column_dirty``).  Until then an exact clear of ``a[t][j]``
+    changes that entry alone, so it is set to 0 in O(1) instead of
+    updating every row, and no re-check of column t is needed.  A unit
+    pivot divides everything, so it skips the divisibility sweep.
     """
     a = [[int(v) for v in row] for row in mat]
     nrows = len(a)
@@ -331,6 +340,9 @@ def smith_normal_form(mat: IntMatrix) -> tuple[int, ...]:
                     continue
                 p = a[t][t]
                 if b % p == 0:
+                    if not column_dirty:
+                        a[t][j] = 0
+                        continue
                     q = b // p
                     for row in a:
                         row[j] -= q * row[t]
@@ -342,20 +354,21 @@ def smith_normal_form(mat: IntMatrix) -> tuple[int, ...]:
                         row[t] = x * rt + y * rj
                         row[j] = -v * rt + u * rj
                     column_dirty = True
-            if not column_dirty and all(a[i][t] == 0 for i in range(t + 1, nrows)):
+            if not column_dirty:
                 break
 
         # divisibility sweep: the pivot must divide the trailing submatrix
         pivot = a[t][t]
         offender = None
-        for i in range(t + 1, nrows):
-            row = a[i]
-            for j in range(t + 1, ncols):
-                if row[j] % pivot != 0:
-                    offender = i
+        if abs(pivot) != 1:
+            for i in range(t + 1, nrows):
+                row = a[i]
+                for j in range(t + 1, ncols):
+                    if row[j] % pivot != 0:
+                        offender = i
+                        break
+                if offender is not None:
                     break
-            if offender is not None:
-                break
         if offender is not None:
             a[t] = [x + y for x, y in zip(a[t], a[offender])]
             continue

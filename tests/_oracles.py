@@ -6,6 +6,8 @@ from word-ball enumeration or from Schreier generators over a breadth-first
 closure of the holonomy, and isometries are multiplied as homogeneous
 matrices over Fraction.  The Schreier lattice and the per-class torsion test
 use hwfib's Hermite normal form, which test_exact checks against minor gcds.
+The dense Smith normal form shares only ``exact._xgcd`` with the fast one
+it checks; test_exact checks both against minor gcds.
 """
 
 from fractions import Fraction
@@ -13,6 +15,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
 
+from hwfib.exact import _xgcd
 from hwfib.hwgroup import Lattice
 
 
@@ -32,6 +35,17 @@ def det_int(mat):
     return total
 
 
+def minor_gcd(mat, k):
+    """gcd of all k x k minors; by the Smith normal form it is d_1 ... d_k."""
+    nrows = len(mat)
+    ncols = len(mat[0]) if nrows else 0
+    g = 0
+    for rows in combinations(range(nrows), k):
+        for cols in combinations(range(ncols), k):
+            g = gcd(g, det_int([[mat[i][j] for j in cols] for i in rows]))
+    return g
+
+
 def divisors_by_minor_gcds(mat):
     """Elementary divisors via d_k = gcd(k-minors) / gcd((k-1)-minors)."""
     nrows = len(mat)
@@ -40,11 +54,7 @@ def divisors_by_minor_gcds(mat):
     divisors = []
     prev = 1
     for k in range(1, size + 1):
-        g = 0
-        for rows in combinations(range(nrows), k):
-            for cols in combinations(range(ncols), k):
-                sub = [[mat[i][j] for j in cols] for i in rows]
-                g = gcd(g, det_int(sub))
+        g = minor_gcd(mat, k)
         if g == 0:
             divisors.extend(0 for _ in range(size - k + 1))
             return tuple(divisors)
@@ -171,3 +181,103 @@ def hnf_torsion_classes(c):
 def hnf_torsion_exists(c):
     """Whether any holonomy class holds an element of finite order."""
     return bool(hnf_torsion_classes(c))
+
+
+def dense_smith_normal_form(mat):
+    """Elementary divisors of an integer matrix by the plain elimination:
+    every column operation updates every row, and the divisibility sweep
+    and the column re-check run after every pivot.  This is the algorithm
+    ``exact.smith_normal_form`` had before its fast paths, kept as the
+    reference they are checked against."""
+    a = [[int(v) for v in row] for row in mat]
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    if any(len(row) != ncols for row in a):
+        raise ValueError("ragged matrix")
+    size = min(nrows, ncols)
+    divisors: list[int] = []
+    t = 0
+    while t < size:
+        # pivot: first entry of smallest nonzero absolute value in the
+        # trailing submatrix, in row-major order; no entry is smaller than
+        # a unit, so the scan stops at the first one
+        best = None
+        where = None
+        for i in range(t, nrows):
+            row = a[i]
+            for j in range(t, ncols):
+                v = row[j]
+                if v != 0 and (best is None or abs(v) < best):
+                    best = abs(v)
+                    where = (i, j)
+                    if best == 1:
+                        break
+            if best == 1:
+                break
+        if where is None:
+            break
+        bi, bj = where
+        if bi != t:
+            a[t], a[bi] = a[bi], a[t]
+        if bj != t:
+            for row in a:
+                row[t], row[bj] = row[bj], row[t]
+
+        while True:
+            # clear column t below the pivot
+            for i in range(t + 1, nrows):
+                b = a[i][t]
+                if b == 0:
+                    continue
+                p = a[t][t]
+                if b % p == 0:
+                    q = b // p
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                else:
+                    g, x, y = _xgcd(p, b)
+                    u, v = p // g, b // g
+                    top = [x * r + y * s for r, s in zip(a[t], a[i])]
+                    bot = [-v * r + u * s for r, s in zip(a[t], a[i])]
+                    a[t], a[i] = top, bot
+            # clear row t right of the pivot; may dirty the column again
+            column_dirty = False
+            for j in range(t + 1, ncols):
+                b = a[t][j]
+                if b == 0:
+                    continue
+                p = a[t][t]
+                if b % p == 0:
+                    q = b // p
+                    for row in a:
+                        row[j] -= q * row[t]
+                else:
+                    g, x, y = _xgcd(p, b)
+                    u, v = p // g, b // g
+                    for row in a:
+                        rt, rj = row[t], row[j]
+                        row[t] = x * rt + y * rj
+                        row[j] = -v * rt + u * rj
+                    column_dirty = True
+            if not column_dirty and all(a[i][t] == 0 for i in range(t + 1, nrows)):
+                break
+
+        # divisibility sweep: the pivot must divide the trailing submatrix
+        pivot = a[t][t]
+        offender = None
+        for i in range(t + 1, nrows):
+            row = a[i]
+            for j in range(t + 1, ncols):
+                if row[j] % pivot != 0:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            a[t] = [x + y for x, y in zip(a[t], a[offender])]
+            continue
+
+        divisors.append(abs(pivot))
+        t += 1
+
+    divisors.extend(0 for _ in range(size - len(divisors)))
+    return tuple(divisors)

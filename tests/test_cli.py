@@ -208,6 +208,16 @@ STDOUT_SHA256 = {
         "6abd804acd09fe6a9f117d585fb1f479bcdcdc439117afa06663c56535b52ef0",
     ("abelianize", "4", "10", "--format", "json"):
         "50e045020a3773305ad3657cf487a94dc50dbd6d3b92e4042cebf14f2485a932",
+    ("abelianize", "80", "162", "--format", "json"):
+        "d343286d6cfb6fd9cdda656069e5efd674934e5379e15043668963a4c553e67b",
+    ("abelianize", "80", "162"):
+        "f12af763deceea21194478c8bf007c2b9162fada05c012ec30f43f6746ee930a",
+    # the elimination of F(3, 10) does an xgcd column operation and then an
+    # exact clear in the same pass
+    ("abelianize", "3", "10", "--format", "json"):
+        "f7a068604bd3a235b891bc2c9696865ef19e0b78da65bc11702e7198ca9a0bab",
+    ("abelianize", "9", "4", "--format", "json"):
+        "5a6212173986b27f5185c8964cdde9278051bf0177932373eafad98cfa528d9d",
 }
 
 

@@ -11,9 +11,17 @@ from hwfib.exact import (
     rational,
     smith_normal_form,
 )
+from hwfib.fpgroup import fibonacci_presentation, relator_matrix
 from hwfib.isometry import DiagIsometry
 
-from _oracles import det_int, divisors_by_minor_gcds, in_hnf_shape, unimodular_2x2
+from _oracles import (
+    dense_smith_normal_form,
+    det_int,
+    divisors_by_minor_gcds,
+    in_hnf_shape,
+    minor_gcd,
+    unimodular_2x2,
+)
 
 
 def test_rational_construction():
@@ -203,6 +211,32 @@ def test_snf_divisibility_chain_and_determinant():
             for v in divisors:
                 prod *= v
             assert prod == abs(det)
+
+
+def test_snf_fast_paths_match_dense_elimination_on_fibonacci_grid():
+    # includes F(3, 10), F(5, 16) and F(7, 14), whose eliminations mix
+    # xgcd column operations with exact clears of the pivot row
+    for r in range(1, 30):
+        for n in range(1, 40):
+            m = relator_matrix(fibonacci_presentation(r, n))
+            assert smith_normal_form(m) == dense_smith_normal_form(m), (r, n)
+
+
+def test_snf_fast_paths_match_dense_elimination_on_random_matrices():
+    # zero twice as likely as any other entry, so that rank-deficient
+    # matrices, non-unit pivots and xgcd steps all occur
+    entries = (0, 0, 1, -1, 2, -3, 4, 6, 9, -12)
+    rng = random.Random(6)
+    for _ in range(3000):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        m = [[rng.choice(entries) for _ in range(ncols)] for _ in range(nrows)]
+        divisors = smith_normal_form(m)
+        assert divisors == dense_smith_normal_form(m), m
+        if nrows <= 4 and ncols <= 4:
+            prod = 1
+            for k, d in enumerate(divisors, start=1):
+                prod *= d
+                assert prod == minor_gcd(m, k), m
 
 
 def _random_form(rng, partner=None):

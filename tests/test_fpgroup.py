@@ -207,7 +207,7 @@ def test_abelianization_f4_10_two_rank():
     assert len(evens) == 10 - rank2
 
 
-@pytest.mark.parametrize("n", range(3, 42, 2))
+@pytest.mark.parametrize("n", [*range(3, 42, 2), 61, 81, 101, 161])
 def test_abelianization_of_hw_family_is_4_power_plus_4_times_n_minus_2(n):
     # F(n-1, 2n) maps onto the n-dimensional Hantzsche-Wendt groups; its
     # abelianization is (Z/4)^(n-2) + Z/(4(n-2)), sharper than the 2-rank
