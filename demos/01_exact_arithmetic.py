@@ -1,14 +1,11 @@
 #!/usr/bin/env python3
-"""Exact scalars, formal linear forms, and integer normal forms.
+"""Exact scalars and integer normal forms.
 
 Everything the package computes is exact: rationals with arbitrary-precision
-integers, linear forms with exact coefficients, and canonical Hermite/Smith
-normal forms over Z.
+integers, and canonical Hermite/Smith normal forms over Z.
 """
 
 from hwfib import (
-    DiagIsometry,
-    LinForm,
     format_rational,
     hermite_normal_form,
     rational,
@@ -19,16 +16,6 @@ from hwfib import (
 half = rational(1, 2)
 print("rational(2, 4)  =", format_rational(rational(2, 4)))
 print("rational(3, -6) =", format_rational(rational(3, -6)))
-
-# Linear forms are formal expressions over symbols d0, d1, ...; they model
-# one-dimensional translations whose values are kept as parameters.  As the
-# translation of an isometry x -> -x + d1 of the line, composing with
-# x -> x + 2*d0 gives x -> -x - 2*d0 + d1.
-d0, d1 = LinForm.symbol(0), LinForm.symbol(1)
-print("\nd0 + d1                  =", d0 + d1)
-reflect, shift = DiagIsometry((-1,), (d1,)), DiagIsometry((1,), (d0.scaled(2),))
-print("(-x + d1) o (x + 2*d0)   =", reflect.compose(shift))
-print("a form minus itself       =", d1 - d1)
 
 # Hermite normal form: the canonical basis of the row lattice.  Same span,
 # unique shape, so lattice equality is plain list equality.

@@ -3,15 +3,15 @@
 
 An element (B, b) acts by x -> Bx + b with B a diagonal sign matrix; the
 product law is (A, a)(B, b) = (AB, Ab + a).  Components and direct sums
-decompose the action coordinate by coordinate.  The translation entries may
-also be formal linear forms, which is how the symbolic sequence runs in E(1).
+decompose the action coordinate by coordinate.  The same product law runs
+the symbolic sequence in E(1), whose translations are linear forms in formal
+parameters d0, d1, ...
 """
 
 from fractions import Fraction
 
 from hwfib import (
     DiagIsometry,
-    LinForm,
     apply,
     component,
     compose,
@@ -19,6 +19,7 @@ from hwfib import (
     format_rational,
     inverse,
     rotational_part,
+    symbolic_sequence,
 )
 
 HALF = Fraction(1, 2)
@@ -51,9 +52,10 @@ parts = [component(g0, i) for i in range(3)]
 print("\ncomponents of g0:", [(s, format_rational(t)) for s, t in parts])
 print("direct_sum(components) == g0:", direct_sum(parts) == g0)
 
-# The same type carries formal translations: in E(1) with translations d0 and
-# d1, the product law gives the translation update d0 + d1 symbolically.
-d0, d1 = LinForm.symbol(0), LinForm.symbol(1)
-a, b = DiagIsometry((1,), (d0,)), DiagIsometry((-1,), (d1,))
-print("\nsymbolic (x + d0) o (-x + d1) =", compose(a, b))
-print("its inverse                   =", inverse(compose(a, b)))
+# The same product law runs symbolically: the sequence for n=3, k=0 starts
+# with the seeds x -> x + d0 and x -> -x + d1, and its next term is their
+# product x -> -x + d0 + d1.
+seq = symbolic_sequence(3, 0)
+a, b, ab = seq.terms[:3]
+print("\nsymbolic (x + d0) o (-x + d1) = x -> -x +", seq.translation_text(2))
+print("equals compose of the seeds:  ", compose(a, b) == ab)

@@ -5,7 +5,8 @@ Seed n-1 isometries of the line with formal translations d_0..d_(n-2) and
 exactly one +1 sign (at position k), extend by the rule that each new term
 is the product of the n-1 terms before it, and check that the sequence
 repeats with period 2n.  Because the translations are formal linear forms,
-one run certifies the identity for every real parameter value at once.
+kept exactly as integer coefficients, one run certifies the identity for
+every real parameter value at once.
 """
 
 from hwfib import symbolic_sequence, verify_addrel, verify_periodicity
@@ -17,7 +18,8 @@ for i, term in enumerate(seq.terms):
     marker = ""
     if i >= 2 * n and seq.terms[i] == seq.terms[i - 2 * n]:
         marker = f"   <- equals term {i - 2*n}"
-    print(f"  term {i:2d}: {term}{marker}")
+    sign = "+" if term.signs[0] > 0 else "-"
+    print(f"  term {i:2d}: ({sign}1, {seq.translation_text(i)}){marker}")
 
 print("\nperiod 2n holds:", verify_periodicity(n, k))
 print("one-step recursion (inverse times square) holds:", verify_addrel(n, k))

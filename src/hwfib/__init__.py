@@ -6,12 +6,11 @@ groups in the standard diagonal form, classifies them (holonomy, translation
 lattice, crystallographic and torsion-freeness tests), builds the quotient
 map from the Fibonacci group F(n-1, 2n) onto any such group, and verifies
 every step by machine-checkable exact computation: the one-dimensional side
-symbolically over formal linear forms, the n-dimensional side over exact
+symbolically over integer linear forms, the n-dimensional side over exact
 rationals.
 """
 
 from .exact import (
-    LinForm,
     Rational,
     format_rational,
     hermite_normal_form,

@@ -21,7 +21,6 @@ import os
 import sys
 import time
 from fractions import Fraction
-from multiprocessing import Pool
 from typing import Iterable, Optional
 
 from .epimorphism import symbolic_sequence, verify_main_theorem
@@ -50,10 +49,10 @@ FULL_ENUMERATION_LIMIT = 5  # dimensions above this need --sample
 # a dense integer translation), and each step of 2 in n costs about 4x.
 MAX_DIM = 21
 # Largest dimension symbolic accepts: the all-k run builds n sequences of
-# 3n-1 terms, each a product of n-1 terms of up to n-1 coefficients, so it
-# grows about n^4.  Measured on the same VM: 0.15 s at n=21, 1.4 s at n=41,
-# 5.0 s at n=61.
-MAX_SYMBOLIC_DIM = 41
+# 3n-1 terms, each a product of n-1 terms packed into ints of 3n(n-1) bits,
+# so it grows about n^4.  Measured on the same VM: 0.3-0.4 s at n=41,
+# 0.9-1.4 s at n=61, 2.1-3.6 s at n=81.
+MAX_SYMBOLIC_DIM = 61
 # Largest r and n abelianize accepts, so that abelianize 2 1000000 exits
 # instead of building a 10^6 x 10^6 relator matrix.  On the F(m-1, 2m)
 # family the Smith normal form grows about n^3 (measured on the same VM:
@@ -61,6 +60,14 @@ MAX_SYMBOLIC_DIM = 41
 # the limit can take far longer through coefficient growth in the
 # elimination: F(322, 60) takes 10 s, F(162, 92) 14 s and F(162, 220) 85 s.
 MAX_ABELIANIZE = 322
+
+
+def Pool(processes: int):
+    """``multiprocessing.Pool``, imported only when a survey asks for
+    workers: the import costs every other start of the CLI about 11 ms."""
+    from multiprocessing import Pool
+
+    return Pool(processes=processes)
 
 
 def _emit(line: str) -> None:
@@ -277,7 +284,7 @@ def cmd_symbolic(cfg: argparse.Namespace) -> int:
         if cfg.k is not None:
             for i, term in enumerate(seq.terms):
                 sign = "+" if term.signs[0] > 0 else "-"
-                _emit(f"term {i}: ({sign}1, {term.translation[0]})")
+                _emit(f"term {i}: ({sign}1, {seq.translation_text(i)})")
         _emit(f"runtime: {elapsed:.3f}s")
     return EXIT_PASS if all_ok else EXIT_FAIL
 

@@ -4,9 +4,10 @@ Fibonacci group F(n-1, 2n) onto Hantzsche-Wendt candidate groups.
 Both sides run one recursion, a_(i+n-1) = a_i a_(i+1) ··· a_(i+n-2), in
 ``_product_recursion`` over ``DiagIsometry`` values.  The one-dimensional
 side is done symbolically: the seed isometries of E(1) carry formal
-translations d_0..d_(n-2), and 2n-periodicity is checked as an exact
-identity of linear forms; one computation certifies the statement for every
-choice of real parameters at once.  A ``SymSequence`` is built once per
+translations d_0..d_(n-2), each linear form packed into one integer (see
+``SymSequence``), and 2n-periodicity is checked as an exact identity of
+linear forms; one computation certifies the statement for every choice of
+real parameters at once.  A ``SymSequence`` is built once per
 (n, k) and carries both of its checks (``periodic`` and
 ``recursion_consistent``); ``verify_periodicity`` and ``verify_addrel``
 build one and run one check.  The n-dimensional side builds the 2n
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
-from .exact import LinForm
 from .fpgroup import GenImages, fibonacci_presentation, verify_relators
 from .hwgroup import (
     Classification,
@@ -60,11 +60,63 @@ class SymSequence:
     3n-2, far enough to compare a full period against the seeds.  Both
     checks read the stored terms, so one build serves both and any listing
     of the terms.
+
+    Every translation is an integer linear form in d_0..d_(n-2) with
+    constant 0, and it is stored packed: d_j is replaced by B^j with
+    B = 2^(3n), so the stored entry is an ``int``.  The substitution is
+    additive, so the product law of E(1) computes on the packed integers
+    exactly what it computes on the forms.  It is one-to-one on the forms
+    that get compared:
+
+    * Lemma: the coefficients of term i have L1-norm N_i <= 2^i.  A seed
+      has N = 1, and a product term is a signed sum of the n-1 terms before
+      it, so N_i <= N_(i-n+1) + ... + N_(i-1) < 2^i.  Every coefficient of
+      the 3n-1 stored terms is therefore at most 2^(3n-2) = B/4 in size.
+    * The right side of ``recursion_consistent``, (term i-1)^(-1) times
+      (term i+n-2)^2, has norm at most N_(i-1) + 2 N_(i+n-2)
+      <= 3 * 2^(3n-3) < B/2 for i <= 2n-1.
+    * A nonzero form whose coefficients c_j satisfy |c_j| < B packs to a
+      nonzero integer: its top term c_m B^m has absolute value at least
+      B^m, and the lower terms sum to at most (B-1)(B^m-1)/(B-1) < B^m.
+      Both sides of every comparison have coefficients below B/2, so their
+      difference is such a form: integer equality is equality of linear
+      forms.  For the same reason the balanced base-B digits in
+      [-B/2, B/2) of a stored term are its coefficients
+      (``coefficients``).
     """
 
     n: int
     k: int
     terms: tuple[DiagIsometry, ...]
+
+    def coefficients(self, i: int) -> tuple[int, ...]:
+        """Coefficients of d_0..d_(n-2) in the translation of term i."""
+        shift = 3 * self.n
+        base = 1 << shift
+        rest = self.terms[i].translation[0]
+        out = []
+        for _ in range(self.n - 1):
+            digit = rest & (base - 1)
+            if digit >= base >> 1:
+                digit -= base
+            out.append(digit)
+            rest = (rest - digit) >> shift
+        assert rest == 0, f"term {i} does not decode to a form in d_0..d_{self.n - 2}"
+        return tuple(out)
+
+    def translation_text(self, i: int) -> str:
+        """The translation of term i as text, e.g. ``d0 + 2*d1 - d3``, or
+        ``0``."""
+        parts: list[str] = []
+        for j, c in enumerate(self.coefficients(i)):
+            if c == 0:
+                continue
+            body = f"d{j}" if abs(c) == 1 else f"{abs(c)}*d{j}"
+            if parts:
+                parts.append(f"{'-' if c < 0 else '+'} {body}")
+            else:
+                parts.append(f"-{body}" if c < 0 else body)
+        return " ".join(parts) or "0"
 
     def periodic(self) -> bool:
         """Exact check that the sequence has period 2n: term 2n+j equals
@@ -99,8 +151,11 @@ def _product_recursion(seeds: Sequence[DiagIsometry], length: int) -> list[DiagI
 
 def symbolic_sequence(n: int, k: int) -> SymSequence:
     _check_dimension(n, k)
+    # d_i packed as B^i with B = 2^(3n) (see SymSequence); _normal keeps
+    # the ints that the public constructor would turn into Fractions
     seeds = [
-        DiagIsometry((1 if i == k else -1,), (LinForm.symbol(i),)) for i in range(n - 1)
+        DiagIsometry._normal((1 if i == k else -1,), (1 << (3 * n * i),))
+        for i in range(n - 1)
     ]
     return SymSequence(n, k, tuple(_product_recursion(seeds, 3 * n - 1)))
 

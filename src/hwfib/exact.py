@@ -1,18 +1,15 @@
 """Exact scalar and integer-matrix arithmetic.
 
 Everything in this module is exact: rationals are arbitrary-precision
-``fractions.Fraction`` values, linear forms keep exact coefficients, and the
-normal forms (Hermite, Smith) work over arbitrary-precision integers.  No
-floating point appears anywhere in the package.  A ``LinForm`` is a formal
-translation: ``isometry.DiagIsometry`` accepts one in place of each rational
-translation entry, which is how the symbolic sequence runs in E(1).
+``fractions.Fraction`` values, and the normal forms (Hermite, Smith) work
+over arbitrary-precision integers.  No floating point appears anywhere in
+the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 __all__ = [
     "Rational",
@@ -21,15 +18,13 @@ __all__ = [
     "rational",
     "format_rational",
     "parse_rational",
-    "LinForm",
     "hermite_normal_form",
     "smith_normal_form",
 ]
 
 # Exact scalars.  Plain ints are admitted alongside Fraction so that
-# integer-only computations (e.g. the symbolic recursion, whose coefficients
-# never leave Z) stay in fast machine arithmetic; int and Fraction compare
-# and hash consistently.
+# integer-only computations stay in fast int arithmetic; int and Fraction
+# compare and hash consistently.
 Rational = Fraction
 ExactNumber = Union[int, Fraction]
 
@@ -55,149 +50,6 @@ def format_rational(value: ExactNumber) -> str:
 def parse_rational(text: str) -> Fraction:
     """Parse the ``"p/q"`` / ``"p"`` wire format back into a rational."""
     return Fraction(text.strip())
-
-
-def _exact(value: ExactNumber) -> ExactNumber:
-    # collapse whole Fractions to int so arithmetic stays in the int fast
-    # path; the exact type test skips the ABC machinery behind isinstance
-    if type(value) is Fraction and value.denominator == 1:
-        return value.numerator
-    return value
-
-
-@dataclass(frozen=True)
-class LinForm:
-    """Formal affine-linear expression ``constant + sum(q_j * d_j)``.
-
-    The symbols ``d_0, d_1, ...`` are addressed by nonnegative index; the
-    symbol universe is open-ended, so one type serves every dimension.
-
-    Every form is kept in one normal form: coefficients sorted by symbol
-    index, zero coefficients never stored, and whole values (constant
-    included) stored as ``int``.  Equality and hashing are therefore
-    coefficient-wise.  The public constructor validates and normalises its
-    input.  The results of ``+``, ``-``, negation and ``scaled`` come from
-    operands already in normal form, so they skip that pass: the arithmetic
-    itself drops the coefficients that cancel and collapses the whole
-    Fractions it creates.
-    """
-
-    constant: ExactNumber = 0
-    coeffs: tuple[tuple[int, ExactNumber], ...] = ()
-
-    def __post_init__(self) -> None:
-        normalized = tuple(
-            sorted((j, _exact(c)) for j, c in self.coeffs if c != 0)
-        )
-        object.__setattr__(self, "constant", _exact(self.constant))
-        object.__setattr__(self, "coeffs", normalized)
-        if any(j < 0 for j, _ in normalized):
-            raise ValueError("symbol indices must be nonnegative")
-
-    @classmethod
-    def _normal(
-        cls, constant: ExactNumber, coeffs: tuple[tuple[int, ExactNumber], ...]
-    ) -> "LinForm":
-        """Wrap a constant and coefficients that are already in normal form,
-        skipping ``__post_init__``."""
-        form = object.__new__(cls)
-        object.__setattr__(form, "constant", constant)
-        object.__setattr__(form, "coeffs", coeffs)
-        return form
-
-    @classmethod
-    def zero(cls) -> "LinForm":
-        return cls()
-
-    @classmethod
-    def const(cls, value: ExactNumber) -> "LinForm":
-        return cls(constant=value)
-
-    @classmethod
-    def symbol(cls, j: int, coeff: ExactNumber = 1) -> "LinForm":
-        """The single-term form ``coeff * d_j``."""
-        return cls(coeffs=((j, coeff),))
-
-    @classmethod
-    def from_coeffs(
-        cls, mapping: Mapping[int, ExactNumber], constant: ExactNumber = 0
-    ) -> "LinForm":
-        return cls(constant=constant, coeffs=tuple(mapping.items()))
-
-    def coefficient(self, j: int) -> ExactNumber:
-        for idx, c in self.coeffs:
-            if idx == j:
-                return c
-        return 0
-
-    def is_zero(self) -> bool:
-        return self.constant == 0 and not self.coeffs
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def __add__(self, other: "LinForm") -> "LinForm":
-        if not isinstance(other, LinForm):
-            return NotImplemented
-        return self._plus(other, 1)
-
-    def __sub__(self, other: "LinForm") -> "LinForm":
-        if not isinstance(other, LinForm):
-            return NotImplemented
-        return self._plus(other, -1)
-
-    def _plus(self, other: "LinForm", sign: int) -> "LinForm":
-        """``self + sign*other`` for sign ±1, without building ``-other``."""
-        acc = dict(self.coeffs)
-        for j, c in other.coeffs:
-            total = _exact(acc.get(j, 0) + sign * c)
-            if total:
-                acc[j] = total
-            else:
-                del acc[j]
-        return LinForm._normal(
-            _exact(self.constant + sign * other.constant), tuple(sorted(acc.items()))
-        )
-
-    def __neg__(self) -> "LinForm":
-        return LinForm._normal(
-            -self.constant, tuple((j, -c) for j, c in self.coeffs)
-        )
-
-    def scaled(self, factor: ExactNumber) -> "LinForm":
-        if factor == 1:
-            return self
-        if factor == -1:
-            return -self
-        if factor == 0:
-            return LinForm._normal(0, ())
-        return LinForm._normal(
-            _exact(self.constant * factor),
-            tuple((j, _exact(c * factor)) for j, c in self.coeffs),
-        )
-
-    def __str__(self) -> str:
-        parts: list[str] = []
-        for j, c in self.coeffs:
-            if c == 1:
-                term = f"d{j}"
-            elif c == -1:
-                term = f"-d{j}"
-            else:
-                term = f"{format_rational(c)}*d{j}"
-            if parts and not term.startswith("-"):
-                parts.append(f"+ {term}")
-            elif parts:
-                parts.append(f"- {term[1:]}")
-            else:
-                parts.append(term)
-        if self.constant != 0 or not parts:
-            c = self.constant
-            if parts:
-                parts.append(f"- {format_rational(-c)}" if c < 0 else f"+ {format_rational(c)}")
-            else:
-                parts.append(format_rational(c))
-        return " ".join(parts)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -601,6 +601,6 @@ def candidate_from_json_dict(data: dict) -> HWCandidate:
         translations = [
             [parse_rational(str(t)) for t in vec] for vec in data["translations"]
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed candidate description: {exc}") from exc
     return build_candidate(dim, translations)

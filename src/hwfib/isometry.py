@@ -1,12 +1,12 @@
 """Affine isometries with diagonal ±1 linear part.
 
 ``DiagIsometry`` is an element (B, b) of E(n) whose orthogonal part is a
-diagonal sign matrix, stored as a sign vector plus a translation.  The
-translation entries are either all exact rationals, for the groups
-themselves, or all formal linear forms (``exact.LinForm``), so that
-one-parameter families of groups can be manipulated symbolically; both carry
-the same semidirect-product law (A, a)(B, b) = (AB, A b + a).  All values are
-immutable and all operations pure, so they are safe to share across workers.
+diagonal sign matrix, stored as a sign vector plus a translation of exact
+rationals, under the semidirect-product law (A, a)(B, b) = (AB, A b + a).
+The law only adds and negates translation entries, so it also runs on
+plain ints; the symbolic sequence of ``epimorphism`` uses that for its
+translations, linear forms packed into integers.  All values are immutable
+and all operations pure, so they are safe to share across workers.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
 
-from .exact import ExactNumber, LinForm, format_rational, parse_rational
+from .exact import ExactNumber, format_rational, parse_rational
 
 __all__ = [
     "DiagIsometry",
@@ -42,31 +42,26 @@ def _affine_entry(s: int, b, a):
     return a + b if s > 0 else a - b
 
 
-def _check_translation(entries: Iterable) -> tuple:
-    out = tuple(entries)
-    if any(isinstance(t, LinForm) for t in out):
-        if not all(isinstance(t, LinForm) for t in out):
-            raise ValueError("translation entries must be all rational or all LinForm")
-        return out
-    return tuple(t if type(t) is Fraction else Fraction(t) for t in out)
-
-
 @dataclass(frozen=True)
 class DiagIsometry:
     """Exact isometry x -> diag(signs) x + translation of R^n.
 
-    The public constructor validates the signs, checks that the translation
-    entries are all ``LinForm`` or else converts them to ``Fraction``, and
-    checks the lengths.  ``compose`` and ``inverse`` build their results
-    from operands that already passed, so they skip that pass.
+    The public constructor validates the signs, converts the translation
+    entries to ``Fraction`` and checks the lengths.  ``compose`` and
+    ``inverse`` build their results from operands that already passed, so
+    they skip that pass.
     """
 
     signs: tuple[int, ...]
-    translation: tuple[Fraction, ...] | tuple[LinForm, ...]
+    translation: tuple[Fraction, ...] | tuple[int, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "signs", _check_signs(self.signs))
-        object.__setattr__(self, "translation", _check_translation(self.translation))
+        object.__setattr__(
+            self,
+            "translation",
+            tuple(t if type(t) is Fraction else Fraction(t) for t in self.translation),
+        )
         if len(self.signs) != len(self.translation):
             raise ValueError(
                 f"sign vector has length {len(self.signs)} but translation "
@@ -76,8 +71,7 @@ class DiagIsometry:
     @classmethod
     def _normal(cls, signs: tuple[int, ...], translation: tuple) -> "DiagIsometry":
         """Wrap int ±1 signs and equally many translation entries of one
-        type, all ``Fraction`` or all ``LinForm``, skipping
-        ``__post_init__``."""
+        type, all ``Fraction`` or all ``int``, skipping ``__post_init__``."""
         g = object.__new__(cls)
         object.__setattr__(g, "signs", signs)
         object.__setattr__(g, "translation", translation)
@@ -93,7 +87,7 @@ class DiagIsometry:
 
     def identity_like(self) -> "DiagIsometry":
         """The identity with zero translation entries of this isometry's own
-        type (``Fraction()`` or ``LinForm()``)."""
+        type (``Fraction()`` or ``int()``)."""
         return DiagIsometry._normal(
             (1,) * self.dim, tuple(type(t)() for t in self.translation)
         )

@@ -7,7 +7,9 @@ closure of the holonomy, and isometries are multiplied as homogeneous
 matrices over Fraction.  The Schreier lattice and the per-class torsion test
 use hwfib's Hermite normal form, which test_exact checks against minor gcds.
 The dense Smith normal form shares only ``exact._xgcd`` with the fast one
-it checks; test_exact checks both against minor gcds.
+it checks; test_exact checks both against minor gcds.  The symbolic
+sequence is rebuilt with one dict of coefficients per term, without
+``DiagIsometry`` and without packing forms into integers.
 """
 
 from fractions import Fraction
@@ -85,6 +87,23 @@ def hom_mul(a, b):
 
 def hom_identity(n):
     return hom_matrix([1] * n, [0] * n)
+
+
+def sparse_symbolic_terms(n, k):
+    """The 3n-1 terms of the symbolic sequence for (n, k), each as
+    (sign, {j: c}) holding the nonzero coefficients c of d_j in its
+    translation.  Seeds are (±1, d_i) with +1 only at i = k; each later
+    term is the left-to-right E(1) product of the n-1 terms before it,
+    (s, a)(t, b) = (st, s*b + a)."""
+    terms = [(1 if i == k else -1, {i: 1}) for i in range(n - 1)]
+    while len(terms) < 3 * n - 1:
+        sign, acc = 1, {}
+        for s, coeffs in terms[-(n - 1):]:
+            for j, c in coeffs.items():
+                acc[j] = acc.get(j, 0) + sign * c
+            sign *= s
+        terms.append((sign, {j: c for j, c in acc.items() if c}))
+    return terms
 
 
 def in_hnf_shape(rows):

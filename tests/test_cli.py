@@ -1,7 +1,10 @@
 import hashlib
 import json
 import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -84,6 +87,30 @@ def test_verify_non_half_integer(tmp_path, capsys):
     )
     code, _, err = run_cli(capsys, "verify", "--input", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "show"])
+def test_zero_denominator_is_a_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "zero_denominator.json"
+    path.write_text(
+        json.dumps({"dim": 3, "translations": [["1/0", "1/2", "0"], ["0", "1/2", "1/2"]]})
+    )
+    code, out, err = run_cli(capsys, command, "--input", str(path))
+    assert code == 2
+    assert "malformed candidate description" in err
+    assert out == ""
+
+
+def test_importing_the_cli_leaves_multiprocessing_out():
+    # only survey --jobs N > 1 needs it, and the import costs every start
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, hwfib.cli; sys.exit('multiprocessing' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr or "hwfib.cli imported multiprocessing"
 
 
 def test_survey_dim3_full(capsys):
@@ -200,6 +227,14 @@ STDOUT_SHA256 = {
         "0c11c6e07ce371e460abf1f2afda4f904e12f6f66aba3d78b3dff12c3705262b",
     ("symbolic", "--dim", "7", "--k", "3"):
         "297f5f8d0fa58f4b477bb8093b58501736e38c41ed65308a4d898ffcd8cfb384",
+    # the benchmark input
+    ("symbolic", "--dim", "21", "--format", "json"):
+        "0e3271b20791123c1e3d51830e488d0c47a07d662ad9fc560ff57d7e738dc9d4",
+    # k = n-1: no seed has sign +1
+    ("symbolic", "--dim", "3", "--k", "2"):
+        "a9d439a74f9327bddd52bb31058c4d15da8930f0fbbbf009058bd51c0b56c5e7",
+    ("symbolic", "--dim", "13", "--k", "6"):
+        "5281549f5398620ef770a25f51834034da20a78cf0df1bda4294e2cc2b7bd155",
     ("verify", "--input", CYCLIC13, "--format", "json"):
         "b7463b682632d97ec12782a0c7091803e164c626932d67c51f2d37c1c871ace8",
     ("verify", "--input", CYCLIC13):

@@ -13,7 +13,6 @@ from hwfib.epimorphism import (
     verify_main_theorem,
     verify_periodicity,
 )
-from hwfib.exact import LinForm
 from hwfib.fpgroup import (
     GenImages,
     concat,
@@ -27,17 +26,15 @@ from hwfib.fpgroup import (
 from hwfib.hwgroup import build_candidate, candidate_count, candidate_from_index, cyclic_hw
 from hwfib.isometry import DiagIsometry, component, compose
 
+from _oracles import sparse_symbolic_terms
+
 F = Fraction
 HALF = F(1, 2)
 
 
-def d(j):
-    return LinForm.symbol(j)
-
-
-def sym(sign, form):
-    """A symbolic element of E(1): x -> sign*x + form."""
-    return DiagIsometry((sign,), (form,))
+def term(seq, i):
+    """Term i of a symbolic sequence as (sign, coefficients of d_0..d_(n-2))."""
+    return seq.terms[i].signs[0], seq.coefficients(i)
 
 
 def numeric_sequence(n, k, values, length):
@@ -53,23 +50,75 @@ def numeric_sequence(n, k, values, length):
     return terms
 
 
-def substitute(form, values):
-    total = F(form.constant)
-    for j, c in form.coeffs:
-        total += F(c) * F(values[j])
-    return total
+def substitute(coeffs, values):
+    return sum((c * F(v) for c, v in zip(coeffs, values)), F(0))
 
 
 def test_symbolic_sequence_first_derived_terms():
     seq = symbolic_sequence(3, 0)
-    assert seq.terms[0] == sym(1, d(0))
-    assert seq.terms[1] == sym(-1, d(1))
-    assert seq.terms[2] == sym(-1, d(0) + d(1))
-    assert seq.terms[3] == sym(1, -d(0))
+    assert term(seq, 0) == (1, (1, 0))
+    assert term(seq, 1) == (-1, (0, 1))
+    assert term(seq, 2) == (-1, (1, 1))
+    assert term(seq, 3) == (1, (-1, 0))
     # the recursion forces the +2 coefficient here: term 4 is the product of
     # terms 2 and 3, whose leading sign flips -d0 back to +d0
-    assert seq.terms[4] == sym(-1, d(0).scaled(2) + d(1))
+    assert term(seq, 4) == (-1, (2, 1))
     assert len(seq.terms) == 3 * 3 - 1
+
+
+def test_coefficients_match_sparse_oracle_and_bound():
+    # the packing base B = 2^(3n) is one-to-one only while every compared
+    # coefficient stays below B/2: check the norm lemma behind that on the
+    # oracle's terms, and the decoded terms against the oracle
+    for n in range(3, 22, 2):
+        half_base = 1 << (3 * n - 1)
+        for k in range(n):
+            seq = symbolic_sequence(n, k)
+            expected = sparse_symbolic_terms(n, k)
+            assert len(seq.terms) == len(expected) == 3 * n - 1
+            norms = []
+            for i, (sign, coeffs) in enumerate(expected):
+                assert term(seq, i) == (sign, tuple(coeffs.get(j, 0) for j in range(n - 1)))
+                assert all(abs(c) <= 2**i and abs(c) < half_base for c in coeffs.values())
+                norms.append(sum(abs(c) for c in coeffs.values()))
+                assert norms[i] <= 2**i, (n, k, i)
+            # the right side of recursion_consistent, (term i-1)^-1 (term i+n-2)^2
+            for i in range(1, 2 * n):
+                assert norms[i - 1] + 2 * norms[i + n - 2] <= 3 * 2 ** (3 * n - 3) < half_base
+
+
+def _with_terms(seq, *coeff_tuples):
+    """``seq`` with its terms replaced by sign +1 and the given coefficient
+    tuples, packed as d_j -> B^j with B = 2^(3n)."""
+    shift = 3 * seq.n
+    return dataclasses.replace(
+        seq,
+        terms=tuple(
+            DiagIsometry._normal((1,), (sum(c << (shift * j) for j, c in enumerate(cs)),))
+            for cs in coeff_tuples
+        ),
+    )
+
+
+def test_translation_text():
+    seq = symbolic_sequence(5, 0)
+    assert seq.translation_text(0) == "d0"
+    assert seq.translation_text(4) == "d0 + d1 - d2 + d3"
+    assert seq.translation_text(5) == "-d0"
+    assert seq.translation_text(6) == "2*d0 + d1"
+    made = _with_terms(seq, (0, -2, 0, 1), (1, 0, -3, -1), (0, 0, 0, 0))
+    assert made.translation_text(0) == "-2*d1 + d3"
+    assert made.translation_text(1) == "d0 - 3*d2 - d3"
+    assert made.translation_text(2) == "0"
+
+
+def test_coefficients_round_trip_balanced_digits():
+    seq = symbolic_sequence(5, 1)
+    half = 1 << (3 * 5 - 1)
+    cases = [(0, 0, 0, 0), (1 - half, half - 1, -1, 1), (-half, 0, half - 1, -half), (3, -7, 0, 5)]
+    made = _with_terms(seq, *cases)
+    for i, cs in enumerate(cases):
+        assert made.coefficients(i) == cs
 
 
 def test_symbolic_terms_match_numeric_recursion():
@@ -79,9 +128,9 @@ def test_symbolic_terms_match_numeric_recursion():
             seq = symbolic_sequence(n, k)
             values = [F(rng.randint(-12, 12), rng.choice((1, 2, 3))) for _ in range(n - 1)]
             expected = numeric_sequence(n, k, values, 3 * n - 1)
-            for term, (sign, trans) in zip(seq.terms, expected):
-                assert term.signs == (sign,)
-                assert substitute(term.translation[0], values) == trans
+            for i, (sign, trans) in enumerate(expected):
+                assert seq.terms[i].signs == (sign,)
+                assert substitute(seq.coefficients(i), values) == trans
 
 
 def test_symbolic_sequence_general_n_shape():
@@ -89,11 +138,9 @@ def test_symbolic_sequence_general_n_shape():
     # signs from index 2 on
     for n in (5, 7):
         seq = symbolic_sequence(n, 0)
-        expected = d(0) + d(1)
-        for j in range(2, n - 1):
-            expected = expected + d(j).scaled((-1) ** (j + 1))
-        assert seq.terms[n - 1] == sym(-1, expected)
-        assert seq.terms[n] == sym(1, -d(0))
+        expected = (1, 1) + tuple((-1) ** (j + 1) for j in range(2, n - 1))
+        assert term(seq, n - 1) == (-1, expected)
+        assert term(seq, n) == (1, (-1,) + (0,) * (n - 2))
 
 
 def test_symbolic_sequence_validation():
@@ -108,7 +155,8 @@ def test_symbolic_sequence_validation():
 def test_verify_periodicity_small():
     assert verify_periodicity(3, 0)
     seq = symbolic_sequence(3, 0)
-    assert seq.terms[6] == seq.terms[0] == sym(1, d(0))
+    assert seq.terms[6] == seq.terms[0]
+    assert term(seq, 6) == (1, (1, 0))
     assert verify_periodicity(3, 1)
     assert verify_periodicity(3, 2)
 
@@ -133,18 +181,28 @@ def test_verify_addrel():
 
 def test_sequence_checks_fail_on_a_perturbed_term():
     # index 0 is a seed both checks read; index 2n is the term the
-    # periodicity check compares with it and an addrel left-hand side
+    # periodicity check compares with it and an addrel left-hand side.
+    # Adding B^j to a packed translation adds d_j to its form.
     for n in (3, 5, 7):
+        base = 1 << (3 * n)
         for k in range(n):
             seq = symbolic_sequence(n, k)
             assert seq.periodic() and seq.recursion_consistent()
             for idx in (0, 2 * n):
-                terms = list(seq.terms)
-                term = terms[idx]
-                terms[idx] = sym(term.signs[0], term.translation[0] + LinForm.const(1))
-                bad = dataclasses.replace(seq, terms=tuple(terms))
-                assert not bad.periodic(), (n, k, idx)
-                assert not bad.recursion_consistent(), (n, k, idx)
+                for j in range(n - 1):
+                    terms = list(seq.terms)
+                    (sign,), (trans,) = terms[idx].signs, terms[idx].translation
+                    terms[idx] = DiagIsometry._normal((sign,), (trans + base**j,))
+                    bad = dataclasses.replace(seq, terms=tuple(terms))
+                    assert bad.coefficients(idx)[j] == seq.coefficients(idx)[j] + 1
+                    assert not bad.periodic(), (n, k, idx, j)
+                    assert not bad.recursion_consistent(), (n, k, idx, j)
+
+
+def test_coefficients_rejects_what_is_not_a_form_in_the_seeds():
+    # n = 3 has seeds d_0, d_1; B^2 would be a third symbol
+    with pytest.raises(AssertionError):
+        _with_terms(symbolic_sequence(3, 0), (0, 0, 1)).coefficients(0)
 
 
 def test_addrel_numeric_substitution():

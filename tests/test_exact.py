@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from hwfib.exact import (
-    LinForm,
     format_rational,
     hermite_normal_form,
     parse_rational,
@@ -12,7 +11,6 @@ from hwfib.exact import (
     smith_normal_form,
 )
 from hwfib.fpgroup import fibonacci_presentation, relator_matrix
-from hwfib.isometry import DiagIsometry
 
 from _oracles import (
     dense_smith_normal_form,
@@ -61,38 +59,6 @@ def test_field_axioms_on_random_triples():
         assert a * b == b * a
         if a != 0:
             assert a * (1 / a) == 1
-
-
-# ---------------------------------------------------------------------------
-# linear forms
-
-
-def d(j):
-    return LinForm.symbol(j)
-
-
-def test_linform_basics():
-    f = d(0) + d(1).scaled(2)
-    assert f.coefficient(0) == 1
-    assert f.coefficient(1) == 2
-    assert f.coefficient(5) == 0
-    assert not f.is_zero()
-    assert LinForm.zero().is_zero()
-    assert (f - f).is_zero()
-
-
-def test_linform_no_zero_coefficients_stored():
-    f = LinForm(coeffs=((2, 0), (1, 3)))
-    assert f.coeffs == ((1, 3),)
-    g = d(4) - d(4)
-    assert g.coeffs == ()
-
-
-def test_linform_str():
-    assert str(LinForm.zero()) == "0"
-    assert str(d(0) + d(2)) == "d0 + d2"
-    assert str(d(1).scaled(-2) + LinForm.const(Fraction(1, 2))) == "-2*d1 + 1/2"
-    assert str(LinForm.const(3) - d(0)) == "-d0 + 3"
 
 
 # ---------------------------------------------------------------------------
@@ -237,54 +203,3 @@ def test_snf_fast_paths_match_dense_elimination_on_random_matrices():
             for k, d in enumerate(divisors, start=1):
                 prod *= d
                 assert prod == minor_gcd(m, k), m
-
-
-def _random_form(rng, partner=None):
-    """A form with int and Fraction values; given a partner form, about a
-    third of the partner's symbols get a coefficient that cancels it and a
-    third one that sums with it to a whole number."""
-    coeffs = {}
-    for j in rng.sample(range(8), rng.randint(0, 5)):
-        coeffs[j] = rng.choice(
-            (rng.randint(-3, 3), Fraction(rng.randint(-6, 6), rng.choice((2, 3, 4))))
-        )
-    constant = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
-    if partner is not None:
-        for j, c in partner.coeffs:
-            roll = rng.random()
-            if roll < 1 / 3:
-                coeffs[j] = -c
-            elif roll < 2 / 3:
-                coeffs[j] = rng.randint(-2, 2) - c
-        if rng.random() < 0.5:
-            constant = rng.randint(-2, 2) - partner.constant
-    return LinForm(constant, tuple(coeffs.items()))
-
-
-def _assert_normal(r):
-    renormalized = LinForm(r.constant, r.coeffs)
-    assert r.coeffs == renormalized.coeffs
-    assert [type(c) for _, c in r.coeffs] == [type(c) for _, c in renormalized.coeffs]
-    assert type(r.constant) is type(renormalized.constant)
-    assert all(c != 0 for _, c in r.coeffs)
-    assert all(type(c) is int for _, c in r.coeffs if Fraction(c).denominator == 1)
-    assert r == renormalized and hash(r) == hash(renormalized)
-
-
-def test_linform_results_stay_in_normal_form():
-    rng = random.Random(17)
-    factors = (1, -1, 2, -2, Fraction(1, 2))
-    for _ in range(400):
-        f = _random_form(rng)
-        g = _random_form(rng, partner=f)
-        results = [f + g, f - g, g - f, -f, f - f, f + (-f)]
-        results += [f.scaled(q) for q in factors]
-        # the translation update of a symbolic E(1) composition: s*f + g
-        results += [
-            DiagIsometry((s,), (g,)).compose(DiagIsometry((1,), (f,))).translation[0]
-            for s in (1, -1)
-        ]
-        for r in results:
-            _assert_normal(r)
-        assert (f + g) - g == f and hash((f + g) - g) == hash(f)
-        assert f.scaled(2).scaled(Fraction(1, 2)) == f

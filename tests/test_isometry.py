@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from hwfib.exact import LinForm
 from hwfib.isometry import (
     DiagIsometry,
     apply,
@@ -24,13 +23,24 @@ def iso(signs, trans):
     return DiagIsometry(tuple(signs), tuple(F(t) for t in trans))
 
 
-def sym(sign, form):
-    """A symbolic element of E(1): x -> sign*x + form."""
-    return DiagIsometry((sign,), (form,))
+# The symbolic sequence packs the linear form sum c_j d_j into the int
+# sum c_j B^j; these tests use B = 2^12, enough for coefficients below 2^11.
+B = 1 << 12
+
+
+def form(*coeffs):
+    """The packed int of the linear form with these coefficients of d_0, d_1, ..."""
+    return sum(c * B**j for j, c in enumerate(coeffs))
+
+
+def sym(sign, packed):
+    """A symbolic element of E(1), x -> sign*x + form, with its int
+    translation kept as it is (the public constructor makes Fractions)."""
+    return DiagIsometry._normal((sign,), (packed,))
 
 
 def d(j):
-    return LinForm.symbol(j)
+    return B**j
 
 
 G0 = iso((1, -1, -1), (HALF, HALF, 0))  # 3-dim cyclic family, generator 0
@@ -70,42 +80,39 @@ def test_compose_symbolic_e1():
 
 def test_symbolic_compose_translation_examples():
     # (s, g)(t, f) has translation s*f + g
-    assert compose(sym(1, d(0)), sym(-1, d(1))).translation == (d(0) + d(1),)
-    assert compose(sym(-1, d(1)), sym(1, d(1))).translation[0].is_zero()
-    assert compose(sym(-1, d(1)), sym(1, d(0).scaled(2))) == sym(-1, d(1) - d(0).scaled(2))
+    assert compose(sym(1, d(0)), sym(-1, d(1))).translation == (form(1, 1),)
+    assert compose(sym(-1, d(1)), sym(1, d(1))).translation == (0,)
+    assert compose(sym(-1, d(1)), sym(1, 2 * d(0))) == sym(-1, form(-2, 1))
 
 
 def test_symbolic_compose_translation_identities():
     rng = random.Random(2)
     for _ in range(100):
-        f = LinForm(
-            Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
-            tuple((j, rng.randint(-5, 5)) for j in range(rng.randint(0, 5))),
-        )
+        f = form(*(rng.randint(-5, 5) for _ in range(rng.randint(0, 5))))
         s = rng.choice((1, -1))
-        assert compose(sym(1, f), sym(s, LinForm.zero())) == sym(s, f)
-        assert compose(sym(-1, f), sym(s, f)) == sym(-s, LinForm.zero())
+        assert compose(sym(1, f), sym(s, 0)) == sym(s, f)
+        assert compose(sym(-1, f), sym(s, f)) == sym(-s, 0)
 
 
-def test_symbolic_isometry_rejects_bad_sign_and_mixed_entries():
+def test_public_constructor_rejects_bad_sign_and_length_and_makes_fractions():
     with pytest.raises(ValueError):
         DiagIsometry((2,), (d(0),))
     with pytest.raises(ValueError):
-        DiagIsometry((1, 1), (d(0), F(1, 2)))
-    with pytest.raises(ValueError):
         DiagIsometry((1, 1), (d(0),))
+    g = DiagIsometry((1, 1), (d(1), F(1, 2)))
+    assert all(type(t) is Fraction for t in g.translation)
+    assert g.translation == (F(B), F(1, 2))
 
 
 def test_symbolic_identity_and_truthiness():
-    g = sym(-1, d(0) + LinForm.const(F(1, 2)))
+    g = sym(-1, form(1, -3))
     e = g.identity_like()
-    assert e == sym(1, LinForm.zero())
-    assert type(e.translation[0]) is LinForm
+    assert e == sym(1, 0)
+    assert type(e.translation[0]) is int
     assert e.is_identity() and not g.is_identity()
     assert compose(e, g) == g == compose(g, e)
-    assert not sym(1, d(0)).is_identity() and not sym(1, LinForm.const(1)).is_identity()
+    assert not sym(1, d(0)).is_identity() and not sym(1, d(3)).is_identity()
     assert type(G0.identity_like().translation[0]) is Fraction
-    assert str(sym(1, d(0) + d(1))) == "(diag(+), (d0 + d1))"
 
 
 def test_compose_dimension_mismatch():
@@ -146,8 +153,8 @@ def test_symbolic_group_laws_random():
     rng = random.Random(12)
 
     def rand_sym():
-        coeffs = tuple((j, rng.randint(-4, 4)) for j in range(rng.randint(0, 4)))
-        return sym(rng.choice((1, -1)), LinForm(rng.randint(-3, 3), coeffs))
+        coeffs = (rng.randint(-4, 4) for _ in range(rng.randint(0, 4)))
+        return sym(rng.choice((1, -1)), form(*coeffs))
 
     for _ in range(200):
         a, b, c = rand_sym(), rand_sym(), rand_sym()
@@ -156,18 +163,10 @@ def test_symbolic_group_laws_random():
         assert compose(inverse(a), a).is_identity()
 
 
-def _random_form(rng):
-    coeffs = tuple(
-        (j, rng.choice((rng.randint(-3, 3), F(rng.randint(-6, 6), rng.choice((2, 3))))))
-        for j in rng.sample(range(6), rng.randint(0, 3))
-    )
-    return LinForm(F(rng.randint(-4, 4), rng.choice((1, 2))), coeffs)
-
-
 def test_compose_and_inverse_results_are_normalised():
     # compose and inverse skip the constructor's checks; their results must
-    # be what the constructor would make of them, with int signs and entries
-    # of the operands' type, each LinForm in its own normal form
+    # equal what the constructor would make of them, with int signs and
+    # entries of the operands' type: Fraction, or int for packed forms
     rng = random.Random(16)
     for _ in range(300):
         dim = rng.randint(1, 4)
@@ -176,24 +175,18 @@ def test_compose_and_inverse_results_are_normalised():
             kind = Fraction
         else:
             g, h = (
-                DiagIsometry(
-                    [rng.choice((1, -1)) for _ in range(dim)],
-                    [_random_form(rng) for _ in range(dim)],
+                DiagIsometry._normal(
+                    tuple(rng.choice((1, -1)) for _ in range(dim)),
+                    tuple(form(*(rng.randint(-6, 6) for _ in range(3))) for _ in range(dim)),
                 )
                 for _ in range(2)
             )
-            kind = LinForm
+            kind = int
         for r in (compose(g, h), compose(h, g), inverse(g), compose(g, inverse(g))):
             assert r == DiagIsometry(r.signs, r.translation)
             assert hash(r) == hash(DiagIsometry(r.signs, r.translation))
             assert all(type(s) is int for s in r.signs)
             assert all(type(t) is kind for t in r.translation)
-            if kind is LinForm:
-                for t in r.translation:
-                    again = LinForm(t.constant, t.coeffs)
-                    assert t.coeffs == again.coeffs
-                    assert type(t.constant) is type(again.constant)
-                    assert [type(c) for _, c in t.coeffs] == [type(c) for _, c in again.coeffs]
 
 
 def test_rotational_part():
