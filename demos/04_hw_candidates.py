@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Hantzsche-Wendt candidates: holonomy, translation lattice, torsion.
+"""Hantzsche-Wendt candidates: translation lattice, torsion, the bit kernel.
 
 A candidate in odd dimension n is generated by n-1 isometries with the
 standard diagonal sign patterns and half-integer translations.  It is a
 Hantzsche-Wendt group when it is crystallographic (full-rank translation
-lattice) and torsion-free.
+lattice) and torsion-free.  ``classify`` decides both on n-bit words; the
+steps it runs are printed below for three candidates.
 """
 
 from fractions import Fraction
@@ -15,36 +16,54 @@ from hwfib import (
     classify,
     cyclic_hw,
     enumerate_candidates,
-    holonomy,
     is_torsion_free,
-    torsion_oracle,
     translation_lattice,
 )
+from hwfib.hwgroup import _rep_units_raw, _schreier_lattice, _torsion_classes
 
 HALF = Fraction(1, 2)
+
+
+def show_kernel(c):
+    """The moduli m_j and the normalised words of the generators, the
+    crystallographic mask, a basis of the parity space V and the first
+    holonomy class holding torsion.  A word is printed bit 0 first."""
+    n = c.dim
+    bits = lambda w: format(w, f"0{n}b")[::-1]
+    mods, lows, highs = _rep_units_raw(c)
+    cryst, basis = _schreier_lattice(n, lows)
+    first = next(_torsion_classes(n, lows, highs, basis), None)
+    print(f"  moduli m_j: {mods}")
+    print(f"  low words: {[bits(u) for u in lows]}, high words: {[bits(u) for u in highs]}")
+    print(f"  crystallographic mask: {bits(cryst)}")
+    print(f"  parity space V: dimension {len(basis)}, basis {[bits(b) for b in basis]}")
+    print("  first class with torsion (coordinates negated):",
+          "none" if first is None else bits(first))
+    print("  classification:", classify(c))
+
 
 c = cyclic_hw(3)
 print("the 3-dimensional cyclic candidate:")
 for i, g in enumerate(c.generators):
     print(f"  generator {i}: {g}")
-
-table = holonomy(c)
-print("\nholonomy closure:", len(table), "sign vectors")
-for signs, rep in table.entries:
-    print(f"  {signs}: representative {rep}")
+show_kernel(c)
 
 lattice = translation_lattice(c)
-print("\ntranslation lattice (normal generators g_i^2, [g_i, g_j], F2 parity masks):")
+print("translation lattice (2 m_j e_j and V, in canonical HNF):")
 print("  rank", lattice.rank, "basis", lattice.basis, "denominator", lattice.den)
+print("torsion-free (Gray-code walk over the holonomy classes):", is_torsion_free(c))
 
-print("\ntorsion-free (Gray-code walk over the holonomy classes):", is_torsion_free(c))
-print("torsion-free (bounded brute force):", torsion_oracle(c))
-print("classification:", classify(c))
+# The same group scaled by 3: every modulus is 3, and the conjugation by
+# x -> x/3 gives back the same words.
+tripled = build_candidate(3, [(3 * HALF, 3 * HALF, 0), (0, 3 * HALF, 3 * HALF)])
+print("\nthe cyclic candidate scaled by 3:")
+show_kernel(tripled)
 
 # A candidate with an obvious order-two element: zero translations make
 # every generator an involution.
 zero = build_candidate(3, [(0, 0, 0), (0, 0, 0)])
-print("\nzero-translation candidate:", classify(zero))
+print("\nzero-translation candidate:")
+show_kernel(zero)
 
 # Exhaustive survey of dimension 3: all 2^6 = 64 half-integer assignments.
 print(f"\nsurveying all {candidate_count(3)} candidates in dimension 3 ...")

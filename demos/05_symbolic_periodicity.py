@@ -16,10 +16,9 @@ seq = symbolic_sequence(n, k)
 print(f"sequence for n={n}, k={k}:")
 for i, term in enumerate(seq.terms):
     marker = ""
-    if i >= 2 * n and seq.terms[i] == seq.terms[i - 2 * n]:
+    if i >= 2 * n and term == seq.terms[i - 2 * n]:
         marker = f"   <- equals term {i - 2*n}"
-    sign = "+" if term.signs[0] > 0 else "-"
-    print(f"  term {i:2d}: ({sign}1, {seq.translation_text(i)}){marker}")
+    print(f"  term {i:2d}: {seq.term_text(i)}{marker}")
 
 print("\nperiod 2n holds:", verify_periodicity(n, k))
 print("one-step recursion (inverse times square) holds:", verify_addrel(n, k))

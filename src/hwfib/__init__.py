@@ -48,7 +48,6 @@ from .fpgroup import (
 )
 from .hwgroup import (
     Classification,
-    HolonomyTable,
     HWCandidate,
     Lattice,
     build_candidate,
@@ -59,11 +58,9 @@ from .hwgroup import (
     classify,
     cyclic_hw,
     enumerate_candidates,
-    holonomy,
     is_crystallographic,
     is_hantzsche_wendt,
     is_torsion_free,
-    torsion_oracle,
     translation_lattice,
 )
 from .epimorphism import (

@@ -45,8 +45,9 @@ EXIT_USAGE = 2
 FULL_ENUMERATION_LIMIT = 5  # dimensions above this need --sample
 # Largest dimension verify, show and survey accept: classifying a candidate
 # walks its 2^(n-1) holonomy classes.  Measured on a 2-core x86-64 VM with
-# Python 3.11: classify of cyclic n=21 takes 1.0-1.5 s (1.7 s conjugated by
-# a dense integer translation), and each step of 2 in n costs about 4x.
+# Python 3.11.7: classify of cyclic n=17, 19 and 21 takes 0.025 s, 0.10-0.11 s
+# and 0.34-0.40 s (0.32-0.37 s at n=21 conjugated by a dense integer
+# translation), and each step of 2 in n costs about 4x.
 MAX_DIM = 21
 # Largest dimension symbolic accepts: the all-k run builds n sequences of
 # 3n-1 terms, each a product of n-1 terms packed into ints of 3n(n-1) bits,
@@ -282,9 +283,8 @@ def cmd_symbolic(cfg: argparse.Namespace) -> int:
             bad = [str(c["k"]) for c in checks if not (c["periodic"] and c["recursion_consistent"])]
             _emit(f"period {2 * n} FAILED for k={','.join(bad)}")
         if cfg.k is not None:
-            for i, term in enumerate(seq.terms):
-                sign = "+" if term.signs[0] > 0 else "-"
-                _emit(f"term {i}: ({sign}1, {seq.translation_text(i)})")
+            for i in range(len(seq.terms)):
+                _emit(f"term {i}: {seq.term_text(i)}")
         _emit(f"runtime: {elapsed:.3f}s")
     return EXIT_PASS if all_ok else EXIT_FAIL
 

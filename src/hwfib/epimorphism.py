@@ -88,6 +88,9 @@ class SymSequence:
     n: int
     k: int
     terms: tuple[DiagIsometry, ...]
+    """The 3n-1 terms as isometries of the line whose translation entry is
+    the packed ``int``, so printing a term shows that integer; ``term_text``
+    shows its sign and form."""
 
     def coefficients(self, i: int) -> tuple[int, ...]:
         """Coefficients of d_0..d_(n-2) in the translation of term i."""
@@ -117,6 +120,10 @@ class SymSequence:
             else:
                 parts.append(f"-{body}" if c < 0 else body)
         return " ".join(parts) or "0"
+
+    def term_text(self, i: int) -> str:
+        """Term i as its sign and translation, e.g. ``(+1, d0 + d1)``."""
+        return f"({'+' if self.terms[i].signs[0] > 0 else '-'}1, {self.translation_text(i)})"
 
     def periodic(self) -> bool:
         """Exact check that the sequence has period 2n: term 2n+j equals

@@ -1,22 +1,67 @@
 """Hantzsche-Wendt candidate groups in the standard diagonal form.
 
-A candidate in dimension n (odd) is the group generated by n-1 isometries
-whose linear parts are the standard sign matrices (+1 at exactly one
-coordinate, -1 elsewhere) and whose translations are half-integer vectors.
-This module classifies such candidates: the translation lattice from its
-normal generators g_i^2 and [g_i, g_j] (a gcd per coordinate plus an F2
-space of parity masks), the crystallographic test, the torsion test by a
-Gray-code walk over the holonomy classes, the holonomy table, and
-enumeration of the whole half-integer search space.
+A candidate in dimension n (odd) is the group G generated by n-1
+isometries g_i whose linear parts are the standard sign matrices (+1 at
+coordinate i only, -1 elsewhere) and whose translations t_i are
+half-integer vectors.  This module classifies such candidates (the
+crystallographic test, the torsion test, the holonomy), gives their
+translation lattice, and enumerates the half-integer search space.
 
-Internally translations are handled in "half units" (twice their value) and
-sign matrices as bitmasks, so the per-candidate work runs on small ints.
-The sign masks, and with them the holonomy order and orientation, are the
-same for every candidate of a dimension and are computed once per n.
-``classify`` takes an ``HWCandidate``; ``classify_index`` reads the half
-units of an enumerated candidate straight from the bits of its index, so a
-survey builds no Fractions or isometries for it.  Both run the same kernel.
-The rest of the public surface is exact rationals.
+Classification runs on n-bit words.  Translations are counted in half
+units, u_i = 2 t_i, and a holonomy class is the bitmask of the coordinates
+its sign matrix negates.  ``classify`` takes an ``HWCandidate``;
+``classify_index`` reads the words of an enumerated candidate straight from
+the bits of its index.  Both run the same kernel, in three steps that keep
+the names bench/tracing.py hooks: ``_rep_units_raw`` (normalise, for an
+``HWCandidate`` only), ``_schreier_lattice`` and ``_torsion_exists``.
+
+Lattice.  The kernel L of G -> (Z/2)^(n-1) is spanned by the holonomy
+orbits of the translations of the g_i^2 and [g_i, g_j], its normal
+generators.  The translation of g_i^2 is u_i[i] e_i; that of [g_i, g_j]
+(j < i) is u_i[k] - u_j[k] off {i, j}, u_i[i] at i and -u_j[j] at j.  The
+holonomy holds, for each j, the element A that is +1 only at j, and
+v + Av = 2 v_j e_j; so 2M lies in L for M = (+) m_j Z, m_j the gcd of
+coordinate j over those vectors, and a sign change moves a vector by an
+element of 2M.  So L = 2M + span(vectors).  Hence m_j is the gcd of u_j[j]
+(0 for j = n-1) and the differences of the u_i[j], i != j: those u_i[j]
+are congruent mod m_j, and m_j divides u_j[j].
+
+Normalisation.  Conjugating G by h(x) = D x + w, D a positive diagonal
+matrix, changes nothing the classification reads: h commutes with the sign
+matrices, so h g_i h^(-1) has the linear part of g_i and translation
+D t_i + (1 - A_i) w, and an affine conjugate is crystallographic,
+torsion-free and of the same holonomy exactly when G is.  In half units
+h sends u_i[j] to d_j (u_i[j] + 4 w_j) for i != j, and to d_j u_j[j].
+Where m_j > 0, let r_j in [0, m_j) be the common residue of the u_i[j],
+i != j.  The shift w_j = -r_j / 4 makes them multiples of m_j, and the
+scaling d_j = 1 / m_j divides coordinate j by m_j, so the new moduli are 1;
+together they send every unit to floor(u_i[j] / m_j).  Reducing a unit mod
+4 then multiplies a generator by a translation in 2M, which is already in
+the group.  Where m_j = 0 the units are kept: the u_i[j] with i != j all
+equal some c and u_j[j] = 0.  Conjugating by the translation -c e_j / 4
+would make coordinate j zero in every element, and that conjugation moves
+an element (A, a) only where A negates.  So a_j = 0 whenever A fixes j,
+whatever the units, and the parity masks below have no bit j (they XOR
+equal bits): such a coordinate needs neither shift nor scaling.  Every
+generator is then two n-bit words, low (bit j is u mod 2) and high (bit j
+is u div 2 mod 2).  An enumerated index is already in that form: its units
+are 0 or 1, every m_j is 0 or 1, the low words are the index bits and the
+high words are 0.
+
+Lattice step.  With every m_j in {0, 1}, L is the set of integer vectors,
+zero where m_j = 0, whose parity mask lies in the F2 space V spanned by the
+parity masks of the normal generators: U_i & bit i for g_i^2 and
+(U_i & ~bit j) ^ (U_j & ~bit i) for [g_i, g_j], U_i the low word of g_i.
+Their OR, the crystallographic mask, holds the coordinates with m_j = 1;
+the candidate is crystallographic when it holds all n.
+
+Torsion step.  An element (A, a + λ), λ in L, has a fixed point (and then
+order two) exactly when a + λ vanishes on the coordinates F that A fixes:
+when the half units of a are even on F (and 0 where m_j = 0, which holds
+by the above) and the parity mask of a/2 on F lies in the projection of V
+to F.  That reads a mod 4 only, so the walk over the holonomy classes
+keeps the representative as two bit planes, and skips the projection test
+when V is all of F2^n.
 """
 
 from __future__ import annotations
@@ -25,8 +70,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .exact import ExactNumber, format_rational, hermite_normal_form, parse_rational
@@ -35,15 +79,12 @@ from .isometry import DiagIsometry
 __all__ = [
     "HWCandidate",
     "Lattice",
-    "HolonomyTable",
     "Classification",
     "build_candidate",
     "cyclic_hw",
-    "holonomy",
     "translation_lattice",
     "is_crystallographic",
     "is_torsion_free",
-    "torsion_oracle",
     "is_hantzsche_wendt",
     "classify",
     "classify_index",
@@ -123,68 +164,7 @@ def cyclic_hw(n: int) -> HWCandidate:
 
 
 # ---------------------------------------------------------------------------
-# holonomy table: breadth-first closure of the sign vectors
-
-def _bfs_representatives(c: HWCandidate) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Sign vector and representative translation (half units) of every
-    holonomy class, in breadth-first discovery order from the identity."""
-    gens = tuple(zip((g.signs for g in c.generators), _rep_units_raw(c)[0]))
-    identity = (1,) * c.dim
-    order = [(identity, (0,) * c.dim)]
-    seen = {identity}
-    for signs, units in order:  # the list grows while it is walked
-        for gsigns, gunits in gens:
-            prod = tuple(a * b for a, b in zip(signs, gsigns))
-            if prod not in seen:
-                seen.add(prod)
-                order.append(
-                    (prod, tuple(s * b + t for s, b, t in zip(signs, gunits, units)))
-                )
-    return order
-
-
-@dataclass(frozen=True)
-class HolonomyTable:
-    """One representative group element per holonomy sign-vector, in the
-    order breadth-first closure discovered them."""
-
-    entries: tuple[tuple[tuple[int, ...], DiagIsometry], ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def sign_vectors(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(signs for signs, _ in self.entries)
-
-    def representative(self, signs: tuple[int, ...]) -> DiagIsometry:
-        for s, rep in self.entries:
-            if s == signs:
-                return rep
-        raise KeyError(f"sign vector {signs} not in holonomy group")
-
-
-def holonomy(c: HWCandidate) -> HolonomyTable:
-    """Breadth-first closure of the generators' rotational parts, keeping the
-    first representative found for each sign vector; always 2^(n-1) entries."""
-    return HolonomyTable(tuple(
-        (signs, DiagIsometry(signs, tuple(Fraction(u, 2) for u in units)))
-        for signs, units in _bfs_representatives(c)
-    ))
-
-
-# ---------------------------------------------------------------------------
-# classification from half units
-#
-# The kernel L of G -> (Z/2)^(n-1) is spanned by the holonomy orbits of the
-# translations of the g_i^2 and [g_i, g_j], its normal generators.  The
-# holonomy holds, for each j, the element A that is +1 only at j, and
-# v + Av = 2 v_j e_j; so 2M lies in L for M = (+) m_j Z, m_j the gcd of
-# coordinate j over those vectors.  A sign change moves a vector by an element
-# of 2M, so L = 2M + span(vectors): the m_j plus an F2 space V of parity
-# masks (bit j is v_j / m_j mod 2).  A holonomy class is the bitmask of the
-# coordinates its sign matrix negates.  The three steps of classify keep the
-# names bench/tracing.py hooks: _rep_units_raw, _schreier_lattice, _torsion_exists.
+# classification on n-bit words (see the module docstring)
 
 def _xor_reduce(basis: Sequence[int], v: int) -> int:
     """v reduced by an F2 basis sorted by decreasing leading bit."""
@@ -193,293 +173,120 @@ def _xor_reduce(basis: Sequence[int], v: int) -> int:
     return v
 
 
-def _xor_basis(vectors: Iterable[int]) -> list[int]:
-    """F2 basis of the span of the masks, sorted by decreasing leading bit."""
-    basis: list[int] = []
-    for v in vectors:
-        v = _xor_reduce(basis, v)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return basis
+def _xor_basis(words: Iterable[int], n: int) -> list[int]:
+    """F2 basis of the span of n-bit words, sorted by decreasing leading
+    bit; stops reading words once the span is all of F2^n."""
+    pivots = [0] * n  # pivots[h]: the basis word with leading bit h
+    rank = 0
+    for v in words:
+        while v:
+            h = v.bit_length() - 1
+            if not pivots[h]:
+                pivots[h] = v
+                rank += 1
+                break
+            v ^= pivots[h]
+        if rank == n:
+            break
+    return [b for b in reversed(pivots) if b]
 
 
 @lru_cache(maxsize=None)
-def _standard_holonomy(n: int) -> tuple[tuple[int, ...], int, bool]:
-    """The sign masks of the standard generators (bit j set where the sign
-    is -1, so generator i has every bit but i), the holonomy order 2^rank
-    from the F2 rank of the masks, and whether every holonomy matrix has
-    determinant +1 (products of masks are XORs, so even popcounts suffice).
-    HWCandidate enforces the standard sign patterns, so these depend on n
-    alone."""
+def _standard_holonomy(n: int) -> tuple[int, bool]:
+    """The holonomy order 2^rank from the F2 rank of the sign masks of the
+    standard generators (bit j set where the sign is -1, so generator i has
+    every bit but i), and whether every holonomy matrix has determinant +1
+    (products of masks are XORs, so even popcounts suffice).  HWCandidate
+    enforces the standard sign patterns, so these depend on n alone."""
     full = (1 << n) - 1
-    masks = tuple(full ^ (1 << i) for i in range(n - 1))
-    order = 2 ** len(_xor_basis(masks))
+    masks = [full ^ (1 << i) for i in range(n - 1)]
     orientation = all(bin(m).count("1") % 2 == 0 for m in masks)
-    return masks, order, orientation
+    return 2 ** len(_xor_basis(masks, n)), orientation
 
 
-def _rep_units_raw(c: HWCandidate):
-    """Holonomy step of classify.  Returns the generators' translations in
-    half units (integer u for the value u/2), then the masks, order and
-    orientation of _standard_holonomy."""
-    units = tuple(
-        tuple(t.numerator * (2 // t.denominator) for t in g.translation)
+def _rep_units_raw(c: HWCandidate) -> tuple[list[int], list[int], list[int]]:
+    """Normalising step of classify: the moduli m_j, then the low and high
+    words of every generator after the conjugation that makes each nonzero
+    m_j equal to 1 (see the module docstring)."""
+    n = c.dim
+    units = [
+        [t.numerator * (2 // t.denominator) for t in g.translation]
         for g in c.generators
-    )
-    return (units, *_standard_holonomy(c.dim))
+    ]
+    mods = [0] * n
+    lows = [0] * (n - 1)
+    highs = [0] * (n - 1)
+    for j in range(n):
+        ref = units[1 if j == 0 else 0][j]
+        m = mods[j] = gcd(
+            units[j][j] if j < n - 1 else 0,
+            *(u[j] - ref for i, u in enumerate(units) if i != j),
+        )
+        for i, u in enumerate(units):
+            q = u[j] // m if m else u[j]
+            lows[i] |= (q & 1) << j
+            highs[i] |= (q >> 1 & 1) << j
+    return mods, lows, highs
 
 
-def _schreier_lattice(n: int, units: Sequence[Sequence[int]]):
-    """Lattice step of classify, from normal generators (no Schreier
-    vectors): the translations of the g_i^2 and [g_i, g_j] as integer
-    vectors, the moduli m_j (gcd of coordinate j over them) and an F2 basis
-    of their parity masks V.  The translation lattice is 2M + span(vectors).
-    """
-    vectors = []
-    for i, u in enumerate(units):
-        vectors.append([u[i] if k == i else 0 for k in range(n)])
-        for j in range(i):
-            w = units[j]
-            vectors.append(
-                [(u[k] if k != j else 0) - (w[k] if k != i else 0) for k in range(n)]
-            )
-    mods = [gcd(*(v[j] for v in vectors)) for j in range(n)]
-    basis = _xor_basis(
-        sum(((v[j] // m) & 1) << j for j, m in enumerate(mods) if m) for v in vectors
-    )
-    return mods, basis, vectors
+def _normal_generator_words(lows: Sequence[int]) -> Iterator[int]:
+    """Parity masks of the translations of g_i^2 and [g_i, g_j]."""
+    for i, u in enumerate(lows):
+        bit = 1 << i
+        yield u & bit
+        for j, w in enumerate(lows[:i]):
+            yield (u & ~(1 << j)) ^ (w & ~bit)
+
+
+def _schreier_lattice(n: int, lows: Sequence[int]) -> tuple[int, list[int]]:
+    """Lattice step of classify: the crystallographic mask (the coordinates
+    with m_j = 1) and an F2 basis of the parity space V, sorted by
+    decreasing leading bit.  A word's support lies in the span's, so the
+    mask is the OR of the basis."""
+    basis = _xor_basis(_normal_generator_words(lows), n)
+    cryst = 0
+    for b in basis:
+        cryst |= b
+    return cryst, basis
 
 
 def _torsion_classes(
-    n: int, units: Sequence[Sequence[int]], masks: Sequence[int],
-    mods: Sequence[int], basis: Sequence[int],
+    n: int, lows: Sequence[int], highs: Sequence[int], basis: Sequence[int]
 ) -> Iterator[int]:
     """Sign masks of the holonomy classes that hold an element of finite
-    order, at any lattice rank.
+    order, at any lattice rank, from normalised words.
 
     Walks the 2^(n-1) - 1 non-identity classes in Gray-code order,
-    right-multiplying a representative (A, a) by one generator per step.
-    An element (A, a + λ) with λ in L has a fixed point (and then order two)
-    exactly when a + λ vanishes on the coordinates F that A fixes: when a_j
-    lies in m_j Z on F (a_j = 0 where m_j = 0) and the parity mask of a on F
-    lies in the projection of V to F.
+    right-multiplying a representative (A, a) by one generator per step,
+    with a mod 4 kept as two bit planes: rl (a mod 2) and rh (a div 2
+    mod 2).  A class holds torsion when rl vanishes on the coordinates F
+    that A fixes and rh on F lies in the projection of V to F.
     """
     full = (1 << n) - 1
-    moduli = [2 * m for m in mods]  # a_j in m_j Z, in half units
-    # g_k times an element of 2M is still in G: reducing its half units mod
-    # 2 * moduli keeps a candidate conjugated by a translation as sparse as
-    # its standard form
-    steps = [
-        [(j, r) for j, (d, q) in enumerate(zip(u, moduli)) if (r := d % (2 * q) if q else d)]
-        for u in units
-    ]
-    rep = [0] * n
-    neg = bad = parity = 0
+    span_all = len(basis) == n
+    rl = rh = neg = 0
     for step in range(1, 1 << (n - 1)):
         k = (step & -step).bit_length() - 1
-        for j, d in steps[k]:
-            v = rep[j] = rep[j] - d if neg >> j & 1 else rep[j] + d
-            q, r = divmod(v, moduli[j]) if moduli[j] else (0, v)
-            bit = 1 << j
-            bad = bad | bit if r else bad & ~bit
-            parity = parity | bit if q & 1 else parity & ~bit
-        neg ^= masks[k]
-        fixed = full ^ neg
-        if not bad & fixed and not _xor_reduce(
-            _xor_basis(b & fixed for b in basis), parity & fixed
-        ):
+        low = lows[k]
+        # a += A t_k: adding 1 where A fixes carries out of odd entries,
+        # subtracting 1 where A negates borrows from even ones, so bit 1
+        # flips where rl != neg; adding +-2 high is the same mod 4
+        rh ^= low & (rl ^ neg) ^ highs[k]
+        rl ^= low
+        neg ^= full ^ (1 << k)
+        if not rl & ~neg and (span_all or not _xor_reduce(
+            _xor_basis((b & ~neg for b in basis), n), rh & ~neg
+        )):
             yield neg
 
 
 def _torsion_exists(
-    n: int, units: Sequence[Sequence[int]], masks: Sequence[int],
-    mods: Sequence[int], basis: Sequence[int],
+    n: int, lows: Sequence[int], highs: Sequence[int], basis: Sequence[int]
 ) -> bool:
     """Torsion step of classify: whether the walk of _torsion_classes finds
     a class with torsion; it stops at the first."""
-    return next(_torsion_classes(n, units, masks, mods, basis), None) is not None
+    return next(_torsion_classes(n, lows, highs, basis), None) is not None
 
-
-# ---------------------------------------------------------------------------
-# translation lattice
-
-@dataclass(frozen=True)
-class Lattice:
-    """Lattice of rational vectors: canonical-HNF integer basis rows divided
-    by one global denominator.  Canonicity makes equality structural."""
-
-    dim: int
-    den: int
-    basis: tuple[tuple[int, ...], ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
-
-    def basis_vectors(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(
-            tuple(Fraction(v, self.den) for v in row) for row in self.basis
-        )
-
-    @classmethod
-    def from_scaled(cls, dim: int, rows: Sequence[Sequence[int]], den: int) -> "Lattice":
-        h, rank = hermite_normal_form(list(rows))
-        basis = h[:rank]
-        g = gcd(den, *(v for row in basis for v in row))
-        if g > 1:
-            den //= g
-            basis = [[v // g for v in row] for row in basis]
-        return cls(dim, den, tuple(tuple(row) for row in basis))
-
-    @classmethod
-    def from_vectors(
-        cls, dim: int, vectors: Sequence[Sequence[ExactNumber]]
-    ) -> "Lattice":
-        fracs = [[Fraction(v) for v in vec] for vec in vectors]
-        den = lcm(*(v.denominator for vec in fracs for v in vec))
-        rows = [[int(v * den) for v in vec] for vec in fracs]
-        return cls.from_scaled(dim, rows, den)
-
-    def scaled_basis(self, den: int) -> list[list[int]]:
-        """Basis rows rescaled so vectors are rows/den; den must be a
-        multiple of the stored denominator."""
-        if den % self.den:
-            raise ValueError(f"{den} is not a multiple of the lattice denominator {self.den}")
-        f = den // self.den
-        return [[v * f for v in row] for row in self.basis]
-
-    def contains(self, vec: Sequence[ExactNumber]) -> bool:
-        if len(vec) != self.dim:
-            raise ValueError("dimension mismatch")
-        scaled = []
-        for v in vec:
-            q = Fraction(v) * self.den
-            if q.denominator != 1:
-                return False
-            scaled.append(q.numerator)
-        return _in_hnf_span(self.basis, scaled)
-
-    def reduce(self, vec: Sequence[ExactNumber]) -> tuple[Fraction, ...]:
-        """Canonical representative of vec modulo the lattice, inside the
-        fundamental cell of the HNF basis; requires full rank."""
-        if self.rank != self.dim:
-            raise ValueError("reduction needs a full-rank lattice")
-        v = [Fraction(x) for x in vec]
-        for row in self.basis:
-            p = next(j for j, x in enumerate(row) if x)
-            q = v[p] * self.den // row[p]  # floor of the basis coordinate
-            if q:
-                v = [a - q * Fraction(b, self.den) for a, b in zip(v, row)]
-        return tuple(v)
-
-
-def _in_hnf_span(hnf_rows: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
-    """Membership of an integer vector in the row lattice given by nonzero
-    HNF rows."""
-    pivots = {}
-    for row in hnf_rows:
-        for j, x in enumerate(row):
-            if x:
-                pivots[j] = row
-                break
-    v = list(vec)
-    for j in range(len(v)):
-        if v[j] == 0:
-            continue
-        row = pivots.get(j)
-        if row is None:
-            return False
-        q, r = divmod(v[j], row[j])
-        if r:
-            return False
-        v = [a - q * b for a, b in zip(v, row)]
-    return True
-
-
-def _reduce_units(hnf_rows: Sequence[Sequence[int]], vec: Sequence[int]) -> list[int]:
-    """Reduce an integer vector into the fundamental cell of an HNF basis
-    (all in the same units); coordinates without a pivot are left alone."""
-    v = list(vec)
-    for row in hnf_rows:
-        p = next(j for j, x in enumerate(row) if x)
-        q = v[p] // row[p]
-        if q:
-            v = [a - q * b for a, b in zip(v, row)]
-    return v
-
-
-@lru_cache(maxsize=256)
-def translation_lattice(c: HWCandidate) -> Lattice:
-    """Lattice of pure translations: spanned by the translations of the
-    squares g_i^2 and commutators [g_i, g_j] together with 2 m_j e_j, where
-    m_j is the gcd of coordinate j over those translations."""
-    n = c.dim
-    mods, _, vectors = _schreier_lattice(n, _rep_units_raw(c)[0])
-    axes = [[2 * m if k == j else 0 for k in range(n)] for j, m in enumerate(mods) if m]
-    return Lattice.from_scaled(n, vectors + axes, 1)
-
-
-def is_crystallographic(c: HWCandidate) -> bool:
-    """True when the pure translations span all of R^n, i.e. the group is
-    discrete and cocompact: every modulus m_j is nonzero."""
-    return all(_schreier_lattice(c.dim, _rep_units_raw(c)[0])[0])
-
-
-# ---------------------------------------------------------------------------
-# torsion
-
-def _require_crystallographic(c: HWCandidate) -> None:
-    if not is_crystallographic(c):
-        rank = translation_lattice(c).rank  # only for the message
-        raise ValueError(
-            "torsion test requires a crystallographic candidate "
-            f"(translation lattice has rank {rank} < {c.dim})"
-        )
-
-
-def is_torsion_free(c: HWCandidate) -> bool:
-    """No non-identity holonomy class contains a finite-order element;
-    defined for crystallographic candidates."""
-    _require_crystallographic(c)
-    return classify(c).torsion_free
-
-
-def torsion_oracle(c: HWCandidate) -> bool:
-    """Independent brute-force torsion test: per holonomy class, search for
-    a fixed point of (A, a + λ) over lattice vectors λ whose basis
-    coefficients lie in [-2, 2].  The representative a is first reduced into
-    the fundamental HNF cell, which is what justifies the coefficient bound.
-    Intended for n <= 5; must agree with is_torsion_free.
-    """
-    _require_crystallographic(c)
-    rows2 = translation_lattice(c).scaled_basis(2)  # half units, like the representatives
-    nrows = len(rows2)
-    span = range(-2, 3)
-    for signs, units in _bfs_representatives(c)[1:]:
-        fixed = [j for j, s in enumerate(signs) if s == 1]
-        reduced = _reduce_units(rows2, units)
-        proj = [tuple(row[j] for j in fixed) for row in rows2]
-        target = tuple(-reduced[j] for j in fixed)
-        # meet-in-the-middle over the coefficient box
-        half = nrows // 2
-        left, right = proj[:half], proj[half:]
-        left_sums = {
-            tuple(sum(cf * row[i] for cf, row in zip(coeffs, left)) for i in range(len(fixed)))
-            for coeffs in product(span, repeat=len(left))
-        }
-        for coeffs in product(span, repeat=len(right)):
-            s = tuple(
-                sum(cf * row[i] for cf, row in zip(coeffs, right))
-                for i in range(len(fixed))
-            )
-            if tuple(t - x for t, x in zip(target, s)) in left_sums:
-                return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# classification
 
 @dataclass(frozen=True)
 class Classification:
@@ -499,20 +306,21 @@ class Classification:
         }
 
 
-def _classify_units(n: int, units: Sequence[Sequence[int]]) -> Classification:
-    """The classification kernel, on the generators' translations in half
-    units.  The lattice and torsion steps are looked up as module globals
-    on every call, so wrappers installed on them see each candidate."""
-    masks, order, orientation = _standard_holonomy(n)
-    mods, basis, _ = _schreier_lattice(n, units)
-    cryst = all(mods)
-    torsion_free = not _torsion_exists(n, units, masks, mods, basis)
+def _classify_words(n: int, lows: Sequence[int], highs: Sequence[int]) -> Classification:
+    """The classification kernel, on normalised words.  The lattice and
+    torsion steps are looked up as module globals on every call, so
+    wrappers installed on them see each candidate."""
+    order, orientation = _standard_holonomy(n)
+    cryst_mask, basis = _schreier_lattice(n, lows)
+    cryst = cryst_mask == (1 << n) - 1
+    torsion_free = not _torsion_exists(n, lows, highs, basis)
     hw = cryst and torsion_free and order == 2 ** (n - 1) and orientation
     return Classification(cryst, torsion_free, order, orientation, hw)
 
 
 def classify(c: HWCandidate) -> Classification:
-    return _classify_units(c.dim, _rep_units_raw(c)[0])
+    _, lows, highs = _rep_units_raw(c)
+    return _classify_words(c.dim, lows, highs)
 
 
 def classify_index(
@@ -521,15 +329,79 @@ def classify_index(
     """Half units and classification of ``candidate_from_index(n, idx)``,
     read from the bits of idx without building the candidate: unit j of
     generator i is bit i*n+j, 1 for a translation by 1/2 and 0 for none.
-    Raises ValueError for an even or small n and an index out of range."""
+    These are already normalised words (low words from the bits, high words
+    zero).  Raises ValueError for an even or small n and an index out of
+    range."""
     units = _index_units(n, idx)
-    return units, _classify_units(n, units)
+    full = (1 << n) - 1
+    lows = [idx >> (i * n) & full for i in range(n - 1)]
+    return units, _classify_words(n, lows, (0,) * (n - 1))
+
+
+def is_crystallographic(c: HWCandidate) -> bool:
+    """True when the pure translations span all of R^n, i.e. the group is
+    discrete and cocompact: every modulus m_j is nonzero."""
+    return all(_rep_units_raw(c)[0])
+
+
+def is_torsion_free(c: HWCandidate) -> bool:
+    """No non-identity holonomy class contains a finite-order element;
+    defined for crystallographic candidates."""
+    if not is_crystallographic(c):
+        rank = translation_lattice(c).rank  # only for the message
+        raise ValueError(
+            "torsion test requires a crystallographic candidate "
+            f"(translation lattice has rank {rank} < {c.dim})"
+        )
+    return classify(c).torsion_free
 
 
 def is_hantzsche_wendt(c: HWCandidate) -> bool:
     """Crystallographic, torsion-free, full holonomy order 2^(n-1), and every
     holonomy matrix of determinant +1."""
     return classify(c).hantzsche_wendt
+
+
+# ---------------------------------------------------------------------------
+# translation lattice
+
+@dataclass(frozen=True)
+class Lattice:
+    """Lattice of rational vectors: canonical-HNF integer basis rows divided
+    by one global denominator.  Canonicity makes equality structural."""
+
+    dim: int
+    den: int
+    basis: tuple[tuple[int, ...], ...]
+
+    @property
+    def rank(self) -> int:
+        return len(self.basis)
+
+    @classmethod
+    def from_scaled(cls, dim: int, rows: Sequence[Sequence[int]], den: int) -> "Lattice":
+        h, rank = hermite_normal_form(list(rows))
+        basis = h[:rank]
+        g = gcd(den, *(v for row in basis for v in row))
+        if g > 1:
+            den //= g
+            basis = [[v // g for v in row] for row in basis]
+        return cls(dim, den, tuple(tuple(row) for row in basis))
+
+
+@lru_cache(maxsize=256)
+def translation_lattice(c: HWCandidate) -> Lattice:
+    """Lattice of pure translations: the integer vectors x with x_j in
+    m_j Z whose parity mask (bit j is x_j / m_j mod 2) lies in V; spanned by
+    2 m_j e_j and the basis of V with bit j read as m_j."""
+    n = c.dim
+    mods, lows, _ = _rep_units_raw(c)
+    rows = [[2 * m if k == j else 0 for k in range(n)] for j, m in enumerate(mods) if m]
+    rows += [
+        [m if b >> j & 1 else 0 for j, m in enumerate(mods)]
+        for b in _schreier_lattice(n, lows)[1]
+    ]
+    return Lattice.from_scaled(n, rows, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ from word-ball enumeration or from Schreier generators over a breadth-first
 closure of the holonomy, and isometries are multiplied as homogeneous
 matrices over Fraction.  The Schreier lattice and the per-class torsion test
 use hwfib's Hermite normal form, which test_exact checks against minor gcds.
+The brute-force torsion search runs over a coefficient box of hwfib's
+``translation_lattice``, which is checked against the Schreier lattice.
 The dense Smith normal form shares only ``exact._xgcd`` with the fast one
 it checks; test_exact checks both against minor gcds.  The symbolic
 sequence is rebuilt with one dict of coefficients per term, without
@@ -15,10 +17,11 @@ sequence is rebuilt with one dict of coefficients per term, without
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 
 from hwfib.exact import _xgcd
-from hwfib.hwgroup import Lattice
+from hwfib.hwgroup import Lattice, build_candidate, is_crystallographic, translation_lattice
+from hwfib.isometry import DiagIsometry
 
 
 def det_int(mat):
@@ -89,6 +92,25 @@ def hom_identity(n):
     return hom_matrix([1] * n, [0] * n)
 
 
+def conjugate_diagonal(c, scale, shift):
+    """The candidate generated by h g h^(-1) over the generators g of c, for
+    the affine map h: x -> diag(scale) x + shift, multiplied as homogeneous
+    matrices.  h commutes with the sign matrices, so the signs stay
+    standard; odd scales and shifts in Z/4 keep the translations
+    half-integers."""
+    n = c.dim
+    h = hom_matrix(scale, shift)
+    h_inv = hom_matrix(
+        [Fraction(1, s) for s in scale], [-Fraction(v) / s for v, s in zip(shift, scale)]
+    )
+    translations = []
+    for g in c.generators:
+        m = hom_mul(hom_mul(h, hom_matrix(g.signs, g.translation)), h_inv)
+        assert [m[j][j] for j in range(n)] == list(g.signs)
+        translations.append([m[j][n] for j in range(n)])
+    return build_candidate(n, translations)
+
+
 def sparse_symbolic_terms(n, k):
     """The 3n-1 terms of the symbolic sequence for (n, k), each as
     (sign, {j: c}) holding the nonzero coefficients c of d_j in its
@@ -141,9 +163,9 @@ def unimodular_2x2(bound=3):
 
 @lru_cache(maxsize=8)
 def _sign_closure(c):
-    """Breadth-first closure of a candidate's sign vectors, keeping the first
-    representative translation found for each (in half units), plus the
-    generators as (signs, half units)."""
+    """Breadth-first closure of a candidate's sign vectors from the
+    identity, keeping the first representative translation found for each
+    (in half units), plus the generators as (signs, half units)."""
     gens = [(g.signs, tuple(int(2 * t) for t in g.translation)) for g in c.generators]
     identity = (1,) * c.dim
     reps = {identity: (0,) * c.dim}
@@ -157,6 +179,116 @@ def _sign_closure(c):
                 )
                 queue.append(prod)
     return reps, gens
+
+
+def holonomy(c):
+    """One representative group element per holonomy sign vector, keyed by
+    the sign vector in breadth-first discovery order; always 2^(n-1)
+    entries."""
+    return {
+        signs: DiagIsometry(signs, tuple(Fraction(u, 2) for u in units))
+        for signs, units in _sign_closure(c)[0].items()
+    }
+
+
+def lattice_from_vectors(dim, vectors):
+    """The lattice spanned by rational vectors."""
+    fracs = [[Fraction(v) for v in vec] for vec in vectors]
+    den = lcm(*(v.denominator for vec in fracs for v in vec))
+    return Lattice.from_scaled(dim, [[int(v * den) for v in vec] for vec in fracs], den)
+
+
+def scaled_basis(lat, den):
+    """Basis rows of lat rescaled so vectors are rows/den; den must be a
+    multiple of the stored denominator."""
+    assert den % lat.den == 0
+    return [[v * (den // lat.den) for v in row] for row in lat.basis]
+
+
+def in_hnf_span(hnf_rows, vec):
+    """Membership of an integer vector in the row lattice given by nonzero
+    HNF rows."""
+    pivots = {}
+    for row in hnf_rows:
+        for j, x in enumerate(row):
+            if x:
+                pivots[j] = row
+                break
+    v = list(vec)
+    for j in range(len(v)):
+        if v[j] == 0:
+            continue
+        row = pivots.get(j)
+        if row is None:
+            return False
+        q, r = divmod(v[j], row[j])
+        if r:
+            return False
+        v = [a - q * b for a, b in zip(v, row)]
+    return True
+
+
+def lattice_contains(lat, vec):
+    """Whether the rational vector lies in the lattice."""
+    assert len(vec) == lat.dim
+    scaled = [Fraction(v) * lat.den for v in vec]
+    return all(q.denominator == 1 for q in scaled) and in_hnf_span(
+        lat.basis, [q.numerator for q in scaled]
+    )
+
+
+def reduce_units(hnf_rows, vec):
+    """Reduce an integer vector into the fundamental cell of an HNF basis
+    (all in the same units); coordinates without a pivot are left alone."""
+    v = list(vec)
+    for row in hnf_rows:
+        p = next(j for j, x in enumerate(row) if x)
+        q = v[p] // row[p]
+        if q:
+            v = [a - q * b for a, b in zip(v, row)]
+    return v
+
+
+def lattice_reduce(lat, vec):
+    """Canonical representative of vec modulo a full-rank lattice, inside
+    the fundamental cell of its HNF basis."""
+    assert lat.rank == lat.dim
+    den = lcm(lat.den, *(Fraction(x).denominator for x in vec))
+    rows = scaled_basis(lat, den)
+    return tuple(Fraction(x, den) for x in reduce_units(rows, [int(Fraction(x) * den) for x in vec]))
+
+
+def torsion_oracle(c):
+    """Brute-force torsion test: per holonomy class, search for a fixed
+    point of (A, a + λ) over lattice vectors λ whose basis coefficients lie
+    in [-2, 2].  The representative a is first reduced into the fundamental
+    HNF cell, which is what justifies the coefficient bound.  Intended for
+    n <= 5; defined for crystallographic candidates."""
+    if not is_crystallographic(c):
+        raise ValueError("torsion oracle requires a crystallographic candidate")
+    rows2 = scaled_basis(translation_lattice(c), 2)  # half units, like the representatives
+    nrows = len(rows2)
+    span = range(-2, 3)
+    for signs, units in list(_sign_closure(c)[0].items())[1:]:
+        fixed = [j for j, s in enumerate(signs) if s == 1]
+        reduced = reduce_units(rows2, units)
+        proj = [tuple(row[j] for j in fixed) for row in rows2]
+        target = tuple(-reduced[j] for j in fixed)
+        # meet-in-the-middle over the coefficient box
+        half = nrows // 2
+        left, right = proj[:half], proj[half:]
+        left_sums = {
+            tuple(sum(cf * row[i] for cf, row in zip(coeffs, left)) for i in range(len(fixed)))
+            for coeffs in product(span, repeat=len(left))
+        }
+        for coeffs in product(span, repeat=len(right)):
+            s = tuple(
+                sum(cf * row[i] for cf, row in zip(coeffs, right))
+                for i in range(len(fixed))
+            )
+            if tuple(t - x for t, x in zip(target, s)) in left_sums:
+                return False
+    return True
 
 
 @lru_cache(maxsize=8)  # the torsion oracle asks again for the same candidate
@@ -183,7 +315,7 @@ def hnf_torsion_classes(c):
     fixed point exactly when -a restricted to the coordinates A fixes lies
     in the lattice projected there.  Valid at any lattice rank."""
     reps, _ = _sign_closure(c)
-    rows2 = schreier_lattice(c).scaled_basis(2)  # half units, like reps
+    rows2 = scaled_basis(schreier_lattice(c), 2)  # half units, like reps
     found = set()
     for signs, units in reps.items():
         fixed = [j for j, s in enumerate(signs) if s == 1]
@@ -192,7 +324,7 @@ def hnf_torsion_classes(c):
         projected = Lattice.from_scaled(
             len(fixed), [[row[j] for j in fixed] for row in rows2], 2
         )
-        if projected.contains([Fraction(-units[j], 2) for j in fixed]):
+        if lattice_contains(projected, [Fraction(-units[j], 2) for j in fixed]):
             found.add(signs)
     return found
 

@@ -33,9 +33,10 @@ from hwfib.hwgroup import (
     cyclic_hw,
     is_crystallographic,
     is_torsion_free,
-    torsion_oracle,
 )
 from hwfib.isometry import DiagIsometry, component, compose, direct_sum, inverse
+
+from _oracles import torsion_oracle
 
 # Golden value for criterion 3: number of Hantzsche-Wendt candidates among
 # the 64 translation assignments over {0, 1/2}^3 per generator in dimension

@@ -23,6 +23,8 @@ from hwfib.hwgroup import (
     enumerate_candidates,
 )
 
+from _oracles import conjugate_diagonal
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -206,8 +208,27 @@ def test_index_path_rejects_what_candidate_from_index_rejects(n, idx):
             fn(n, idx)
 
 
-# argv item standing for a file holding the cyclic n=13 candidate
+# argv items standing for files holding a candidate
 CYCLIC13 = "cyclic13.json"
+SCALED9 = "scaled9.json"
+NONCRYST5 = "noncryst5.json"
+Q = Fraction(1, 4)
+CANDIDATE_FILES = {
+    CYCLIC13: lambda: cyclic_hw(13),
+    # cyclic n=9 conjugated by x -> diag(scale) x + shift, with shift in Z/4
+    # and odd scales, so that its entries include 3/2 and -5/2
+    SCALED9: lambda: conjugate_diagonal(
+        cyclic_hw(9), (3, 1, 5, 1, 7, 3, 1, 5, 3), (Q, -3 * Q, 2 * Q, 0, -5 * Q, -Q, 3 * Q, 1, -2 * Q)
+    ),
+    # every generator moves the last coordinate by 3/2, so no square or
+    # commutator moves it and the translation lattice has rank 4
+    NONCRYST5: lambda: build_candidate(5, [
+        ("3/2", -1, "5/2", 2, "3/2"),
+        ("1/2", "5/2", "-3/2", 1, "3/2"),
+        (-1, 0, "7/2", "1/2", "3/2"),
+        (2, "-5/2", 1, "9/2", "3/2"),
+    ]),
+}
 
 # sha256 of stdout keyed by argv, without any "runtime:" line.  The survey
 # entries were recorded from the Fraction-based survey (each candidate built
@@ -223,6 +244,11 @@ STDOUT_SHA256 = {
         "fb6b63fbe8569264763845a543e5d37b7a1fd65a43d0f9c3a597a1eb2b283451",
     ("survey", "--dim", "5", "--sample", "200", "--seed", "7"):
         "3365b9e3da0b0cbbec294e9b1ddff030170f0097be747f441a64dee768a0600f",
+    # this entry and the SCALED9 and NONCRYST5 ones were recorded from the
+    # list-based lattice and torsion kernel (vectors of half units per
+    # normal generator, walk on per-coordinate remainders)
+    ("survey", "--dim", "7", "--sample", "300", "--seed", "3", "--format", "json"):
+        "18893d93c29fec8751391692187b17fe1a0197ea38d0d88ce7faf4fd34b84fdb",
     ("symbolic", "--dim", "13", "--format", "json"):
         "0c11c6e07ce371e460abf1f2afda4f904e12f6f66aba3d78b3dff12c3705262b",
     ("symbolic", "--dim", "7", "--k", "3"):
@@ -239,6 +265,10 @@ STDOUT_SHA256 = {
         "b7463b682632d97ec12782a0c7091803e164c626932d67c51f2d37c1c871ace8",
     ("verify", "--input", CYCLIC13):
         "fe0c09cd77dae7b83420f44041c753842ff55de5c986d6eff16502adab4b4f03",
+    ("verify", "--input", SCALED9, "--format", "json"):
+        "f8ca6448aa1af26784e8d6e29682787d0a8208410ab91e89dd5b39577c997a13",
+    ("verify", "--input", NONCRYST5, "--format", "json"):
+        "1f5ddd251c14943a51f60ccc8d17e02f884eab398da0bb84710da09b40f3b9e6",
     ("show", "--dim", "7", "--format", "json"):
         "6abd804acd09fe6a9f117d585fb1f479bcdcdc439117afa06663c56535b52ef0",
     ("abelianize", "4", "10", "--format", "json"):
@@ -257,9 +287,11 @@ STDOUT_SHA256 = {
 
 
 def _stdout_sha256(capsys, tmp_path, argv):
-    path = write_candidate(tmp_path, cyclic_hw(13), CYCLIC13)
-    code, out, _ = run_cli(capsys, *(path if a == CYCLIC13 else a for a in argv))
-    assert code == 0
+    code, out, _ = run_cli(capsys, *(
+        write_candidate(tmp_path, CANDIDATE_FILES[a](), a) if a in CANDIDATE_FILES else a
+        for a in argv
+    ))
+    assert code == (1 if NONCRYST5 in argv else 0)
     kept = [line for line in out.splitlines(keepends=True) if not line.startswith("runtime:")]
     return hashlib.sha256("".join(kept).encode()).hexdigest()
 

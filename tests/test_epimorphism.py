@@ -110,6 +110,8 @@ def test_translation_text():
     assert made.translation_text(0) == "-2*d1 + d3"
     assert made.translation_text(1) == "d0 - 3*d2 - d3"
     assert made.translation_text(2) == "0"
+    # term_text adds the sign; str() of a term shows the packed int
+    assert [seq.term_text(i) for i in (0, 1, 6)] == ["(+1, d0)", "(-1, d1)", "(-1, 2*d0 + d1)"]
 
 
 def test_coefficients_round_trip_balanced_digits():

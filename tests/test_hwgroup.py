@@ -4,10 +4,7 @@ from itertools import islice, product
 
 import pytest
 
-from hwfib.exact import hermite_normal_form
 from hwfib.hwgroup import (
-    HWCandidate,
-    Lattice,
     build_candidate,
     candidate_count,
     candidate_from_index,
@@ -17,18 +14,26 @@ from hwfib.hwgroup import (
     classify,
     cyclic_hw,
     enumerate_candidates,
-    holonomy,
     is_crystallographic,
     is_hantzsche_wendt,
     is_torsion_free,
     standard_signs,
-    torsion_oracle,
     translation_lattice,
 )
 from hwfib.hwgroup import _rep_units_raw, _schreier_lattice, _torsion_classes
 from hwfib.isometry import DiagIsometry, compose
 
-from _oracles import hnf_torsion_classes, hnf_torsion_exists, schreier_lattice
+from _oracles import (
+    conjugate_diagonal,
+    hnf_torsion_classes,
+    hnf_torsion_exists,
+    holonomy,
+    lattice_contains,
+    lattice_from_vectors,
+    lattice_reduce,
+    schreier_lattice,
+    torsion_oracle,
+)
 
 F = Fraction
 HALF = F(1, 2)
@@ -50,7 +55,7 @@ def word_ball_lattice(c, max_len):
         for f in frontier:
             if all(s == 1 for s in f.signs) and any(f.translation):
                 translations.add(f.translation)
-    return Lattice.from_vectors(c.dim, sorted(translations))
+    return lattice_from_vectors(c.dim, sorted(translations))
 
 
 def test_build_candidate_cyclic3():
@@ -85,9 +90,8 @@ def test_cyclic_hw_rejects_even():
 def test_holonomy_table_cyclic3():
     table = holonomy(cyclic_hw(3))
     assert len(table) == 4
-    signs = set(table.sign_vectors)
-    assert signs == {(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)}
-    rep = table.representative((-1, -1, 1))
+    assert set(table) == {(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)}
+    rep = table[(-1, -1, 1)]
     assert rep.translation == (HALF, 0, -HALF)
     # oracle: the representative is the product of the two generators
     c = cyclic_hw(3)
@@ -98,7 +102,7 @@ def test_holonomy_table_sizes_and_orientation():
     for n in (3, 5, 7):
         table = holonomy(cyclic_hw(n))
         assert len(table) == 2 ** (n - 1)
-        for signs in table.sign_vectors:
+        for signs in table:
             assert sum(1 for s in signs if s < 0) % 2 == 0
 
 
@@ -116,14 +120,14 @@ def test_holonomy_representatives_live_in_group():
         frontier = [compose(f, l) for f in frontier for l in letters]
         for f in frontier:
             ball.setdefault(f.signs, f)
-    for signs, rep in table.entries:
+    for signs, rep in table.items():
         if signs == (1, 1, 1):
             assert rep.is_identity()
             continue
         witness = ball[signs]
         diff = compose(rep, witness.inverse())
         assert all(s == 1 for s in diff.signs)
-        assert lat.contains(diff.translation)
+        assert lattice_contains(lat, diff.translation)
 
 
 def test_translation_lattice_cyclic_is_standard():
@@ -156,7 +160,7 @@ def test_translation_lattice_contains_squared_generators():
         for g in c.generators:
             sq = compose(g, g)
             assert all(s == 1 for s in sq.signs)
-            assert lat.contains(sq.translation)
+            assert lattice_contains(lat, sq.translation)
 
 
 def test_is_crystallographic_cyclic():
@@ -239,22 +243,50 @@ def _wide_sample():
     return out
 
 
+def _scaled_sample():
+    # candidates conjugated by x -> diag(s) x + w with w in Z/4: cyclic
+    # n=3..9 and seeded n=5 Hantzsche-Wendt groups with odd s (units such as
+    # 3 and -5, moduli m_j = |s_j|), and seeded n=5 candidates of every
+    # class with s in {1, 2, 3, 6}.  An odd s is +-1 mod 4, so the mod-4
+    # words would hide a missing scaling step; an even s does not, and a
+    # coordinate with m_j = 0 and a nonzero common unit needs the shift
+    rng = random.Random(36)
+    idx_rng = random.Random(37)
+    hw5 = []
+    while len(hw5) < 12:
+        c = candidate_from_index(5, idx_rng.randrange(candidate_count(5)))
+        if is_hantzsche_wendt(c):
+            hw5.append(c)
+    odd = [cyclic_hw(n) for n in range(3, 10, 2) for _ in range(3)] + hw5
+    out = []
+    for c, scales in [(c, (1, 3, 5, 7, -1, -3)) for c in odd] + [
+        (c, (1, 2, 3, 6)) for c in _sample(5, 60, seed=38)
+    ]:
+        out.append(conjugate_diagonal(
+            c,
+            [rng.choice(scales) for _ in range(c.dim)],
+            [F(rng.randint(-9, 9), 4) for _ in range(c.dim)],
+        ))
+    return out
+
+
 ORACLE_CANDIDATES = {
     "n3-all": lambda: list(enumerate_candidates(3)),
     "n5-sample": lambda: _sample(5, 2000, seed=33),
     "n7-sample": lambda: _sample(7, 100, seed=34),
     "cyclic": lambda: [cyclic_hw(n) for n in range(3, 12, 2)],
     "wide": _wide_sample,
+    "scaled": _scaled_sample,
 }
 
 
 def torsion_class_signs(c):
     n = c.dim
-    units, masks, _, _ = _rep_units_raw(c)
-    mods, basis, _ = _schreier_lattice(n, units)
+    _, lows, highs = _rep_units_raw(c)
+    _, basis = _schreier_lattice(n, lows)
     return {
         tuple(-1 if neg >> j & 1 else 1 for j in range(n))
-        for neg in _torsion_classes(n, units, masks, mods, basis)
+        for neg in _torsion_classes(n, lows, highs, basis)
     }
 
 
@@ -342,22 +374,22 @@ def test_candidate_json_round_trip():
 
 
 def test_lattice_membership_and_reduction():
-    lat = Lattice.from_vectors(2, [(1, 1), (F(1, 2), -F(1, 2))])
+    lat = lattice_from_vectors(2, [(1, 1), (F(1, 2), -F(1, 2))])
     assert lat.rank == 2
-    assert lat.contains((F(3, 2), F(1, 2)))
-    assert not lat.contains((F(1, 4), 0))
-    reduced = lat.reduce((F(7, 2), F(5, 4)))
-    assert lat.contains(tuple(a - b for a, b in zip((F(7, 2), F(5, 4)), reduced)))
+    assert lattice_contains(lat, (F(3, 2), F(1, 2)))
+    assert not lattice_contains(lat, (F(1, 4), 0))
+    reduced = lattice_reduce(lat, (F(7, 2), F(5, 4)))
+    assert lattice_contains(lat, tuple(a - b for a, b in zip((F(7, 2), F(5, 4)), reduced)))
     # reduction is canonical: reducing again changes nothing
-    assert lat.reduce(reduced) == reduced
+    assert lattice_reduce(lat, reduced) == reduced
 
 
 def test_lattice_canonical_form():
-    a = Lattice.from_vectors(2, [(2, 0), (1, 1)])
-    b = Lattice.from_vectors(2, [(1, 1), (0, 2), (3, 1)])
+    a = lattice_from_vectors(2, [(2, 0), (1, 1)])
+    b = lattice_from_vectors(2, [(1, 1), (0, 2), (3, 1)])
     assert a == b
     assert a.den == 1
-    mixed = Lattice.from_vectors(2, [(F(1, 2), 0), (0, F(1, 2))])
+    mixed = lattice_from_vectors(2, [(F(1, 2), 0), (0, F(1, 2))])
     assert mixed.den == 2
     assert mixed.basis == ((1, 0), (0, 1))
 
