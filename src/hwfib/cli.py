@@ -49,11 +49,13 @@ FULL_ENUMERATION_LIMIT = 5  # dimensions above this need --sample
 # and 0.34-0.40 s (0.32-0.37 s at n=21 conjugated by a dense integer
 # translation), and each step of 2 in n costs about 4x.
 MAX_DIM = 21
-# Largest dimension symbolic accepts: the all-k run builds n sequences of
-# 3n-1 terms, each a product of n-1 terms packed into ints of 3n(n-1) bits,
-# so it grows about n^4.  Measured on the same VM: 0.3-0.4 s at n=41,
-# 0.9-1.4 s at n=61, 2.1-3.6 s at n=81.
-MAX_SYMBOLIC_DIM = 61
+# Largest dimension symbolic accepts, so that the all-k run stays within
+# about 1.4 s: it builds n sequences of 3n-1 terms, one inverse and two
+# products per term, on ints of 3n(n-1) bits.  Measured in process on the
+# same VM, 10 runs each: 0.16-0.23 s at n=81, 0.28-0.40 s at n=101,
+# 0.82-1.01 s at n=141, 1.10-1.22 s at n=151 and 1.12-1.45 s at n=161, so
+# it grows about n^3 here (tending to n^4 as the ints lengthen).
+MAX_SYMBOLIC_DIM = 151
 # Largest r and n abelianize accepts, so that abelianize 2 1000000 exits
 # instead of building a 10^6 x 10^6 relator matrix.  On the F(m-1, 2m)
 # family the Smith normal form grows about n^3 (measured on the same VM:
@@ -245,7 +247,7 @@ def cmd_symbolic(cfg: argparse.Namespace) -> int:
     if n > MAX_SYMBOLIC_DIM:
         return _fail_usage(
             f"dimension {n} is above the limit of {MAX_SYMBOLIC_DIM}: the "
-            f"check for all k grows about n^4"
+            f"check for all k grows about n^3"
         )
     if cfg.k is not None and not 0 <= cfg.k <= n - 1:
         return _fail_usage(f"--k must lie in [0, {n - 1}], got {cfg.k}")

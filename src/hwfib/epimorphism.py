@@ -17,8 +17,6 @@ relator and the surjectivity of the assignment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import reduce
 from typing import Sequence
 
 from .fpgroup import GenImages, fibonacci_presentation, verify_relators
@@ -30,6 +28,7 @@ from .hwgroup import (
     classify,
 )
 from .isometry import DiagIsometry, component, direct_sum
+from .record import Record
 
 __all__ = [
     "SymSequence",
@@ -50,8 +49,7 @@ def _check_dimension(n: int, k: int) -> None:
         raise ValueError(f"rotation position k must satisfy 0 <= k <= {n - 1}, got {k}")
 
 
-@dataclass(frozen=True)
-class SymSequence:
+class SymSequence(Record):
     """The symbolic one-dimensional sequence for a given (n, k).
 
     The first n-1 terms are the seed generators: translation d_i at term i,
@@ -85,12 +83,15 @@ class SymSequence:
       (``coefficients``).
     """
 
-    n: int
-    k: int
-    terms: tuple[DiagIsometry, ...]
-    """The 3n-1 terms as isometries of the line whose translation entry is
-    the packed ``int``, so printing a term shows that integer; ``term_text``
-    shows its sign and form."""
+    __slots__ = ("n", "k", "terms")
+
+    def __init__(self, n: int, k: int, terms: Sequence[DiagIsometry]) -> None:
+        self.n = n
+        self.k = k
+        self.terms = tuple(terms)
+        """The 3n-1 terms as isometries of the line whose translation entry
+        is the packed ``int``, so printing a term shows that integer;
+        ``term_text`` shows its sign and form."""
 
     def coefficients(self, i: int) -> tuple[int, ...]:
         """Coefficients of d_0..d_(n-2) in the translation of term i."""
@@ -134,8 +135,9 @@ class SymSequence:
     def recursion_consistent(self) -> bool:
         """Check the derived one-step recursion: each term equals (previous
         seed-offset term)^(-1) times the square of its predecessor.  The
-        terms themselves are built by the full (n-1)-term product, so this
-        compares two independent routes to the same terms."""
+        terms themselves are built as quotients of prefix products (see
+        ``_product_recursion``), which never multiplies a term by its own
+        predecessor, so this compares two routes to the same terms."""
         t, n = self.terms, self.n
         for i in range(1, 2 * n):
             prev = t[i + n - 2]
@@ -146,13 +148,35 @@ class SymSequence:
 
 def _product_recursion(seeds: Sequence[DiagIsometry], length: int) -> list[DiagIsometry]:
     """The seeds followed by the terms of the product recursion, ``length``
-    terms in all: with n-1 seeds a_0..a_(n-2), every later term is the
-    left-to-right product of the n-1 terms before it,
-    a_(i+n-1) = a_i a_(i+1) ··· a_(i+n-2)."""
+    terms in all: with w = n-1 seeds a_0..a_(w-1), every later term is the
+    left-to-right product of the w terms before it,
+    a_(i+w) = a_i a_(i+1) ··· a_(i+w-1).
+
+    Each new term costs one inverse and two products, not w-1 products.
+    Let Q_j = a_0 a_1 ··· a_(j-1) be the prefix products, Q_0 = 1.  Then
+    Q_(i+w) = Q_i (a_i ··· a_(i+w-1)), so in any group the window product
+    is the quotient a_i ··· a_(i+w-1) = Q_i^(-1) Q_(i+w), and the new term
+    extends the prefixes by Q_(i+w+1) = Q_(i+w) a_(i+w).  The identity
+    uses only the group axioms, so it holds exactly in E(n) over
+    ``Fraction`` and in E(1) over ``int`` alike, and every term equals the
+    one the direct (w-1)-fold product gives.  In particular the packed
+    symbolic terms are unchanged: packing d_j -> B^j is additive, so the
+    E(1) law computes on packed ints exactly what it computes on linear
+    forms, and the packed prefix quotient is the packed form of the
+    window product.  The prefixes Q_j are never compared, so their
+    coefficients need no bound (Python ints do not overflow); only the
+    stored terms are, and they are the same ints as before.
+    """
     terms = list(seeds)
     width = len(terms)
-    while len(terms) < length:
-        terms.append(reduce(DiagIsometry.compose, terms[-width:]))
+    prefixes = [terms[0].identity_like()]
+    for a in terms:
+        prefixes.append(prefixes[-1].compose(a))
+    for i in range(length - width):
+        prefix = prefixes[i + width]
+        a = prefixes[i].inverse().compose(prefix)
+        terms.append(a)
+        prefixes.append(prefix.compose(a))
     return terms
 
 
@@ -208,16 +232,24 @@ def build_epimorphism_by_components(c: HWCandidate) -> GenImages:
     )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Full machine-checked verdict for one candidate: does the generator
     assignment extend to a homomorphism from F(n-1, 2n), does it hit the
     generators, and is the target group actually Hantzsche-Wendt."""
 
-    candidate: HWCandidate
-    classification: Classification
-    relators_trivial: tuple[bool, ...]
-    surjective: bool
+    __slots__ = ("candidate", "classification", "relators_trivial", "surjective")
+
+    def __init__(
+        self,
+        candidate: HWCandidate,
+        classification: Classification,
+        relators_trivial: tuple[bool, ...],
+        surjective: bool,
+    ) -> None:
+        self.candidate = candidate
+        self.classification = classification
+        self.relators_trivial = relators_trivial
+        self.surjective = surjective
 
     @property
     def homomorphism(self) -> bool:

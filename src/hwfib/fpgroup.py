@@ -9,10 +9,10 @@ the relator exponent matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .exact import smith_normal_form
+from .record import Record
 
 __all__ = [
     "Word",
@@ -102,25 +102,24 @@ def word_from_ints(values: Sequence[int]) -> Word:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     """Finite presentation: generator count plus freely reduced relators."""
 
-    generator_count: int
-    relators: tuple[Word, ...]
+    __slots__ = ("generator_count", "relators")
 
-    def __post_init__(self) -> None:
-        if self.generator_count < 0:
+    def __init__(self, generator_count: int, relators: Iterable[Word]) -> None:
+        if generator_count < 0:
             raise ValueError("generator count must be nonnegative")
-        reduced = tuple(free_reduce(word(r)) for r in self.relators)
-        object.__setattr__(self, "relators", reduced)
+        reduced = tuple(free_reduce(word(r)) for r in relators)
         for r in reduced:
             for i, _ in r:
-                if i >= self.generator_count:
+                if i >= generator_count:
                     raise ValueError(
                         f"relator uses generator {i} but only "
-                        f"{self.generator_count} exist"
+                        f"{generator_count} exist"
                     )
+        self.generator_count = generator_count
+        self.relators = reduced
 
 
 def fibonacci_presentation(r: int, n: int) -> Presentation:
@@ -136,19 +135,19 @@ def fibonacci_presentation(r: int, n: int) -> Presentation:
     return Presentation(n, tuple(relators))
 
 
-@dataclass(frozen=True)
-class GenImages:
+class GenImages(Record):
     """Images of the generators a_0, a_1, ... in a concrete isometry group."""
 
-    images: tuple
+    __slots__ = ("images",)
 
-    def __post_init__(self) -> None:
-        if not self.images:
+    def __init__(self, images: Iterable) -> None:
+        images = tuple(images)
+        if not images:
             raise ValueError("at least one generator image is required")
-        dims = {img.dim for img in self.images}
+        dims = {img.dim for img in images}
         if len(dims) != 1:
             raise ValueError(f"images live in different dimensions: {sorted(dims)}")
-        object.__setattr__(self, "images", tuple(self.images))
+        self.images = images
 
     def __len__(self) -> int:
         return len(self.images)
@@ -169,12 +168,14 @@ def evaluate(w: Word, imgs: GenImages):
     return acc
 
 
-@dataclass(frozen=True)
-class RelatorReport:
+class RelatorReport(Record):
     """Outcome of checking every relator of a presentation under an image
     assignment; failures are recorded, not raised."""
 
-    trivial: tuple[bool, ...]
+    __slots__ = ("trivial",)
+
+    def __init__(self, trivial: tuple[bool, ...]) -> None:
+        self.trivial = trivial
 
     @property
     def passed(self) -> bool:

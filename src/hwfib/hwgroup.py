@@ -67,7 +67,6 @@ when V is all of F2^n.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -75,6 +74,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .exact import ExactNumber, format_rational, hermite_normal_form, parse_rational
 from .isometry import DiagIsometry
+from .record import Record
 
 __all__ = [
     "HWCandidate",
@@ -112,27 +112,27 @@ def _check_dim(n: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class HWCandidate:
+class HWCandidate(Record):
     """Generator data for a candidate group: dimension plus the n-1
     half-integer translations attached to the standard sign matrices."""
 
-    dim: int
-    generators: tuple[DiagIsometry, ...]
+    __slots__ = ("dim", "generators")
 
-    def __post_init__(self) -> None:
-        n = self.dim
-        _check_dim(n)
-        if len(self.generators) != n - 1:
-            raise ValueError(f"expected {n - 1} generators, got {len(self.generators)}")
-        for i, g in enumerate(self.generators):
-            if g.signs != standard_signs(n, i):
+    def __init__(self, dim: int, generators: Sequence[DiagIsometry]) -> None:
+        _check_dim(dim)
+        generators = tuple(generators)
+        if len(generators) != dim - 1:
+            raise ValueError(f"expected {dim - 1} generators, got {len(generators)}")
+        for i, g in enumerate(generators):
+            if g.signs != standard_signs(dim, i):
                 raise ValueError(f"generator {i} does not carry the standard sign pattern")
             for t in g.translation:
                 if t.denominator not in (1, 2):
                     raise ValueError(
                         f"generator {i} translation entry {t} is not a half-integer"
                     )
+        self.dim = dim
+        self.generators = generators
 
     @property
     def translations(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -288,13 +288,28 @@ def _torsion_exists(
     return next(_torsion_classes(n, lows, highs, basis), None) is not None
 
 
-@dataclass(frozen=True)
-class Classification:
-    crystallographic: bool
-    torsion_free: bool
-    holonomy_order: int
-    orientation_preserving: bool
-    hantzsche_wendt: bool
+class Classification(Record):
+    __slots__ = (
+        "crystallographic",
+        "torsion_free",
+        "holonomy_order",
+        "orientation_preserving",
+        "hantzsche_wendt",
+    )
+
+    def __init__(
+        self,
+        crystallographic: bool,
+        torsion_free: bool,
+        holonomy_order: int,
+        orientation_preserving: bool,
+        hantzsche_wendt: bool,
+    ) -> None:
+        self.crystallographic = crystallographic
+        self.torsion_free = torsion_free
+        self.holonomy_order = holonomy_order
+        self.orientation_preserving = orientation_preserving
+        self.hantzsche_wendt = hantzsche_wendt
 
     def to_json_dict(self) -> dict:
         return {
@@ -332,9 +347,8 @@ def classify_index(
     These are already normalised words (low words from the bits, high words
     zero).  Raises ValueError for an even or small n and an index out of
     range."""
-    units = _index_units(n, idx)
-    full = (1 << n) - 1
-    lows = [idx >> (i * n) & full for i in range(n - 1)]
+    lows = _index_words(n, idx)
+    units = tuple([_word_units(n, w) for w in lows])
     return units, _classify_words(n, lows, (0,) * (n - 1))
 
 
@@ -365,14 +379,16 @@ def is_hantzsche_wendt(c: HWCandidate) -> bool:
 # ---------------------------------------------------------------------------
 # translation lattice
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Record):
     """Lattice of rational vectors: canonical-HNF integer basis rows divided
     by one global denominator.  Canonicity makes equality structural."""
 
-    dim: int
-    den: int
-    basis: tuple[tuple[int, ...], ...]
+    __slots__ = ("dim", "den", "basis")
+
+    def __init__(self, dim: int, den: int, basis: tuple[tuple[int, ...], ...]) -> None:
+        self.dim = dim
+        self.den = den
+        self.basis = basis
 
     @property
     def rank(self) -> int:
@@ -412,15 +428,28 @@ def candidate_count(n: int) -> int:
     return 2 ** (n * (n - 1))
 
 
-def _index_units(n: int, idx: int) -> tuple[tuple[int, ...], ...]:
-    """Half units of the candidate at idx: bit i*n+j for coordinate j of
-    generator i."""
+def _index_words(n: int, idx: int) -> list[int]:
+    """The n-bit words of the candidate at idx: word i holds bits i*n to
+    i*n+n-1, bit j for coordinate j of generator i."""
     _check_dim(n)
     if not 0 <= idx < candidate_count(n):
         raise ValueError(f"index {idx} out of range for dimension {n}")
-    return tuple(
-        tuple((idx >> (i * n + j)) & 1 for j in range(n)) for i in range(n - 1)
-    )
+    full = (1 << n) - 1
+    return [idx >> (i * n) & full for i in range(n - 1)]
+
+
+@lru_cache(maxsize=1 << 12)
+def _word_units(n: int, word: int) -> tuple[int, ...]:
+    """The half units of one generator, the n bits of its word lowest
+    first.  A survey decodes every candidate from few distinct words, so
+    they are cached; the bound holds all of them for n <= 11 and keeps a
+    sampled survey at larger n from filling memory."""
+    return tuple(word >> j & 1 for j in range(n))
+
+
+def _index_units(n: int, idx: int) -> tuple[tuple[int, ...], ...]:
+    """Half units of the candidate at idx, one tuple per generator."""
+    return tuple([_word_units(n, w) for w in _index_words(n, idx)])
 
 
 def candidate_from_index(n: int, idx: int) -> HWCandidate:

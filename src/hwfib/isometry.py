@@ -5,18 +5,19 @@ diagonal sign matrix, stored as a sign vector plus a translation of exact
 rationals, under the semidirect-product law (A, a)(B, b) = (AB, A b + a).
 The law only adds and negates translation entries, so it also runs on
 plain ints; the symbolic sequence of ``epimorphism`` uses that for its
-translations, linear forms packed into integers.  All values are immutable
-and all operations pure, so they are safe to share across workers.
+translations, linear forms packed into integers.  No operation changes a
+value once it is built and all operations are pure, so values are safe to
+share across workers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
 
 from .exact import ExactNumber, format_rational, parse_rational
+from .record import Record
 
 __all__ = [
     "DiagIsometry",
@@ -42,8 +43,7 @@ def _affine_entry(s: int, b, a):
     return a + b if s > 0 else a - b
 
 
-@dataclass(frozen=True)
-class DiagIsometry:
+class DiagIsometry(Record):
     """Exact isometry x -> diag(signs) x + translation of R^n.
 
     The public constructor validates the signs, converts the translation
@@ -52,15 +52,12 @@ class DiagIsometry:
     they skip that pass.
     """
 
-    signs: tuple[int, ...]
-    translation: tuple[Fraction, ...] | tuple[int, ...]
+    __slots__ = ("signs", "translation")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "signs", _check_signs(self.signs))
-        object.__setattr__(
-            self,
-            "translation",
-            tuple(t if type(t) is Fraction else Fraction(t) for t in self.translation),
+    def __init__(self, signs: Iterable[int], translation: Iterable[ExactNumber]) -> None:
+        self.signs = _check_signs(signs)
+        self.translation = tuple(
+            t if type(t) is Fraction else Fraction(t) for t in translation
         )
         if len(self.signs) != len(self.translation):
             raise ValueError(
@@ -71,11 +68,22 @@ class DiagIsometry:
     @classmethod
     def _normal(cls, signs: tuple[int, ...], translation: tuple) -> "DiagIsometry":
         """Wrap int ±1 signs and equally many translation entries of one
-        type, all ``Fraction`` or all ``int``, skipping ``__post_init__``."""
+        type, all ``Fraction`` or all ``int``, skipping the validation of
+        the public constructor."""
         g = object.__new__(cls)
-        object.__setattr__(g, "signs", signs)
-        object.__setattr__(g, "translation", translation)
+        g.signs = signs
+        g.translation = translation
         return g
+
+    # Record's equality without its loop over the fields: the symbolic
+    # checks compare thousands of terms.  Defining __eq__ would otherwise
+    # leave the class unhashable.
+    def __eq__(self, other):
+        if other.__class__ is not DiagIsometry:
+            return NotImplemented
+        return self.signs == other.signs and self.translation == other.translation
+
+    __hash__ = Record.__hash__
 
     @property
     def dim(self) -> int:

@@ -11,11 +11,12 @@ The brute-force torsion search runs over a coefficient box of hwfib's
 The dense Smith normal form shares only ``exact._xgcd`` with the fast one
 it checks; test_exact checks both against minor gcds.  The symbolic
 sequence is rebuilt with one dict of coefficients per term, without
-``DiagIsometry`` and without packing forms into integers.
+``DiagIsometry`` and without packing forms into integers, and the product
+recursion is also run as the direct fold of each window of terms.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, product
 from math import gcd, lcm
 
@@ -125,6 +126,17 @@ def sparse_symbolic_terms(n, k):
                 acc[j] = acc.get(j, 0) + sign * c
             sign *= s
         terms.append((sign, {j: c for j, c in acc.items() if c}))
+    return terms
+
+
+def window_fold_recursion(seeds, length):
+    """The product recursion by its definition: the seeds, then each term
+    the left-to-right product of the len(seeds) terms before it, folded
+    term by term with ``DiagIsometry.compose``; ``length`` terms in all."""
+    terms = list(seeds)
+    width = len(terms)
+    while len(terms) < length:
+        terms.append(reduce(DiagIsometry.compose, terms[-width:]))
     return terms
 
 

@@ -115,6 +115,24 @@ def test_importing_the_cli_leaves_multiprocessing_out():
     assert result.returncode == 0, result.stderr or "hwfib.cli imported multiprocessing"
 
 
+def test_importing_the_cli_leaves_dataclasses_and_inspect_out():
+    # importing dataclasses loads inspect, ast, dis and tokenize: about 16 ms
+    # of every start, for nothing the arithmetic needs
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import sys; before = set(sys.modules); import hwfib.cli; "
+        "print(' '.join(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "", f"hwfib.cli imported {result.stdout.strip()}"
+
+
 def test_survey_dim3_full(capsys):
     code, out, _ = run_cli(capsys, "survey", "--dim", "3", "--format", "json")
     assert code == 0
@@ -244,6 +262,10 @@ STDOUT_SHA256 = {
         "fb6b63fbe8569264763845a543e5d37b7a1fd65a43d0f9c3a597a1eb2b283451",
     ("survey", "--dim", "5", "--sample", "200", "--seed", "7"):
         "3365b9e3da0b0cbbec294e9b1ddff030170f0097be747f441a64dee768a0600f",
+    # workers receive the record function by pickle and send the records
+    # back; recorded from the code whose value types were frozen dataclasses
+    ("survey", "--dim", "5", "--sample", "300", "--seed", "5", "--jobs", "2", "--format", "json"):
+        "47221a3d8657227e00d10d5b71cd0bc01ba26cd4841576009e721d01f488229f",
     # this entry and the SCALED9 and NONCRYST5 ones were recorded from the
     # list-based lattice and torsion kernel (vectors of half units per
     # normal generator, walk on per-coordinate remainders)

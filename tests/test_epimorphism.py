@@ -1,10 +1,11 @@
-import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from hwfib.epimorphism import (
+    SymSequence,
+    _product_recursion,
     build_epimorphism,
     build_epimorphism_by_components,
     component_images,
@@ -26,7 +27,8 @@ from hwfib.fpgroup import (
 from hwfib.hwgroup import build_candidate, candidate_count, candidate_from_index, cyclic_hw
 from hwfib.isometry import DiagIsometry, component, compose
 
-from _oracles import sparse_symbolic_terms
+from _oracles import sparse_symbolic_terms, window_fold_recursion
+from test_hwgroup import ORACLE_CANDIDATES
 
 F = Fraction
 HALF = F(1, 2)
@@ -91,9 +93,10 @@ def _with_terms(seq, *coeff_tuples):
     """``seq`` with its terms replaced by sign +1 and the given coefficient
     tuples, packed as d_j -> B^j with B = 2^(3n)."""
     shift = 3 * seq.n
-    return dataclasses.replace(
-        seq,
-        terms=tuple(
+    return SymSequence(
+        seq.n,
+        seq.k,
+        tuple(
             DiagIsometry._normal((1,), (sum(c << (shift * j) for j, c in enumerate(cs)),))
             for cs in coeff_tuples
         ),
@@ -195,7 +198,7 @@ def test_sequence_checks_fail_on_a_perturbed_term():
                     terms = list(seq.terms)
                     (sign,), (trans,) = terms[idx].signs, terms[idx].translation
                     terms[idx] = DiagIsometry._normal((sign,), (trans + base**j,))
-                    bad = dataclasses.replace(seq, terms=tuple(terms))
+                    bad = SymSequence(n, k, tuple(terms))
                     assert bad.coefficients(idx)[j] == seq.coefficients(idx)[j] + 1
                     assert not bad.periodic(), (n, k, idx, j)
                     assert not bad.recursion_consistent(), (n, k, idx, j)
@@ -262,6 +265,44 @@ def test_build_epimorphism_two_routes_agree():
     for _ in range(25):
         c = candidate_from_index(3, rng.randrange(candidate_count(3)))
         assert build_epimorphism(c) == build_epimorphism_by_components(c)
+
+
+def _seeded_half_integer_candidates():
+    rng = random.Random(43)
+    out = [
+        candidate_from_index(n, rng.randrange(candidate_count(n)))
+        for n in (5, 7) for _ in range(10)
+    ]
+    out += [
+        build_candidate(n, [[F(rng.randint(-5, 5), 2) for _ in range(n)] for _ in range(n - 1)])
+        for n in (5, 7) for _ in range(10)
+    ]
+    return out
+
+
+RECURSION_SEEDS = {
+    "cyclic": lambda: [cyclic_hw(n).generators for n in range(3, 14, 2)],
+    "seeded": lambda: [c.generators for c in _seeded_half_integer_candidates()],
+    "scaled": lambda: [c.generators for c in ORACLE_CANDIDATES["scaled"]()],
+    # the seeds of symbolic_sequence: d_i packed as B^i with B = 2^(3n)
+    "packed": lambda: [
+        [DiagIsometry._normal((1 if i == k else -1,), (1 << (3 * n * i),)) for i in range(n - 1)]
+        for n in range(3, 22, 2) for k in range(n)
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECURSION_SEEDS))
+def test_product_recursion_matches_window_fold(name):
+    # the prefix quotients against the fold of each window, term for term,
+    # over the 3n-1 terms of a symbolic sequence (build_epimorphism takes
+    # the first 2n); the entries keep the seeds' type, Fraction or int
+    for seeds in RECURSION_SEEDS[name]():
+        length = 3 * len(seeds) + 2
+        terms = _product_recursion(seeds, length)
+        assert terms == window_fold_recursion(seeds, length)
+        kind = type(seeds[0].translation[0])
+        assert all(type(t) is kind for g in terms for t in g.translation)
 
 
 def test_verify_main_theorem_cyclic_family():
