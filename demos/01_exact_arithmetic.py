@@ -1,29 +1,17 @@
 #!/usr/bin/env python3
-"""Exact scalars and integer normal forms.
+"""Exact scalars and the Smith normal form.
 
 Everything the package computes is exact: rationals with arbitrary-precision
-integers, and canonical Hermite/Smith normal forms over Z.
+integers, and elementary divisors of integer matrices over Z.  Translation
+lattices need no general normal form; demo 04 prints one.
 """
 
-from hwfib import (
-    format_rational,
-    hermite_normal_form,
-    rational,
-    smith_normal_form,
-)
+from hwfib import format_rational, rational, smith_normal_form
 
 # Rationals are fractions.Fraction values, always reduced, denominator > 0.
 half = rational(1, 2)
 print("rational(2, 4)  =", format_rational(rational(2, 4)))
 print("rational(3, -6) =", format_rational(rational(3, -6)))
-
-# Hermite normal form: the canonical basis of the row lattice.  Same span,
-# unique shape, so lattice equality is plain list equality.
-m = [[2, 0], [1, 1]]
-h, rank = hermite_normal_form(m)
-print("\nHNF of [[2,0],[1,1]] =", h, "rank", rank)
-h2, _ = hermite_normal_form(h)
-print("idempotent:", h2 == h)
 
 # Smith normal form: elementary divisors d1 | d2 | ... of an integer matrix.
 print("\nSNF of diag(2,3) =", smith_normal_form([[2, 0], [0, 3]]))

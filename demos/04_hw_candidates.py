@@ -49,7 +49,7 @@ for i, g in enumerate(c.generators):
 show_kernel(c)
 
 lattice = translation_lattice(c)
-print("translation lattice (2 m_j e_j and V, in canonical HNF):")
+print("translation lattice (Hermite form written from the m_j and V):")
 print("  rank", lattice.rank, "basis", lattice.basis, "denominator", lattice.den)
 print("torsion-free (Gray-code walk over the holonomy classes):", is_torsion_free(c))
 

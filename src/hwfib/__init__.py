@@ -13,7 +13,6 @@ rationals.
 from .exact import (
     Rational,
     format_rational,
-    hermite_normal_form,
     parse_rational,
     rational,
     smith_normal_form,

@@ -279,8 +279,6 @@ class VerificationReport(Record):
             out.append("candidate is not crystallographic")
         if not cl.torsion_free:
             out.append("candidate is not torsion-free")
-        if cl.crystallographic and cl.torsion_free and not cl.hantzsche_wendt:
-            out.append("holonomy is not the full orientation-preserving sign group")
         return out
 
     def to_json_dict(self) -> dict:

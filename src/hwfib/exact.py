@@ -1,8 +1,8 @@
 """Exact scalar and integer-matrix arithmetic.
 
 Everything in this module is exact: rationals are arbitrary-precision
-``fractions.Fraction`` values, and the normal forms (Hermite, Smith) work
-over arbitrary-precision integers.  No floating point appears anywhere in
+``fractions.Fraction`` values, and the Smith normal form works over
+arbitrary-precision integers.  No floating point appears anywhere in
 the package.
 """
 
@@ -18,7 +18,6 @@ __all__ = [
     "rational",
     "format_rational",
     "parse_rational",
-    "hermite_normal_form",
     "smith_normal_form",
 ]
 
@@ -63,57 +62,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     if a < 0:
         return -a, -x0, -y0
     return a, x0, y0
-
-
-def hermite_normal_form(mat: IntMatrix) -> tuple[list[list[int]], int]:
-    """Row-style Hermite normal form of an integer matrix.
-
-    Returns ``(H, rank)`` where ``H`` has the same shape as the input, spans
-    the same row lattice, and is canonical: pivots are positive, entries above
-    each pivot are reduced into ``[0, pivot)``, and the ``rank`` nonzero rows
-    come first.  The form is unique, so lattice equality reduces to list
-    equality.
-    """
-    h = [[int(v) for v in row] for row in mat]
-    nrows = len(h)
-    ncols = len(h[0]) if nrows else 0
-    if any(len(row) != ncols for row in h):
-        raise ValueError("ragged matrix")
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(rank, nrows):
-            if h[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        h[rank], h[pivot_row] = h[pivot_row], h[rank]
-        for i in range(rank + 1, nrows):
-            b = h[i][col]
-            if b == 0:
-                continue
-            a = h[rank][col]
-            if b % a == 0:
-                q = b // a
-                h[i] = [x - q * y for x, y in zip(h[i], h[rank])]
-            else:
-                g, x, y = _xgcd(a, b)
-                u, v = a // g, b // g
-                top = [x * p + y * q_ for p, q_ in zip(h[rank], h[i])]
-                bot = [-v * p + u * q_ for p, q_ in zip(h[rank], h[i])]
-                h[rank], h[i] = top, bot
-        if h[rank][col] < 0:
-            h[rank] = [-v for v in h[rank]]
-        pivot = h[rank][col]
-        for i in range(rank):
-            q = h[i][col] // pivot
-            if q:
-                h[i] = [x - q * y for x, y in zip(h[i], h[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return h, rank
 
 
 def smith_normal_form(mat: IntMatrix) -> tuple[int, ...]:

@@ -110,16 +110,20 @@ class Presentation(Record):
     def __init__(self, generator_count: int, relators: Iterable[Word]) -> None:
         if generator_count < 0:
             raise ValueError("generator count must be nonnegative")
-        reduced = tuple(free_reduce(word(r)) for r in relators)
-        for r in reduced:
-            for i, _ in r:
-                if i >= generator_count:
+        reduced = []
+        for r in relators:
+            r = tuple(r)
+            for i, e in r:
+                if not 0 <= i < generator_count:
                     raise ValueError(
-                        f"relator uses generator {i} but only "
-                        f"{generator_count} exist"
+                        f"negative generator index {i}" if i < 0 else
+                        f"relator uses generator {i} but only {generator_count} exist"
                     )
+                if e != 1 and e != -1:
+                    raise ValueError(f"letter exponent must be +1 or -1, got {e}")
+            reduced.append(free_reduce(r))
         self.generator_count = generator_count
-        self.relators = reduced
+        self.relators = tuple(reduced)
 
 
 def fibonacci_presentation(r: int, n: int) -> Presentation:

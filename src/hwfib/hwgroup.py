@@ -15,6 +15,16 @@ the bits of its index.  Both run the same kernel, in three steps that keep
 the names bench/tracing.py hooks: ``_rep_units_raw`` (normalise, for an
 ``HWCandidate`` only), ``_schreier_lattice`` and ``_torsion_exists``.
 
+Holonomy.  Products of sign matrices are XORs of their masks.
+HWCandidate enforces the standard patterns, so generator i has the mask
+full ^ e_i (full = all n bits, e_i = bit i), i < n-1.  Over a nonempty S
+of {0..n-2} the product is e_S when |S| is even and full ^ e_S when |S|
+is odd.  Neither is 0: e_S is not, and full ^ e_S keeps bit n-1.  Two
+subsets give the same product only when their symmetric difference gives
+0, that is when they are equal, so the holonomy has order 2^(n-1).  The
+popcount is |S| or n - |S|, even in both cases as n is odd, so every
+determinant is +1.  Neither fact depends on the translations.
+
 Lattice.  The kernel L of G -> (Z/2)^(n-1) is spanned by the holonomy
 orbits of the translations of the g_i^2 and [g_i, g_j], its normal
 generators.  The translation of g_i^2 is u_i[i] e_i; that of [g_i, g_j]
@@ -53,7 +63,21 @@ zero where m_j = 0, whose parity mask lies in the F2 space V spanned by the
 parity masks of the normal generators: U_i & bit i for g_i^2 and
 (U_i & ~bit j) ^ (U_j & ~bit i) for [g_i, g_j], U_i the low word of g_i.
 Their OR, the crystallographic mask, holds the coordinates with m_j = 1;
-the candidate is crystallographic when it holds all n.
+the candidate is crystallographic when it holds all n.  Undoing the
+scaling, the lattice of the candidate as given is the set of integer
+vectors x, zero where m_j = 0, with x_j in m_j Z and parity mask (bit j is
+x_j / m_j mod 2) in V.  ``translation_lattice`` writes its Hermite form
+from the m_j and V alone.  Bring a basis of V to reduced echelon form with
+each pivot at a word's lowest set bit, so that no word has a bit at
+another word's pivot.  For each j with m_j > 0, in increasing order, take
+the row m.b (m_k wherever b has bit k) when j is the pivot of the word b,
+and 2 m_j e_j otherwise.  These rows lie in L and span it: 2 m_j e_j at a
+pivot j is 2 m.b minus the rows 2 m_k e_k at the other bits k of b, none
+of which is a pivot; so the rows span 2M, and m.v for v in V is a sum of
+rows m.b modulo 2M.  Row j has the positive pivot m_j or 2 m_j at column
+j and is zero before it.  Above a pivot k every entry is 0 when k is a
+word's pivot, and 0 or m_k < 2 m_k otherwise.  So the rows are the
+canonical Hermite form of L, with no elimination.
 
 Torsion step.  An element (A, a + λ), λ in L, has a fixed point (and then
 order two) exactly when a + λ vanishes on the coordinates F that A fixes:
@@ -72,7 +96,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .exact import ExactNumber, format_rational, hermite_normal_form, parse_rational
+from .exact import ExactNumber, format_rational, parse_rational
 from .isometry import DiagIsometry
 from .record import Record
 
@@ -189,19 +213,6 @@ def _xor_basis(words: Iterable[int], n: int) -> list[int]:
         if rank == n:
             break
     return [b for b in reversed(pivots) if b]
-
-
-@lru_cache(maxsize=None)
-def _standard_holonomy(n: int) -> tuple[int, bool]:
-    """The holonomy order 2^rank from the F2 rank of the sign masks of the
-    standard generators (bit j set where the sign is -1, so generator i has
-    every bit but i), and whether every holonomy matrix has determinant +1
-    (products of masks are XORs, so even popcounts suffice).  HWCandidate
-    enforces the standard sign patterns, so these depend on n alone."""
-    full = (1 << n) - 1
-    masks = [full ^ (1 << i) for i in range(n - 1)]
-    orientation = all(bin(m).count("1") % 2 == 0 for m in masks)
-    return 2 ** len(_xor_basis(masks, n)), orientation
 
 
 def _rep_units_raw(c: HWCandidate) -> tuple[list[int], list[int], list[int]]:
@@ -324,13 +335,14 @@ class Classification(Record):
 def _classify_words(n: int, lows: Sequence[int], highs: Sequence[int]) -> Classification:
     """The classification kernel, on normalised words.  The lattice and
     torsion steps are looked up as module globals on every call, so
-    wrappers installed on them see each candidate."""
-    order, orientation = _standard_holonomy(n)
+    wrappers installed on them see each candidate.  The holonomy is always
+    the full orientation-preserving group of order 2^(n-1) (see the module
+    docstring), so a candidate is Hantzsche-Wendt exactly when it is
+    crystallographic and torsion-free."""
     cryst_mask, basis = _schreier_lattice(n, lows)
     cryst = cryst_mask == (1 << n) - 1
     torsion_free = not _torsion_exists(n, lows, highs, basis)
-    hw = cryst and torsion_free and order == 2 ** (n - 1) and orientation
-    return Classification(cryst, torsion_free, order, orientation, hw)
+    return Classification(cryst, torsion_free, 2 ** (n - 1), True, cryst and torsion_free)
 
 
 def classify(c: HWCandidate) -> Classification:
@@ -361,8 +373,9 @@ def is_crystallographic(c: HWCandidate) -> bool:
 def is_torsion_free(c: HWCandidate) -> bool:
     """No non-identity holonomy class contains a finite-order element;
     defined for crystallographic candidates."""
-    if not is_crystallographic(c):
-        rank = translation_lattice(c).rank  # only for the message
+    mods = _rep_units_raw(c)[0]
+    if not all(mods):
+        rank = len(mods) - mods.count(0)  # only for the message
         raise ValueError(
             "torsion test requires a crystallographic candidate "
             f"(translation lattice has rank {rank} < {c.dim})"
@@ -394,30 +407,40 @@ class Lattice(Record):
     def rank(self) -> int:
         return len(self.basis)
 
-    @classmethod
-    def from_scaled(cls, dim: int, rows: Sequence[Sequence[int]], den: int) -> "Lattice":
-        h, rank = hermite_normal_form(list(rows))
-        basis = h[:rank]
-        g = gcd(den, *(v for row in basis for v in row))
-        if g > 1:
-            den //= g
-            basis = [[v // g for v in row] for row in basis]
-        return cls(dim, den, tuple(tuple(row) for row in basis))
+
+def _reduced_echelon(basis: Iterable[int]) -> dict[int, int]:
+    """Reduced echelon form of independent F2 words, keyed by pivot: each
+    word's pivot is its lowest set bit, and no word has a bit at another
+    word's pivot."""
+    pivots: dict[int, int] = {}
+    for v in basis:
+        # the words held are reduced, so each XOR clears one pivot bit of v
+        for p, b in pivots.items():
+            if v & p:
+                v ^= b
+        low = v & -v
+        for p in pivots:
+            if pivots[p] & low:
+                pivots[p] ^= v
+        pivots[low] = v
+    return pivots
 
 
-@lru_cache(maxsize=256)
 def translation_lattice(c: HWCandidate) -> Lattice:
-    """Lattice of pure translations: the integer vectors x with x_j in
-    m_j Z whose parity mask (bit j is x_j / m_j mod 2) lies in V; spanned by
-    2 m_j e_j and the basis of V with bit j read as m_j."""
+    """Lattice of pure translations, its Hermite form written straight from
+    the moduli m_j and the parity space V (see the module docstring)."""
     n = c.dim
     mods, lows, _ = _rep_units_raw(c)
-    rows = [[2 * m if k == j else 0 for k in range(n)] for j, m in enumerate(mods) if m]
-    rows += [
-        [m if b >> j & 1 else 0 for j, m in enumerate(mods)]
-        for b in _schreier_lattice(n, lows)[1]
-    ]
-    return Lattice.from_scaled(n, rows, 1)
+    pivots = _reduced_echelon(_schreier_lattice(n, lows)[1])
+    rows = []
+    for j, m in enumerate(mods):
+        if m:
+            b = pivots.get(1 << j)
+            if b is None:
+                rows.append(tuple(2 * m if k == j else 0 for k in range(n)))
+            else:
+                rows.append(tuple(mk if b >> k & 1 else 0 for k, mk in enumerate(mods)))
+    return Lattice(n, 1, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

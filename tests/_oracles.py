@@ -4,8 +4,10 @@ Nothing here calls into hwfib's algorithms under test: determinants are
 expanded by minors, divisor chains come from gcds of minors, lattices come
 from word-ball enumeration or from Schreier generators over a breadth-first
 closure of the holonomy, and isometries are multiplied as homogeneous
-matrices over Fraction.  The Schreier lattice and the per-class torsion test
-use hwfib's Hermite normal form, which test_exact checks against minor gcds.
+matrices over Fraction.  The general Hermite normal form lives here as the
+reference: hwfib writes its translation lattices in Hermite form without
+elimination, and is checked against this one.  The Schreier lattice and the
+per-class torsion test use it, and test_exact checks it against minor gcds.
 The brute-force torsion search runs over a coefficient box of hwfib's
 ``translation_lattice``, which is checked against the Schreier lattice.
 The dense Smith normal form shares only ``exact._xgcd`` with the fast one
@@ -20,7 +22,7 @@ from functools import lru_cache, reduce
 from itertools import combinations, product
 from math import gcd, lcm
 
-from hwfib.exact import _xgcd
+from hwfib.exact import IntMatrix, _xgcd
 from hwfib.hwgroup import Lattice, build_candidate, is_crystallographic, translation_lattice
 from hwfib.isometry import DiagIsometry
 
@@ -140,6 +142,57 @@ def window_fold_recursion(seeds, length):
     return terms
 
 
+def hermite_normal_form(mat: IntMatrix) -> tuple[list[list[int]], int]:
+    """Row-style Hermite normal form of an integer matrix.
+
+    Returns ``(H, rank)`` where ``H`` has the same shape as the input, spans
+    the same row lattice, and is canonical: pivots are positive, entries above
+    each pivot are reduced into ``[0, pivot)``, and the ``rank`` nonzero rows
+    come first.  The form is unique, so lattice equality reduces to list
+    equality.
+    """
+    h = [[int(v) for v in row] for row in mat]
+    nrows = len(h)
+    ncols = len(h[0]) if nrows else 0
+    if any(len(row) != ncols for row in h):
+        raise ValueError("ragged matrix")
+    rank = 0
+    for col in range(ncols):
+        pivot_row = None
+        for i in range(rank, nrows):
+            if h[i][col] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        h[rank], h[pivot_row] = h[pivot_row], h[rank]
+        for i in range(rank + 1, nrows):
+            b = h[i][col]
+            if b == 0:
+                continue
+            a = h[rank][col]
+            if b % a == 0:
+                q = b // a
+                h[i] = [x - q * y for x, y in zip(h[i], h[rank])]
+            else:
+                g, x, y = _xgcd(a, b)
+                u, v = a // g, b // g
+                top = [x * p + y * q_ for p, q_ in zip(h[rank], h[i])]
+                bot = [-v * p + u * q_ for p, q_ in zip(h[rank], h[i])]
+                h[rank], h[i] = top, bot
+        if h[rank][col] < 0:
+            h[rank] = [-v for v in h[rank]]
+        pivot = h[rank][col]
+        for i in range(rank):
+            q = h[i][col] // pivot
+            if q:
+                h[i] = [x - q * y for x, y in zip(h[i], h[rank])]
+        rank += 1
+        if rank == nrows:
+            break
+    return h, rank
+
+
 def in_hnf_shape(rows):
     """Check the canonical row-HNF shape: staircase pivots, positive pivots,
     entries above each pivot in [0, pivot), zero rows trailing."""
@@ -203,11 +256,24 @@ def holonomy(c):
     }
 
 
+def lattice_from_scaled(dim, rows, den):
+    """The lattice spanned by the integer rows divided by den: the nonzero
+    rows of their Hermite normal form, with any factor that den shares
+    with every entry cancelled."""
+    h, rank = hermite_normal_form(list(rows))
+    basis = h[:rank]
+    g = gcd(den, *(v for row in basis for v in row))
+    if g > 1:
+        den //= g
+        basis = [[v // g for v in row] for row in basis]
+    return Lattice(dim, den, tuple(tuple(row) for row in basis))
+
+
 def lattice_from_vectors(dim, vectors):
     """The lattice spanned by rational vectors."""
     fracs = [[Fraction(v) for v in vec] for vec in vectors]
     den = lcm(*(v.denominator for vec in fracs for v in vec))
-    return Lattice.from_scaled(dim, [[int(v * den) for v in vec] for vec in fracs], den)
+    return lattice_from_scaled(dim, [[int(v * den) for v in vec] for vec in fracs], den)
 
 
 def scaled_basis(lat, den):
@@ -318,7 +384,7 @@ def schreier_lattice(c):
             )
             if any(vec):
                 vectors.add(vec)
-    return Lattice.from_scaled(c.dim, sorted(vectors), 2)
+    return lattice_from_scaled(c.dim, sorted(vectors), 2)
 
 
 def hnf_torsion_classes(c):
@@ -333,7 +399,7 @@ def hnf_torsion_classes(c):
         fixed = [j for j, s in enumerate(signs) if s == 1]
         if len(fixed) == c.dim:
             continue
-        projected = Lattice.from_scaled(
+        projected = lattice_from_scaled(
             len(fixed), [[row[j] for j in fixed] for row in rows2], 2
         )
         if lattice_contains(projected, [Fraction(-units[j], 2) for j in fixed]):

@@ -5,7 +5,6 @@ import pytest
 
 from hwfib.exact import (
     format_rational,
-    hermite_normal_form,
     parse_rational,
     rational,
     smith_normal_form,
@@ -16,6 +15,7 @@ from _oracles import (
     dense_smith_normal_form,
     det_int,
     divisors_by_minor_gcds,
+    hermite_normal_form,
     in_hnf_shape,
     minor_gcd,
     unimodular_2x2,
@@ -62,7 +62,8 @@ def test_field_axioms_on_random_triples():
 
 
 # ---------------------------------------------------------------------------
-# Hermite normal form
+# Hermite normal form (the test oracle the direct lattice forms are
+# checked against)
 
 
 def test_hnf_identity():

@@ -29,6 +29,7 @@ from _oracles import (
     hnf_torsion_exists,
     holonomy,
     lattice_contains,
+    lattice_from_scaled,
     lattice_from_vectors,
     lattice_reduce,
     schreier_lattice,
@@ -99,11 +100,15 @@ def test_holonomy_table_cyclic3():
 
 
 def test_holonomy_table_sizes_and_orientation():
-    for n in (3, 5, 7):
-        table = holonomy(cyclic_hw(n))
-        assert len(table) == 2 ** (n - 1)
+    # classify reports the holonomy of the standard sign patterns without
+    # computing it; the breadth-first closure computes it
+    for c in [cyclic_hw(n) for n in range(3, 10, 2)] + _scaled_sample():
+        table = holonomy(c)
+        cl = classify(c)
+        assert len(table) == cl.holonomy_order == 2 ** (c.dim - 1), c
         for signs in table:
             assert sum(1 for s in signs if s < 0) % 2 == 0
+        assert cl.orientation_preserving, c
 
 
 def test_holonomy_representatives_live_in_group():
@@ -303,6 +308,42 @@ def test_classify_matches_schreier_and_hnf_oracles(name):
         assert torsion_class_signs(c) == torsion, c
         assert cl.torsion_free == (not hnf_torsion_exists(c)) == (not torsion), c
         assert cl.holonomy_order == 2 ** (c.dim - 1) and cl.orientation_preserving
+
+
+def _general_sample():
+    # units in [-9, 9]: moduli far from 1, and coordinates with m_j = 0
+    rng = random.Random(39)
+    return [
+        build_candidate(n, [[F(rng.randint(-9, 9), 2) for _ in range(n)] for _ in range(n - 1)])
+        for n in (3, 5, 7)
+        for _ in range(700 if n < 7 else 600)
+    ]
+
+
+LATTICE_CANDIDATES = {
+    "n3-all": lambda: list(enumerate_candidates(3)),
+    "n5-sample": lambda: _sample(5, 3000, seed=40),
+    "n7-sample": lambda: _sample(7, 300, seed=41),
+    "cyclic": lambda: [cyclic_hw(n) for n in range(3, 16, 2)],
+    "general": _general_sample,
+}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_CANDIDATES))
+def test_translation_lattice_is_the_hnf_of_its_generators(name):
+    # translation_lattice writes the Hermite form without elimination; the
+    # general HNF of the rows 2 m_j e_j and m.b, b in V, is the reference
+    for c in LATTICE_CANDIDATES[name]():
+        n = c.dim
+        mods, lows, _ = _rep_units_raw(c)
+        rows = [[2 * m if k == j else 0 for k in range(n)] for j, m in enumerate(mods) if m]
+        rows += [
+            [m if b >> j & 1 else 0 for j, m in enumerate(mods)]
+            for b in _schreier_lattice(n, lows)[1]
+        ]
+        lat = translation_lattice(c)
+        assert lat == lattice_from_scaled(n, rows, 1), c
+        assert lat.rank == len(mods) - mods.count(0), c
 
 
 def test_is_hantzsche_wendt_cyclic_family():

@@ -31,6 +31,8 @@ from hwfib.hwgroup import (
 )
 from hwfib.isometry import DiagIsometry
 
+from _oracles import lattice_from_scaled
+
 F = Fraction
 
 
@@ -54,8 +56,8 @@ RECORDS = {
     ),
     Lattice: (
         ("dim", "den", "basis"),
-        lambda: Lattice.from_scaled(3, [[2, 2, 0], [0, 4, 0], [0, 0, 4]], 4),
-        lambda: Lattice.from_scaled(3, [[2, 2, 0], [0, 4, 0], [0, 0, 2]], 4),
+        lambda: lattice_from_scaled(3, [[2, 2, 0], [0, 4, 0], [0, 0, 4]], 4),
+        lambda: lattice_from_scaled(3, [[2, 2, 0], [0, 4, 0], [0, 0, 2]], 4),
     ),
     Presentation: (
         ("generator_count", "relators"),
@@ -123,13 +125,16 @@ G0, G1 = cyclic_hw(3).generators
     lambda: HWCandidate(3, (G1, G0)),
     lambda: HWCandidate(3, (DiagIsometry(G0.signs, (F(1, 3), 0, 0)), G1)),
     lambda: Presentation(-1, ()),
+    lambda: Presentation(2, (((-1, 1),),)),
     lambda: Presentation(2, (((2, 1),),)),
+    lambda: Presentation(2, (((2, 1), (2, -1)),)),
     lambda: Presentation(2, (((0, 2),),)),
     lambda: GenImages(()),
     lambda: GenImages((DiagIsometry.identity(1), DiagIsometry.identity(2))),
 ], ids=[
     "sign-0", "sign-length", "even-dim", "generator-count", "sign-pattern",
-    "third-integer", "negative-count", "unknown-generator", "exponent-2",
+    "third-integer", "negative-count", "negative-generator", "unknown-generator",
+    "cancelled-unknown-generator", "exponent-2",
     "no-images", "mixed-dims",
 ])
 def test_public_constructors_reject_bad_input(make):
