@@ -23,12 +23,11 @@ import time
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .epimorphism import symbolic_sequence, verify_main_theorem
+from .epimorphism import _certified_report, symbolic_sequence, verify_main_theorem
 from .exact import format_rational
 from .fpgroup import abelianization, fibonacci_presentation
 from .hwgroup import (
     candidate_count,
-    candidate_from_index,
     candidate_from_json_dict,
     candidate_indices,
     candidate_to_json_dict,
@@ -144,13 +143,11 @@ _HALF_UNIT_TEXT = tuple(format_rational(Fraction(u, 2)) for u in (0, 1))
 
 def _survey_record(dim: int, index: int) -> dict:
     """Survey record of the candidate at index, classified from the bits of
-    the index.  Only a Hantzsche-Wendt candidate is built as an HWCandidate,
-    for the quotient-map verification; the translations are written from
-    the bits, as candidate_to_json_dict would write them."""
+    the index.  A Hantzsche-Wendt line takes its verdict from the relator
+    certificate of the dimension, as verify does, so no candidate is built;
+    the translations are written from the bits, as candidate_to_json_dict
+    would write them."""
     units, cl = classify_index(dim, index)
-    verdict = None
-    if cl.hantzsche_wendt:
-        verdict = verify_main_theorem(candidate_from_index(dim, index)).verdict
     return {
         "index": index,
         "dim": dim,
@@ -158,7 +155,7 @@ def _survey_record(dim: int, index: int) -> dict:
         "crystallographic": cl.crystallographic,
         "torsion_free": cl.torsion_free,
         "hw": cl.hantzsche_wendt,
-        "verdict": verdict,
+        "verdict": _certified_report(dim, cl).verdict if cl.hantzsche_wendt else None,
     }
 
 

@@ -14,7 +14,11 @@ The dense Smith normal form shares only ``exact._xgcd`` with the fast one
 it checks; test_exact checks both against minor gcds.  The symbolic
 sequence is rebuilt with one dict of coefficients per term, without
 ``DiagIsometry`` and without packing forms into integers, and the product
-recursion is also run as the direct fold of each window of terms.
+recursion is also run as the direct fold of each window of terms.  The
+per-candidate relator check is the route hwfib replaced by its certificate
+of each dimension: it shares the recursion and the relator evaluation with
+hwfib, but runs them in E(n) over each candidate's own Fraction
+translations, with no appeal to the specialisation argument.
 """
 
 from fractions import Fraction
@@ -22,7 +26,9 @@ from functools import lru_cache, reduce
 from itertools import combinations, product
 from math import gcd, lcm
 
+from hwfib.epimorphism import build_epimorphism
 from hwfib.exact import IntMatrix, _xgcd
+from hwfib.fpgroup import fibonacci_presentation, verify_relators
 from hwfib.hwgroup import Lattice, build_candidate, is_crystallographic, translation_lattice
 from hwfib.isometry import DiagIsometry
 
@@ -140,6 +146,13 @@ def window_fold_recursion(seeds, length):
     while len(terms) < length:
         terms.append(reduce(DiagIsometry.compose, terms[-width:]))
     return terms
+
+
+def relators_by_candidate(c):
+    """Which relators of F(n-1, 2n) are trivial on the candidate's own 2n
+    images in E(n), built and evaluated over Fraction."""
+    n = c.dim
+    return verify_relators(fibonacci_presentation(n - 1, 2 * n), build_epimorphism(c)).trivial
 
 
 def hermite_normal_form(mat: IntMatrix) -> tuple[list[list[int]], int]:

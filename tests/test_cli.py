@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from hwfib import cli
+from hwfib import cli, epimorphism, hwgroup
 from hwfib.cli import main
 from hwfib.epimorphism import symbolic_sequence, verify_main_theorem
 from hwfib.hwgroup import (
@@ -219,6 +219,16 @@ def test_survey_record_from_index_matches_candidate_path(n, indices):
     assert counts["hw"] > 0 or n == 7
 
 
+def test_survey_record_reads_the_certificate(monkeypatch):
+    # a Hantzsche-Wendt line builds no Fraction candidate and classifies once
+    monkeypatch.setattr(hwgroup, "candidate_from_index", _refuse)
+    monkeypatch.setattr(hwgroup, "build_candidate", _refuse)
+    monkeypatch.setattr(epimorphism, "classify", _refuse)
+    monkeypatch.setattr(epimorphism, "build_epimorphism", _refuse)
+    verdicts = [cli._survey_record(3, idx)["verdict"] for idx in range(64)]
+    assert verdicts.count("pass") == 8 and verdicts.count(None) == 56
+
+
 @pytest.mark.parametrize("n, idx", [(3, 64), (3, -1), (5, candidate_count(5)), (4, 0), (1, 0)])
 def test_index_path_rejects_what_candidate_from_index_rejects(n, idx):
     for fn in (candidate_from_index, classify_index, cli._survey_record):
@@ -230,6 +240,8 @@ def test_index_path_rejects_what_candidate_from_index_rejects(n, idx):
 CYCLIC13 = "cyclic13.json"
 SCALED9 = "scaled9.json"
 NONCRYST5 = "noncryst5.json"
+TORSION5 = "torsion5.json"
+CYCLIC17 = "cyclic17.json"
 Q = Fraction(1, 4)
 CANDIDATE_FILES = {
     CYCLIC13: lambda: cyclic_hw(13),
@@ -246,6 +258,10 @@ CANDIDATE_FILES = {
         (-1, 0, "7/2", "1/2", "3/2"),
         (2, "-5/2", 1, "9/2", "3/2"),
     ]),
+    # crystallographic but not torsion-free (at n=3 every crystallographic
+    # candidate in the standard form is torsion-free)
+    TORSION5: lambda: candidate_from_index(5, 281782),
+    CYCLIC17: lambda: cyclic_hw(17),
 }
 
 # sha256 of stdout keyed by argv, without any "runtime:" line.  The survey
@@ -291,6 +307,18 @@ STDOUT_SHA256 = {
         "f8ca6448aa1af26784e8d6e29682787d0a8208410ab91e89dd5b39577c997a13",
     ("verify", "--input", NONCRYST5, "--format", "json"):
         "1f5ddd251c14943a51f60ccc8d17e02f884eab398da0bb84710da09b40f3b9e6",
+    # these four were recorded from the code that built the 2n images in
+    # E(n) over Fraction and evaluated every relator per candidate: the
+    # text fail path with its problem lines, a crystallographic candidate
+    # with torsion, and the relator verdicts of a large dimension
+    ("verify", "--input", NONCRYST5):
+        "f39fcce01a90d3cb4b3e8adaf5e50132bb63b63f04590b57fa78d9340e63c1d6",
+    ("verify", "--input", TORSION5, "--format", "json"):
+        "49562135265dd2fc123813660e1e5cb696ae9e188b8e34677d84deb50c2cfbb0",
+    ("verify", "--input", TORSION5):
+        "8364f705b4f399cacb4ecef63cc8927c7ddab53ba110394559a6ac42ded3e323",
+    ("verify", "--input", CYCLIC17, "--format", "json"):
+        "53c639047ea9d98730649e57994aff5ec9a5ffd47d6411e7d287b5df7bbc37cb",
     ("show", "--dim", "7", "--format", "json"):
         "6abd804acd09fe6a9f117d585fb1f479bcdcdc439117afa06663c56535b52ef0",
     # these three were recorded from the code that built the translation
@@ -323,7 +351,8 @@ def _stdout_sha256(capsys, tmp_path, argv):
         for a in argv
     ))
     # show always exits 0; verify fails the non-crystallographic candidate
-    assert code == (1 if argv[0] == "verify" and NONCRYST5 in argv else 0)
+    # and the one with torsion
+    assert code == (1 if argv[0] == "verify" and {NONCRYST5, TORSION5} & set(argv) else 0)
     kept = [line for line in out.splitlines(keepends=True) if not line.startswith("runtime:")]
     return hashlib.sha256("".join(kept).encode()).hexdigest()
 

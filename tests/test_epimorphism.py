@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from hwfib import epimorphism
 from hwfib.epimorphism import (
     SymSequence,
+    _generic_images,
     _product_recursion,
+    _relator_certificate,
     build_epimorphism,
     build_epimorphism_by_components,
     component_images,
@@ -27,7 +30,8 @@ from hwfib.fpgroup import (
 from hwfib.hwgroup import build_candidate, candidate_count, candidate_from_index, cyclic_hw
 from hwfib.isometry import DiagIsometry, component, compose
 
-from _oracles import sparse_symbolic_terms, window_fold_recursion
+from _oracles import relators_by_candidate, sparse_symbolic_terms, window_fold_recursion
+from test_cli import CANDIDATE_FILES, NONCRYST5, SCALED9
 from test_hwgroup import ORACLE_CANDIDATES
 
 F = Fraction
@@ -324,6 +328,75 @@ def test_verify_main_theorem_zero_translations():
     assert report.surjective
     assert report.verdict == "fail"
     assert "candidate is not torsion-free" in report.problems()
+
+
+def _seeded_indices(n, count, seed):
+    rng = random.Random(seed)
+    return [candidate_from_index(n, rng.randrange(candidate_count(n))) for _ in range(count)]
+
+
+def _random_half_units(count, seed):
+    # half units in [-9, 9]: mostly not Hantzsche-Wendt, many not even
+    # crystallographic
+    rng = random.Random(seed)
+    return [
+        build_candidate(n, [[F(rng.randint(-9, 9), 2) for _ in range(n)] for _ in range(n - 1)])
+        for n in (3, 5, 7) for _ in range(count)
+    ]
+
+
+CERTIFICATE_ORACLE_CANDIDATES = {
+    "n3-all": lambda: [candidate_from_index(3, idx) for idx in range(64)],
+    "n5-sample": lambda: _seeded_indices(5, 2000, seed=53),
+    "n7-sample": lambda: _seeded_indices(7, 200, seed=54),
+    "files": lambda: [CANDIDATE_FILES[name]() for name in (SCALED9, NONCRYST5)],
+    "random": lambda: _random_half_units(100, seed=55),
+    "cyclic": lambda: [cyclic_hw(n) for n in range(3, 22, 2)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_ORACLE_CANDIDATES))
+def test_certificate_matches_per_candidate_relators(name):
+    # the relator verdicts of the certificate of each dimension against the
+    # relators evaluated on each candidate's own images over Fraction
+    for c in CERTIFICATE_ORACLE_CANDIDATES[name]():
+        report = verify_main_theorem(c)
+        assert report.relators_trivial == relators_by_candidate(c) == (True,) * (2 * c.dim), c
+        assert report.surjective
+
+
+def test_verify_builds_no_images_per_candidate(monkeypatch):
+    def refuse(c):
+        raise AssertionError("verify_main_theorem built the images of a candidate")
+
+    monkeypatch.setattr(epimorphism, "build_epimorphism", refuse)
+    _relator_certificate.cache_clear()
+    for n in (3, 5):
+        assert verify_main_theorem(cyclic_hw(n)).verdict == "pass"
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_generic_images_fail_wrong_presentations(n):
+    # the certificate can say no: the same images break the relators of
+    # Fibonacci presentations with the wrong length or period
+    images = _generic_images(n)
+    assert verify_relators(fibonacci_presentation(n - 1, 2 * n), images).trivial == (True,) * (2 * n)
+    assert _relator_certificate(n) == (True,) * (2 * n)
+    shorter = verify_relators(fibonacci_presentation(n - 2, 2 * n), images).trivial
+    assert shorter == (False,) * (2 * n)
+    period = verify_relators(fibonacci_presentation(n - 1, 2 * n - 2), images).trivial
+    assert period.count(False) == n - 1
+
+
+@pytest.mark.parametrize("n", [3, 5, 13])
+def test_generic_images_are_the_symbolic_sequences(n):
+    # coordinate j of the generic images in E(n) is the symbolic sequence
+    # with its +1 seed at k = j (none at j = n-1)
+    images = _generic_images(n).images
+    assert len(images) == 2 * n
+    for j in range(n):
+        column = tuple(DiagIsometry._normal((g.signs[j],), (g.translation[j],)) for g in images)
+        assert column == symbolic_sequence(n, j).terms[: 2 * n], (n, j)
 
 
 def test_verification_report_json_shape():
