@@ -8,25 +8,25 @@ human-readable look at one candidate.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 invalid
 input or usage.  JSON output is byte-deterministic for a fixed
-configuration (including the seed); runtimes are only ever reported in text
-mode.
+configuration, since a ``--sample`` without ``--seed`` draws with seed 0;
+runtimes are only ever reported in text mode.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
 import time
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 from .epimorphism import _certified_report, symbolic_sequence, verify_main_theorem
 from .exact import format_rational
 from .fpgroup import abelianization, fibonacci_presentation
 from .hwgroup import (
+    Classification,
     candidate_count,
     candidate_from_json_dict,
     candidate_indices,
@@ -62,14 +62,6 @@ MAX_SYMBOLIC_DIM = 151
 # the limit can take far longer through coefficient growth in the
 # elimination: F(322, 60) takes 10 s, F(162, 92) 14 s and F(162, 220) 85 s.
 MAX_ABELIANIZE = 322
-
-
-def Pool(processes: int):
-    """``multiprocessing.Pool``, imported only when a survey asks for
-    workers: the import costs every other start of the CLI about 11 ms."""
-    from multiprocessing import Pool
-
-    return Pool(processes=processes)
 
 
 def _emit(line: str) -> None:
@@ -141,22 +133,33 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
 _HALF_UNIT_TEXT = tuple(format_rational(Fraction(u, 2)) for u in (0, 1))
 
 
-def _survey_record(dim: int, index: int) -> dict:
-    """Survey record of the candidate at index, classified from the bits of
-    the index.  A Hantzsche-Wendt line takes its verdict from the relator
-    certificate of the dimension, as verify does, so no candidate is built;
-    the translations are written from the bits, as candidate_to_json_dict
-    would write them."""
+def _survey_line(
+    dim: int, index: int, output_format: str
+) -> tuple[Classification, Optional[str], str]:
+    """Classification, verdict and output line of the candidate at index,
+    classified from the bits of the index.  A Hantzsche-Wendt line takes its
+    verdict from the relator certificate of the dimension, as verify does,
+    so no candidate is built; a JSON line writes the translations from the
+    bits, as candidate_to_json_dict would write them."""
     units, cl = classify_index(dim, index)
-    return {
-        "index": index,
-        "dim": dim,
-        "translations": [[_HALF_UNIT_TEXT[u] for u in vec] for vec in units],
-        "crystallographic": cl.crystallographic,
-        "torsion_free": cl.torsion_free,
-        "hw": cl.hantzsche_wendt,
-        "verdict": _certified_report(dim, cl).verdict if cl.hantzsche_wendt else None,
-    }
+    verdict = _certified_report(dim, cl).verdict if cl.hantzsche_wendt else None
+    if output_format == "json":
+        line = _dumps({
+            "index": index,
+            "dim": dim,
+            "translations": [[_HALF_UNIT_TEXT[u] for u in vec] for vec in units],
+            "crystallographic": cl.crystallographic,
+            "torsion_free": cl.torsion_free,
+            "hw": cl.hantzsche_wendt,
+            "verdict": verdict,
+        })
+    else:
+        line = (
+            f"index={index} crystallographic={'y' if cl.crystallographic else 'n'} "
+            f"torsion_free={'y' if cl.torsion_free else 'n'} "
+            f"hw={'y' if cl.hantzsche_wendt else 'n'} verdict={verdict or '-'}"
+        )
+    return cl, verdict, line
 
 
 def cmd_survey(cfg: argparse.Namespace) -> int:
@@ -173,66 +176,43 @@ def cmd_survey(cfg: argparse.Namespace) -> int:
         return _fail_usage(_over_cap(cfg.dim))
     if cfg.sample is not None and cfg.sample < 1:
         return _fail_usage("--sample must be positive")
+    if cfg.seed is not None and cfg.sample is None:
+        return _fail_usage("--seed needs --sample: a full enumeration draws no random indices")
     cpus = os.cpu_count() or 1
     if not 1 <= cfg.jobs <= cpus:
         return _fail_usage(f"--jobs must lie in [1, {cpus}], got {cfg.jobs}")
 
-    record = functools.partial(_survey_record, cfg.dim)
-    indices = candidate_indices(cfg.dim, cfg.sample, cfg.seed)
-    if cfg.jobs > 1:
-        pool = Pool(processes=cfg.jobs)
-        try:
-            records = pool.imap(record, indices, chunksize=64)
-            counts = _emit_survey_records(cfg, records)
-        finally:
-            pool.close()
-            pool.join()
-    else:
-        counts = _emit_survey_records(cfg, map(record, indices))
-
     summary = {
         "summary": True,
         "dim": cfg.dim,
-        "candidates": counts["total"],
-        "crystallographic": counts["crystallographic"],
-        "torsion_free": counts["torsion_free"],
-        "hantzsche_wendt": counts["hw"],
-        "verified_pass": counts["pass"],
-        "verified_fail": counts["fail"],
+        "candidates": 0,
+        "crystallographic": 0,
+        "torsion_free": 0,
+        "hantzsche_wendt": 0,
+        "verified_pass": 0,
+        "verified_fail": 0,
     }
+    for index in candidate_indices(cfg.dim, cfg.sample, cfg.seed or 0):
+        cl, verdict, line = _survey_line(cfg.dim, index, cfg.output_format)
+        summary["candidates"] += 1
+        summary["crystallographic"] += cl.crystallographic
+        summary["torsion_free"] += cl.torsion_free
+        summary["hantzsche_wendt"] += cl.hantzsche_wendt
+        if verdict is not None:
+            summary[f"verified_{verdict}"] += 1
+        _emit(line)
+
     if cfg.output_format == "json":
         _emit(_dumps(summary))
     else:
         _emit(
-            f"surveyed {counts['total']} candidates in dimension {cfg.dim}: "
-            f"{counts['crystallographic']} crystallographic, "
-            f"{counts['hw']} hantzsche-wendt, "
-            f"{counts['pass']} verified pass, {counts['fail']} verified fail"
+            f"surveyed {summary['candidates']} candidates in dimension {cfg.dim}: "
+            f"{summary['crystallographic']} crystallographic, "
+            f"{summary['hantzsche_wendt']} hantzsche-wendt, "
+            f"{summary['verified_pass']} verified pass, "
+            f"{summary['verified_fail']} verified fail"
         )
-    return EXIT_PASS if counts["fail"] == 0 else EXIT_FAIL
-
-
-def _emit_survey_records(cfg: argparse.Namespace, records: Iterable[dict]) -> dict:
-    counts = {"total": 0, "crystallographic": 0, "torsion_free": 0, "hw": 0, "pass": 0, "fail": 0}
-    for record in records:
-        counts["total"] += 1
-        counts["crystallographic"] += record["crystallographic"]
-        counts["torsion_free"] += record["torsion_free"]
-        counts["hw"] += record["hw"]
-        if record["verdict"] == "pass":
-            counts["pass"] += 1
-        elif record["verdict"] == "fail":
-            counts["fail"] += 1
-        if cfg.output_format == "json":
-            _emit(_dumps(record))
-        else:
-            verdict = record["verdict"] or "-"
-            _emit(
-                f"index={record['index']} crystallographic={'y' if record['crystallographic'] else 'n'} "
-                f"torsion_free={'y' if record['torsion_free'] else 'n'} "
-                f"hw={'y' if record['hw'] else 'n'} verdict={verdict}"
-            )
-    return counts
+    return EXIT_PASS if summary["verified_fail"] == 0 else EXIT_FAIL
 
 
 def cmd_symbolic(cfg: argparse.Namespace) -> int:
@@ -408,8 +388,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", dest="input_path", help="candidate JSON file")
         if sampling:
             p.add_argument("--sample", type=int, help="number of random candidates")
-            p.add_argument("--seed", type=int, help="seed for --sample")
-            p.add_argument("--jobs", type=int, default=1, help="worker processes")
+            p.add_argument("--seed", type=int, help="seed for --sample (default: 0)")
+            p.add_argument(
+                "--jobs",
+                type=int,
+                default=1,
+                help="accepted and checked against the CPU count; the survey "
+                "runs in one process",
+            )
         p.add_argument(
             "--format",
             dest="output_format",

@@ -373,14 +373,14 @@ def is_crystallographic(c: HWCandidate) -> bool:
 def is_torsion_free(c: HWCandidate) -> bool:
     """No non-identity holonomy class contains a finite-order element;
     defined for crystallographic candidates."""
-    mods = _rep_units_raw(c)[0]
+    mods, lows, highs = _rep_units_raw(c)
     if not all(mods):
         rank = len(mods) - mods.count(0)  # only for the message
         raise ValueError(
             "torsion test requires a crystallographic candidate "
             f"(translation lattice has rank {rank} < {c.dim})"
         )
-    return classify(c).torsion_free
+    return _classify_words(c.dim, lows, highs).torsion_free
 
 
 def is_hantzsche_wendt(c: HWCandidate) -> bool:

@@ -6,8 +6,7 @@ rationals, under the semidirect-product law (A, a)(B, b) = (AB, A b + a).
 The law only adds and negates translation entries, so it also runs on
 plain ints; the symbolic sequence of ``epimorphism`` uses that for its
 translations, linear forms packed into integers.  No operation changes a
-value once it is built and all operations are pure, so values are safe to
-share across workers.
+value once it is built and all operations are pure.
 """
 
 from __future__ import annotations

@@ -104,15 +104,24 @@ def test_zero_denominator_is_a_usage_error(tmp_path, capsys, command):
 
 
 def test_importing_the_cli_leaves_multiprocessing_out():
-    # only survey --jobs N > 1 needs it, and the import costs every start
+    # the survey runs in one process whatever --jobs says, and importing
+    # multiprocessing would cost every start of the CLI about 11 ms
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    result = subprocess.run(
-        [sys.executable, "-c", "import sys, hwfib.cli; sys.exit('multiprocessing' in sys.modules)"],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
+    script = (
+        "import sys, hwfib.cli; code = hwfib.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
+        "print('multiprocessing' in sys.modules); sys.exit(code)"
     )
-    assert result.returncode == 0, result.stderr or "hwfib.cli imported multiprocessing"
+    for argv, lines in (((), 0), (("survey", "--dim", "3", "--jobs", "2", "--format", "json"), 65)):
+        result = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        *out, imported = result.stdout.splitlines()
+        assert len(out) == lines, argv
+        assert imported == "False", f"{' '.join(argv) or 'import'} loaded multiprocessing"
 
 
 def test_importing_the_cli_leaves_dataclasses_and_inspect_out():
@@ -197,6 +206,15 @@ def _seeded_indices(n, count, seed):
     return [rng.randrange(candidate_count(n)) for _ in range(count)]
 
 
+def _text_line(record):
+    flag = {True: "y", False: "n"}
+    return (
+        f"index={record['index']} crystallographic={flag[record['crystallographic']]} "
+        f"torsion_free={flag[record['torsion_free']]} hw={flag[record['hw']]} "
+        f"verdict={record['verdict'] or '-'}"
+    )
+
+
 @pytest.mark.parametrize("n, indices", [
     (3, range(64)),
     (5, _seeded_indices(5, 2000, seed=51)),
@@ -206,9 +224,13 @@ def test_survey_record_from_index_matches_candidate_path(n, indices):
     counts = {"crystallographic": 0, "hw": 0}
     for idx in indices:
         expected = _record_from_candidate(n, idx)
-        assert cli._survey_record(n, idx) == expected, idx
-        units, cl = classify_index(n, idx)
-        assert cl == classify(candidate_from_index(n, idx))
+        cl = classify(candidate_from_index(n, idx))
+        assert cli._survey_line(n, idx, "json") == (
+            cl, expected["verdict"], json.dumps(expected, separators=(",", ":"))
+        ), idx
+        assert cli._survey_line(n, idx, "text") == (cl, expected["verdict"], _text_line(expected)), idx
+        units, index_cl = classify_index(n, idx)
+        assert index_cl == cl
         assert units == tuple(
             tuple(int(2 * t) for t in vec) for vec in candidate_from_index(n, idx).translations
         )
@@ -225,15 +247,19 @@ def test_survey_record_reads_the_certificate(monkeypatch):
     monkeypatch.setattr(hwgroup, "build_candidate", _refuse)
     monkeypatch.setattr(epimorphism, "classify", _refuse)
     monkeypatch.setattr(epimorphism, "build_epimorphism", _refuse)
-    verdicts = [cli._survey_record(3, idx)["verdict"] for idx in range(64)]
-    assert verdicts.count("pass") == 8 and verdicts.count(None) == 56
+    for output_format in ("json", "text"):
+        verdicts = [cli._survey_line(3, idx, output_format)[1] for idx in range(64)]
+        assert verdicts.count("pass") == 8 and verdicts.count(None) == 56
 
 
 @pytest.mark.parametrize("n, idx", [(3, 64), (3, -1), (5, candidate_count(5)), (4, 0), (1, 0)])
 def test_index_path_rejects_what_candidate_from_index_rejects(n, idx):
-    for fn in (candidate_from_index, classify_index, cli._survey_record):
+    for fn in (candidate_from_index, classify_index):
         with pytest.raises(ValueError):
             fn(n, idx)
+    for output_format in ("json", "text"):
+        with pytest.raises(ValueError):
+            cli._survey_line(n, idx, output_format)
 
 
 # argv items standing for files holding a candidate
@@ -278,8 +304,9 @@ STDOUT_SHA256 = {
         "fb6b63fbe8569264763845a543e5d37b7a1fd65a43d0f9c3a597a1eb2b283451",
     ("survey", "--dim", "5", "--sample", "200", "--seed", "7"):
         "3365b9e3da0b0cbbec294e9b1ddff030170f0097be747f441a64dee768a0600f",
-    # workers receive the record function by pickle and send the records
-    # back; recorded from the code whose value types were frozen dataclasses
+    # --jobs is accepted and range-checked, but the survey runs in one
+    # process; recorded from the code that sent records back from worker
+    # processes and whose value types were frozen dataclasses
     ("survey", "--dim", "5", "--sample", "300", "--seed", "5", "--jobs", "2", "--format", "json"):
         "47221a3d8657227e00d10d5b71cd0bc01ba26cd4841576009e721d01f488229f",
     # this entry and the SCALED9 and NONCRYST5 ones were recorded from the
@@ -383,7 +410,7 @@ def _refuse(*args, **kwargs):
 
 @pytest.mark.parametrize("jobs", ["0", "-1", str((os.cpu_count() or 1) + 1)])
 def test_survey_jobs_out_of_range(capsys, monkeypatch, jobs):
-    monkeypatch.setattr(cli, "Pool", _refuse)
+    monkeypatch.setattr(cli, "classify_index", _refuse)
     code, out, err = run_cli(capsys, "survey", "--dim", "3", "--jobs", jobs)
     assert code == 2
     assert "--jobs" in err
@@ -443,6 +470,21 @@ def test_symbolic_and_abelianize_caps_are_inclusive(capsys, monkeypatch):
     assert run_cli(capsys, "abelianize", "10", "4")[0] == 0
     assert run_cli(capsys, "abelianize", "4", "11")[0] == 2
     assert run_cli(capsys, "abelianize", "11", "4")[0] == 2
+
+
+def test_survey_sample_without_seed_draws_with_seed_0(capsys):
+    unseeded = ("survey", "--dim", "5", "--sample", "5", "--format", "json")
+    runs = [run_cli(capsys, *unseeded) for _ in range(2)]
+    assert runs[0] == runs[1] == run_cli(capsys, *unseeded, "--seed", "0")
+    assert runs[0][0] == 0
+
+
+def test_survey_seed_without_sample_refused(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "classify_index", _refuse)
+    code, out, err = run_cli(capsys, "survey", "--dim", "3", "--seed", "1")
+    assert code == 2
+    assert "--seed needs --sample" in err
+    assert out == ""
 
 
 def test_survey_large_dim_requires_sample(capsys):

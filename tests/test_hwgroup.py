@@ -4,6 +4,7 @@ from itertools import islice, product
 
 import pytest
 
+from hwfib import hwgroup
 from hwfib.hwgroup import (
     build_candidate,
     candidate_count,
@@ -176,6 +177,18 @@ def test_is_crystallographic_cyclic():
 def test_is_torsion_free_cyclic():
     assert is_torsion_free(cyclic_hw(3))
     assert torsion_oracle(cyclic_hw(3))
+
+
+def test_is_torsion_free_normalises_once(monkeypatch):
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return _rep_units_raw(c)
+
+    monkeypatch.setattr(hwgroup, "_rep_units_raw", counted)
+    assert is_torsion_free(cyclic_hw(5))
+    assert len(calls) == 1
 
 
 def test_is_torsion_free_requires_crystallographic():
