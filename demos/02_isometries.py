@@ -12,13 +12,11 @@ from fractions import Fraction
 
 from hwfib import (
     DiagIsometry,
-    apply,
     component,
     compose,
     direct_sum,
     format_rational,
     inverse,
-    rotational_part,
     symbolic_sequence,
 )
 
@@ -39,12 +37,13 @@ print("g0 * g1 =", compose(g0, g1))
 print("g0^-1   =", inverse(g0))
 print("g0 * g0^-1 is identity:", compose(g0, inverse(g0)).is_identity())
 
-# The rotational part forgets translations and is a homomorphism.
-print("\nrotational parts:", rotational_part(g0), rotational_part(compose(g0, g1)))
+# The rotational part, the sign vector, forgets translations and is a
+# homomorphism.
+print("\nrotational parts:", g0.signs, compose(g0, g1).signs)
 
 # Acting on points.
-print("\ng0 applied to the origin:", point(apply(g0, (0, 0, 0))))
-print("g0 applied to (1/4,0,1): ", point(apply(g0, (Fraction(1, 4), 0, 1))))
+print("\ng0 applied to the origin:", point(g0.apply((0, 0, 0))))
+print("g0 applied to (1/4,0,1): ", point(g0.apply((Fraction(1, 4), 0, 1))))
 
 # Every isometry decomposes into one-dimensional components along the
 # coordinate axes, and the direct sum reassembles it exactly.

@@ -12,13 +12,18 @@ from hwfib import (
     free_reduce,
     relator_matrix,
     shift,
-    word_to_ints,
 )
+
+
+def word_text(w):
+    """A word of (generator, exponent) letters as text, e.g. a0 a1 a2^-1."""
+    return " ".join(f"a{i}" if e > 0 else f"a{i}^-1" for i, e in w)
+
 
 p = fibonacci_presentation(2, 6)
 print("F(2,6):", p.generator_count, "generators,", len(p.relators), "relators")
 for i, rel in enumerate(p.relators):
-    print(f"  relator {i}: {word_to_ints(rel)}")
+    print(f"  relator {i}: {word_text(rel)}")
 
 # The shift automorphism a_i -> a_(i-1) (subscripts mod 2n) permutes the
 # relator set, which is why one verified quotient map generates a whole

@@ -7,20 +7,23 @@ images via the product recursion in E(n).  Verification checks all 2n
 relators exactly once per dimension, on generic generators whose
 translations are formal parameters; that check covers every candidate of
 the dimension, and the first n-1 images are the generators by construction
-(hence the map is onto).  The relators are also checked here on the
-candidate's own images.
+(hence the map is onto).  The check is sound because of specialisation:
+coordinate j of a candidate's images is the symbolic sequence with its +1
+seed at k = j, evaluated at the candidate's translations.  The relators are
+also checked here on the candidate's own images.
 """
 
 import json
 
 from hwfib import (
     build_epimorphism,
-    build_epimorphism_by_components,
     candidate_from_index,
     classify,
     cyclic_hw,
     enumerate_candidates,
     fibonacci_presentation,
+    format_rational,
+    symbolic_sequence,
     verify_main_theorem,
     verify_relators,
 )
@@ -31,12 +34,22 @@ print("images of a_0..a_5 for the 3-dimensional cyclic group:")
 for i, g in enumerate(imgs.images):
     print(f"  a_{i} -> {g}")
 
-# Two independent routes to the same images: the E(n) recursion and the
-# direct sum of n one-dimensional sequences.
-print(
-    "\nE(n) recursion agrees with the component-wise route:",
-    build_epimorphism(c) == build_epimorphism_by_components(c),
-)
+# Specialisation: coordinate j of image m is term m of the symbolic
+# sequence symbolic_sequence(n, j), its form evaluated at d_i = t_i[j], the
+# j-th translation entry of generator i.  This is why one check on generic
+# translations covers every candidate of the dimension.
+print("\nspecialisation of the symbolic sequences at coordinate j:")
+agree = True
+for j in range(c.dim):
+    seq = symbolic_sequence(c.dim, j)
+    d = [g.translation[j] for g in c.generators]
+    for m, g in enumerate(imgs.images):
+        value = sum(a * x for a, x in zip(seq.coefficients(m), d))
+        agree &= (g.signs[j], g.translation[j]) == (seq.terms[m].signs[0], value)
+    at = ", ".join(f"d{i}={format_rational(x)}" for i, x in enumerate(d))
+    shown = format_rational(imgs.images[2].translation[j])
+    print(f"  j={j}: a_2 -> {seq.term_text(2)} at {at}, translation {shown}")
+print("every coordinate of every image agrees:", agree)
 
 presentation = fibonacci_presentation(2, 6)
 print(

@@ -62,6 +62,8 @@ MAX_SYMBOLIC_DIM = 151
 # the limit can take far longer through coefficient growth in the
 # elimination: F(322, 60) takes 10 s, F(162, 92) 14 s and F(162, 220) 85 s.
 MAX_ABELIANIZE = 322
+# One compact encoder for every line: json.dumps builds a new one per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 def _emit(line: str) -> None:
@@ -81,7 +83,7 @@ def _over_cap(dim: int) -> str:
 
 
 def _dumps(data: dict) -> str:
-    return json.dumps(data, separators=(",", ":"))
+    return _ENCODER.encode(data)
 
 
 def _load_candidate(path: str):

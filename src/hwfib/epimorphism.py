@@ -60,7 +60,7 @@ from .hwgroup import (
     classify,
     standard_signs,
 )
-from .isometry import DiagIsometry, component, direct_sum
+from .isometry import DiagIsometry
 from .record import Record
 
 __all__ = [
@@ -70,7 +70,6 @@ __all__ = [
     "verify_addrel",
     "component_images",
     "build_epimorphism",
-    "build_epimorphism_by_components",
     "VerificationReport",
     "verify_main_theorem",
 ]
@@ -251,18 +250,6 @@ def build_epimorphism(c: HWCandidate) -> GenImages:
     """Images of a_0..a_(2n-1) in E(n): the first n-1 are the group
     generators, the rest follow the length-(n-1) product recursion."""
     return GenImages(tuple(_product_recursion(c.generators, 2 * c.dim)))
-
-
-def build_epimorphism_by_components(c: HWCandidate) -> GenImages:
-    """Independent route to the same images: run the recursion in E(1) for
-    each coordinate separately and reassemble by direct sum."""
-    sequences = [
-        _product_recursion(component_images(c, j).images, 2 * c.dim)
-        for j in range(c.dim)
-    ]
-    return GenImages(
-        tuple(direct_sum(component(g, 0) for g in terms) for terms in zip(*sequences))
-    )
 
 
 class VerificationReport(Record):

@@ -12,10 +12,8 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 __all__ = [
-    "Rational",
     "ExactNumber",
     "IntMatrix",
-    "rational",
     "format_rational",
     "parse_rational",
     "smith_normal_form",
@@ -24,26 +22,15 @@ __all__ = [
 # Exact scalars.  Plain ints are admitted alongside Fraction so that
 # integer-only computations stay in fast int arithmetic; int and Fraction
 # compare and hash consistently.
-Rational = Fraction
 ExactNumber = Union[int, Fraction]
 
 # Integer matrices are plain row-major nested sequences.
 IntMatrix = Sequence[Sequence[int]]
 
 
-def rational(num: int, den: int = 1) -> Fraction:
-    """Reduced rational number with positive denominator."""
-    if den == 0:
-        raise ZeroDivisionError("division by zero")
-    return Fraction(num, den)
-
-
 def format_rational(value: ExactNumber) -> str:
     """Render a rational as ``"p/q"``, or ``"p"`` when the denominator is 1."""
-    q = Fraction(value)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return str(Fraction(value))
 
 
 def parse_rational(text: str) -> Fraction:

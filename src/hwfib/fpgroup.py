@@ -9,7 +9,7 @@ the relator exponent matrix.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .exact import smith_normal_form
 from .record import Record
@@ -25,8 +25,6 @@ __all__ = [
     "concat",
     "free_reduce",
     "shift",
-    "word_to_ints",
-    "word_from_ints",
     "fibonacci_presentation",
     "evaluate",
     "verify_relators",
@@ -86,20 +84,6 @@ def shift(w: Word, k: int, modulus: int) -> Word:
     if any(i >= modulus for i, _ in w):
         raise ValueError("word uses generator indices outside the modulus")
     return tuple(((i - k) % modulus, e) for i, e in w)
-
-
-def word_to_ints(w: Word) -> list[int]:
-    """Wire format: signed integers, ±(i+1) meaning a_i^(±1)."""
-    return [e * (i + 1) for i, e in w]
-
-
-def word_from_ints(values: Sequence[int]) -> Word:
-    out = []
-    for v in values:
-        if v == 0:
-            raise ValueError("0 is not a valid letter")
-        out.append((abs(v) - 1, 1 if v > 0 else -1))
-    return tuple(out)
 
 
 class Presentation(Record):

@@ -484,11 +484,11 @@ def candidate_from_index(n: int, idx: int) -> HWCandidate:
 
 
 def candidate_indices(
-    n: int, sample: Optional[int] = None, seed: Optional[int] = None
+    n: int, sample: Optional[int] = None, seed: int = 0
 ) -> Iterator[int]:
     """Candidate indices in index order; or, when ``sample`` is given, that
-    many uniform draws from ``range(candidate_count(n))`` (seeded, with
-    replacement).  Lazy: each index is drawn when it is consumed."""
+    many uniform draws with replacement, from ``random.Random(seed)`` (seed
+    0 by default, as in the CLI).  Lazy: each index is drawn when consumed."""
     total = candidate_count(n)
     if sample is None:
         yield from range(total)
@@ -499,10 +499,10 @@ def candidate_indices(
 
 
 def enumerate_candidates(
-    n: int, sample: Optional[int] = None, seed: Optional[int] = None
+    n: int, sample: Optional[int] = None, seed: int = 0
 ) -> Iterator[HWCandidate]:
     """The candidates at ``candidate_indices(n, sample, seed)``: all of them
-    in index order, or a seeded sample drawn with replacement."""
+    in index order, or a sample drawn with replacement (seed 0 by default)."""
     for idx in candidate_indices(n, sample, seed):
         yield candidate_from_index(n, idx)
 

@@ -15,17 +15,15 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
 
-from .exact import ExactNumber, format_rational, parse_rational
+from .exact import ExactNumber
 from .record import Record
 
 __all__ = [
     "DiagIsometry",
     "compose",
     "inverse",
-    "rotational_part",
     "component",
     "direct_sum",
-    "apply",
 ]
 
 
@@ -120,24 +118,12 @@ class DiagIsometry(Record):
         )
 
     def apply(self, point: Sequence[ExactNumber]) -> tuple[Fraction, ...]:
+        """Image B x + b of a rational point x."""
         if len(point) != self.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {len(point)}")
         return tuple(
             s * Fraction(x) + t
             for s, x, t in zip(self.signs, point, self.translation)
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "signs": list(self.signs),
-            "translation": [format_rational(t) for t in self.translation],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "DiagIsometry":
-        return cls(
-            tuple(data["signs"]),
-            tuple(parse_rational(t) for t in data["translation"]),
         )
 
     def __str__(self) -> str:
@@ -163,11 +149,6 @@ def inverse(g):
     return g.inverse()
 
 
-def rotational_part(g: DiagIsometry) -> tuple[int, ...]:
-    """Orthogonal part of (B, b), i.e. the sign vector of B."""
-    return g.signs
-
-
 def component(g: DiagIsometry, i: int) -> tuple[int, Fraction]:
     """Restriction of g to coordinate i, as an E(1) pair (sign, translation).
 
@@ -189,8 +170,3 @@ def direct_sum(parts: Sequence[tuple[int, ExactNumber]]) -> DiagIsometry:
         tuple(s for s, _ in parts),
         tuple(t for _, t in parts),
     )
-
-
-def apply(g: DiagIsometry, point: Sequence[ExactNumber]) -> tuple[Fraction, ...]:
-    """Image B x + b of a rational point under the isometry."""
-    return g.apply(point)

@@ -18,7 +18,9 @@ recursion is also run as the direct fold of each window of terms.  The
 per-candidate relator check is the route hwfib replaced by its certificate
 of each dimension: it shares the recursion and the relator evaluation with
 hwfib, but runs them in E(n) over each candidate's own Fraction
-translations, with no appeal to the specialisation argument.
+translations, with no appeal to the specialisation argument.  The second
+route to a candidate's images runs the recursion in E(1) one coordinate at
+a time and reassembles the terms by direct sum.
 """
 
 from fractions import Fraction
@@ -26,11 +28,17 @@ from functools import lru_cache, reduce
 from itertools import combinations, product
 from math import gcd, lcm
 
-from hwfib.epimorphism import build_epimorphism
+from hwfib.epimorphism import _product_recursion, build_epimorphism, component_images
 from hwfib.exact import IntMatrix, _xgcd
-from hwfib.fpgroup import fibonacci_presentation, verify_relators
-from hwfib.hwgroup import Lattice, build_candidate, is_crystallographic, translation_lattice
-from hwfib.isometry import DiagIsometry
+from hwfib.fpgroup import GenImages, fibonacci_presentation, verify_relators
+from hwfib.hwgroup import (
+    HWCandidate,
+    Lattice,
+    build_candidate,
+    is_crystallographic,
+    translation_lattice,
+)
+from hwfib.isometry import DiagIsometry, component, direct_sum
 
 
 def det_int(mat):
@@ -146,6 +154,18 @@ def window_fold_recursion(seeds, length):
     while len(terms) < length:
         terms.append(reduce(DiagIsometry.compose, terms[-width:]))
     return terms
+
+
+def build_epimorphism_by_components(c: HWCandidate) -> GenImages:
+    """Independent route to the same images: run the recursion in E(1) for
+    each coordinate separately and reassemble by direct sum."""
+    sequences = [
+        _product_recursion(component_images(c, j).images, 2 * c.dim)
+        for j in range(c.dim)
+    ]
+    return GenImages(
+        tuple(direct_sum(component(g, 0) for g in terms) for terms in zip(*sequences))
+    )
 
 
 def relators_by_candidate(c):

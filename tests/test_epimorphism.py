@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -10,7 +11,6 @@ from hwfib.epimorphism import (
     _product_recursion,
     _relator_certificate,
     build_epimorphism,
-    build_epimorphism_by_components,
     component_images,
     symbolic_sequence,
     verify_addrel,
@@ -30,7 +30,12 @@ from hwfib.fpgroup import (
 from hwfib.hwgroup import build_candidate, candidate_count, candidate_from_index, cyclic_hw
 from hwfib.isometry import DiagIsometry, component, compose
 
-from _oracles import relators_by_candidate, sparse_symbolic_terms, window_fold_recursion
+from _oracles import (
+    build_epimorphism_by_components,
+    relators_by_candidate,
+    sparse_symbolic_terms,
+    window_fold_recursion,
+)
 from test_cli import CANDIDATE_FILES, NONCRYST5, SCALED9
 from test_hwgroup import ORACLE_CANDIDATES
 
@@ -397,6 +402,37 @@ def test_generic_images_are_the_symbolic_sequences(n):
     for j in range(n):
         column = tuple(DiagIsometry._normal((g.signs[j],), (g.translation[j],)) for g in images)
         assert column == symbolic_sequence(n, j).terms[: 2 * n], (n, j)
+
+
+@lru_cache(maxsize=None)
+def _sign_and_coefficients(n, j):
+    """Sign and coefficients of terms 0..2n-1 of symbolic_sequence(n, j),
+    built and decoded once per (n, j)."""
+    seq = symbolic_sequence(n, j)
+    return tuple((seq.terms[m].signs[0], seq.coefficients(m)) for m in range(2 * n))
+
+
+SPECIALISATION_CANDIDATES = {
+    "n3-all": lambda: [candidate_from_index(3, idx) for idx in range(64)],
+    "n5-sample": lambda: _seeded_indices(5, 200, seed=56),
+    "n7-sample": lambda: _seeded_indices(7, 50, seed=57),
+    "cyclic": lambda: [cyclic_hw(n) for n in range(3, 14, 2)],
+    "random": lambda: _random_half_units(20, seed=58),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECIALISATION_CANDIDATES))
+def test_images_specialise_the_symbolic_sequences(name):
+    # the lemma the certificate rests on: coordinate j of a candidate's image
+    # m is term m of symbolic_sequence(n, j) evaluated at d_i = t_i[j]
+    for c in SPECIALISATION_CANDIDATES[name]():
+        n = c.dim
+        images = build_epimorphism(c).images
+        for j in range(n):
+            t = [g.translation[j] for g in c.generators]
+            for m, (sign, coeffs) in enumerate(_sign_and_coefficients(n, j)):
+                value = sum(a * d for a, d in zip(coeffs, t))
+                assert (images[m].signs[j], images[m].translation[j]) == (sign, value), (c, j, m)
 
 
 def test_verification_report_json_shape():

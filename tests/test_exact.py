@@ -1,12 +1,9 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from hwfib.exact import (
     format_rational,
     parse_rational,
-    rational,
     smith_normal_form,
 )
 from hwfib.fpgroup import fibonacci_presentation, relator_matrix
@@ -20,19 +17,6 @@ from _oracles import (
     minor_gcd,
     unimodular_2x2,
 )
-
-
-def test_rational_construction():
-    assert rational(1, 2) == Fraction(1, 2)
-    assert rational(2, 4) == Fraction(1, 2)
-    assert rational(3, -6) == Fraction(-1, 2)
-    assert rational(3, -6).denominator == 2
-    assert rational(0, 7) == 0
-
-
-def test_rational_zero_denominator():
-    with pytest.raises(ZeroDivisionError, match="division by zero"):
-        rational(1, 0)
 
 
 def test_rational_wire_format():

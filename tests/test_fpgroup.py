@@ -16,9 +16,7 @@ from hwfib.fpgroup import (
     shift,
     verify_relators,
     word,
-    word_from_ints,
     word_inverse,
-    word_to_ints,
 )
 from hwfib.isometry import DiagIsometry, compose
 
@@ -96,14 +94,6 @@ def test_shift_stabilizes_fibonacci_relator_set():
         rels = {free_reduce(r) for r in p.relators}
         shifted = {free_reduce(shift(r, 1, 2 * n)) for r in p.relators}
         assert shifted == rels
-
-
-def test_word_wire_format():
-    w = word([(0, 1), (2, -1), (1, 1)])
-    assert word_to_ints(w) == [1, -3, 2]
-    assert word_from_ints([1, -3, 2]) == w
-    with pytest.raises(ValueError):
-        word_from_ints([0])
 
 
 def test_evaluate_empty_and_unreduced():

@@ -415,6 +415,14 @@ def test_candidate_indices_lazy_and_shared_with_enumeration():
     assert sampled == list(enumerate_candidates(5, sample=25, seed=42))
 
 
+def test_sampling_defaults_to_seed_zero():
+    # unseeded calls agree with each other and with the CLI's default seed 0
+    # instead of drawing from the operating system
+    first = list(candidate_indices(5, 50))
+    assert first == list(candidate_indices(5, 50)) == list(candidate_indices(5, 50, seed=0))
+    assert list(enumerate_candidates(5, 5)) == [candidate_from_index(5, i) for i in first[:5]]
+
+
 def test_candidate_json_round_trip():
     c = cyclic_hw(3)
     data = candidate_to_json_dict(c)
