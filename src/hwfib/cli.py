@@ -6,6 +6,12 @@ sample), ``symbolic`` for the one-dimensional periodicity engine,
 ``abelianize`` for Fibonacci-group abelianizations, and ``show`` for a
 human-readable look at one candidate.
 
+A survey classifies each translation orbit of candidates once (see the
+hwgroup docstring): every candidate of an orbit has the classification,
+and so the verdict, of the orbit's key.  It writes each line from cached
+text, the JSON text of each generator's word and the tail of each
+classification, rather than encoding a record per line.
+
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 invalid
 input or usage.  JSON output is byte-deterministic for a fixed
 configuration, since a ``--sample`` without ``--seed`` draws with seed 0;
@@ -20,6 +26,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .epimorphism import _certified_report, symbolic_sequence, verify_main_theorem
@@ -34,8 +41,10 @@ from .hwgroup import (
     classify,
     classify_index,
     cyclic_hw,
+    orbit_key,
     translation_lattice,
 )
+from .hwgroup import _word_units
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -62,6 +71,15 @@ MAX_SYMBOLIC_DIM = 151
 # the limit can take far longer through coefficient growth in the
 # elimination: F(322, 60) takes 10 s, F(162, 92) 14 s and F(162, 220) 85 s.
 MAX_ABELIANIZE = 322
+# Translation orbits a survey remembers: all 2^15 orbits of dimension 5
+# (see the hwgroup docstring).  Past this many the dict stops growing, so a
+# long sample at n >= 7, which seldom meets an orbit twice, holds no more
+# than the full n = 5 survey.
+SURVEY_ORBITS = 1 << 15
+# Survey lines joined into one write: one write of a line to a text stream
+# on a pipe costs about 2 us, more than formatting the line from its cached
+# parts (2-core x86-64 VM, Python 3.11.7).
+SURVEY_BATCH = 1 << 12
 # One compact encoder for every line: json.dumps builds a new one per call.
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
@@ -131,37 +149,37 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
-# wire text of a translation entry of u half units, u in {0, 1}
-_HALF_UNIT_TEXT = tuple(format_rational(Fraction(u, 2)) for u in (0, 1))
+@lru_cache(maxsize=1 << 12)
+def _word_json(n: int, word: int) -> str:
+    """JSON text of the translation of one generator of an enumerated
+    candidate, from its word, as candidate_to_json_dict writes it.  Cached
+    with a bound, as _word_units is, rather than tabulated: a table of all
+    2^n words would hold 2^21 strings at n = 21."""
+    return _dumps([format_rational(Fraction(u, 2)) for u in _word_units(n, word)])
 
 
-def _survey_line(
-    dim: int, index: int, output_format: str
-) -> tuple[Classification, Optional[str], str]:
-    """Classification, verdict and output line of the candidate at index,
-    classified from the bits of the index.  A Hantzsche-Wendt line takes its
-    verdict from the relator certificate of the dimension, as verify does,
-    so no candidate is built; a JSON line writes the translations from the
-    bits, as candidate_to_json_dict would write them."""
-    units, cl = classify_index(dim, index)
-    verdict = _certified_report(dim, cl).verdict if cl.hantzsche_wendt else None
+def _survey_entry(n: int, cl: Classification, output_format: str) -> list:
+    """[classification, verdict, line tail, lines written] for the
+    candidates of a survey with the classification cl; the survey counts
+    the lines.  A Hantzsche-Wendt candidate takes its verdict from the
+    relator certificate of the dimension, as verify does.  The JSON tail is
+    the record after its translations, as _dumps writes it; the text tail
+    is the line after its index."""
+    verdict = _certified_report(n, cl).verdict if cl.hantzsche_wendt else None
     if output_format == "json":
-        line = _dumps({
-            "index": index,
-            "dim": dim,
-            "translations": [[_HALF_UNIT_TEXT[u] for u in vec] for vec in units],
+        tail = _dumps({
             "crystallographic": cl.crystallographic,
             "torsion_free": cl.torsion_free,
             "hw": cl.hantzsche_wendt,
             "verdict": verdict,
-        })
+        })[1:]
     else:
-        line = (
-            f"index={index} crystallographic={'y' if cl.crystallographic else 'n'} "
+        tail = (
+            f" crystallographic={'y' if cl.crystallographic else 'n'} "
             f"torsion_free={'y' if cl.torsion_free else 'n'} "
             f"hw={'y' if cl.hantzsche_wendt else 'n'} verdict={verdict or '-'}"
         )
-    return cl, verdict, line
+    return [cl, verdict, tail, 0]
 
 
 def cmd_survey(cfg: argparse.Namespace) -> int:
@@ -184,9 +202,44 @@ def cmd_survey(cfg: argparse.Namespace) -> int:
     if not 1 <= cfg.jobs <= cpus:
         return _fail_usage(f"--jobs must lie in [1, {cpus}], got {cfg.jobs}")
 
+    n = cfg.dim
+    as_json = cfg.output_format == "json"
+    key_of = orbit_key(n)
+    # generator i's word is bits i*n to i*n+n-1 of an index
+    full = (1 << n) - 1
+    shifts = range(0, n * (n - 1), n)
+    # the _survey_entry of each classification, keyed by its two flags: the
+    # holonomy is the same for every candidate (see the hwgroup docstring)
+    by_class: dict = {}
+    orbits: dict = {}  # orbit key -> the _survey_entry of its classification
+    write = sys.stdout.write
+    batch: list = []
+    for index in candidate_indices(n, cfg.sample, cfg.seed or 0):
+        key = key_of(index)
+        entry = orbits.get(key)
+        if entry is None:
+            cl = classify_index(n, key)
+            flags = (cl.crystallographic, cl.torsion_free)
+            entry = by_class.get(flags)
+            if entry is None:
+                entry = by_class[flags] = _survey_entry(n, cl, cfg.output_format)
+            if len(orbits) < SURVEY_ORBITS:
+                orbits[key] = entry
+        entry[3] += 1
+        tail = entry[2]
+        if as_json:
+            words = ",".join([_word_json(n, index >> s & full) for s in shifts])
+            batch.append(f'{{"index":{index},"dim":{n},"translations":[{words}],{tail}\n')
+        else:
+            batch.append(f"index={index}{tail}\n")
+        if len(batch) == SURVEY_BATCH:
+            write("".join(batch))
+            batch.clear()
+    write("".join(batch))
+
     summary = {
         "summary": True,
-        "dim": cfg.dim,
+        "dim": n,
         "candidates": 0,
         "crystallographic": 0,
         "torsion_free": 0,
@@ -194,21 +247,18 @@ def cmd_survey(cfg: argparse.Namespace) -> int:
         "verified_pass": 0,
         "verified_fail": 0,
     }
-    for index in candidate_indices(cfg.dim, cfg.sample, cfg.seed or 0):
-        cl, verdict, line = _survey_line(cfg.dim, index, cfg.output_format)
-        summary["candidates"] += 1
-        summary["crystallographic"] += cl.crystallographic
-        summary["torsion_free"] += cl.torsion_free
-        summary["hantzsche_wendt"] += cl.hantzsche_wendt
+    for cl, verdict, _, lines in by_class.values():
+        summary["candidates"] += lines
+        summary["crystallographic"] += cl.crystallographic * lines
+        summary["torsion_free"] += cl.torsion_free * lines
+        summary["hantzsche_wendt"] += cl.hantzsche_wendt * lines
         if verdict is not None:
-            summary[f"verified_{verdict}"] += 1
-        _emit(line)
-
-    if cfg.output_format == "json":
+            summary[f"verified_{verdict}"] += lines
+    if as_json:
         _emit(_dumps(summary))
     else:
         _emit(
-            f"surveyed {summary['candidates']} candidates in dimension {cfg.dim}: "
+            f"surveyed {summary['candidates']} candidates in dimension {n}: "
             f"{summary['crystallographic']} crystallographic, "
             f"{summary['hantzsche_wendt']} hantzsche-wendt, "
             f"{summary['verified_pass']} verified pass, "

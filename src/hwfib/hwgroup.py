@@ -86,6 +86,38 @@ by the above) and the parity mask of a/2 on F lies in the projection of V
 to F.  That reads a mod 4 only, so the walk over the holonomy classes
 keeps the representative as two bit planes, and skips the projection test
 when V is all of F2^n.
+
+Translation orbits.  Let F_k be the bits i*n+k of an index over the
+generators i != k: unit k of every generator but g_k.  The candidates at
+idx and idx ^ F_k have the same classification.  Conjugating by the
+translation e_k/4 adds (1 - A_i) e_k/4 to t_i: one half unit at
+coordinate k of every g_i with i != k, as A_i negates k, and nothing to
+g_k, as A_k fixes k.  So unit 0 goes to 1 and unit 1 goes to 2.
+Conjugating then by the reflection x_k -> 1/2 - x_k, the diagonal map
+D x + e_k/2 with D = -1 at k only, sends a unit v at coordinate k of g_i,
+i != k, to 2 - v: 1 stays 1 and 2 becomes 0.  So the 2 is not read as 0
+modulo the lattice, which need not hold the translation e_k it adds; an
+isometry makes it 0, and the classification reads that 0 as the bit it
+is.  The reflection negates unit k of g_k and leaves every other unit.  Last,
+replace g_k by its inverse (A_k, -A_k t_k): that negates coordinate k of
+t_k and keeps the others, which A_k negates, so unit k of g_k is back to
+its value, and the group is the same group.  (For k = n-1 there is no
+g_k: every generator negates coordinate n-1.)  The generators are now
+those of the candidate at idx ^ F_k, so that candidate is the conjugate of the one
+at idx by the isometry D x + e_k/4: it is crystallographic, torsion-free
+and of the same holonomy exactly when the other is, and the verdict, read
+from the classification and the relator certificate of the dimension, is
+the same too.  The F_k lie in distinct columns k, and each is nonzero as
+n - 1 >= 2 generators exist, so they generate a free action of (Z/2)^n on
+the indices: 2^(n(n-2)) orbits of 2^n indices, 8 at n = 3 and 2^15 at
+n = 5.  ``orbit_key`` names each orbit by one member.  Take the pivot
+bit of F_k at generator p(k), with p(0) = 1 and p(k) = 0 otherwise;
+it lies in F_k and in no other F_j, so each orbit has exactly one member
+with every pivot bit zero.  That member is idx ^ (the sum of the F_k whose
+pivot bit idx sets).  K = (idx & full & ~1) | (idx >> n & 1) holds pivot
+bit k at bit k; K R, with R = the sum of 2^(i*n), copies K into every
+generator's word without carries, as K < 2^n; and clearing the bits
+i*n+i, which no F_k holds, leaves exactly the sum of those F_k.
 """
 
 from __future__ import annotations
@@ -94,7 +126,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .exact import ExactNumber, format_rational, parse_rational
 from .isometry import DiagIsometry
@@ -112,6 +144,7 @@ __all__ = [
     "is_hantzsche_wendt",
     "classify",
     "classify_index",
+    "orbit_key",
     "candidate_indices",
     "enumerate_candidates",
     "candidate_count",
@@ -350,18 +383,30 @@ def classify(c: HWCandidate) -> Classification:
     return _classify_words(c.dim, lows, highs)
 
 
-def classify_index(
-    n: int, idx: int
-) -> tuple[tuple[tuple[int, ...], ...], Classification]:
-    """Half units and classification of ``candidate_from_index(n, idx)``,
-    read from the bits of idx without building the candidate: unit j of
-    generator i is bit i*n+j, 1 for a translation by 1/2 and 0 for none.
-    These are already normalised words (low words from the bits, high words
-    zero).  Raises ValueError for an even or small n and an index out of
-    range."""
-    lows = _index_words(n, idx)
-    units = tuple([_word_units(n, w) for w in lows])
-    return units, _classify_words(n, lows, (0,) * (n - 1))
+def classify_index(n: int, idx: int) -> Classification:
+    """Classification of ``candidate_from_index(n, idx)``, read from the
+    bits of idx without building the candidate: unit j of generator i is
+    bit i*n+j, 1 for a translation by 1/2 and 0 for none.  These are
+    already normalised words (low words from the bits, high words zero).
+    Raises ValueError for an even or small n and an index out of range."""
+    return _classify_words(n, _index_words(n, idx), (0,) * (n - 1))
+
+
+def orbit_key(n: int) -> Callable[[int], int]:
+    """The function that sends an index of dimension n to the key of its
+    translation orbit: the member whose pivot bits are all zero.  Indices
+    in one orbit have one classification (see the module docstring), so a
+    survey classifies each key once.  The function checks nothing: it
+    takes an index in range."""
+    _check_dim(n)
+    pivots = (1 << n) - 2
+    rows = sum(1 << (i * n) for i in range(n - 1))
+    off_diagonal = ~sum(1 << (i * n + i) for i in range(n - 1))
+
+    def key(idx: int) -> int:
+        return idx ^ ((idx & pivots | idx >> n & 1) * rows & off_diagonal)
+
+    return key
 
 
 def is_crystallographic(c: HWCandidate) -> bool:
@@ -464,9 +509,10 @@ def _index_words(n: int, idx: int) -> list[int]:
 @lru_cache(maxsize=1 << 12)
 def _word_units(n: int, word: int) -> tuple[int, ...]:
     """The half units of one generator, the n bits of its word lowest
-    first.  A survey decodes every candidate from few distinct words, so
-    they are cached; the bound holds all of them for n <= 11 and keeps a
-    sampled survey at larger n from filling memory."""
+    first.  Candidates decoded from indices, and the word text of a
+    survey's lines, share few distinct words, so they are cached; the bound
+    holds all of them for n <= 11 and keeps a sampled survey at larger n
+    from filling memory."""
     return tuple(word >> j & 1 for j in range(n))
 
 
@@ -521,7 +567,10 @@ def candidate_to_json_dict(c: HWCandidate) -> dict:
 
 def candidate_from_json_dict(data: dict) -> HWCandidate:
     try:
-        dim = int(data["dim"])
+        dim = data["dim"]
+        # a JSON integer only: int() would truncate 3.9 and overflow on 1e400
+        if type(dim) is not int:
+            raise ValueError(f"dim must be an integer, got {dim!r}")
         translations = [
             [parse_rational(str(t)) for t in vec] for vec in data["translations"]
         ]

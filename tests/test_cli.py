@@ -103,6 +103,19 @@ def test_zero_denominator_is_a_usage_error(tmp_path, capsys, command):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["verify", "show"])
+@pytest.mark.parametrize("dim", ["1e400", "3.9", "true"])
+def test_dim_must_be_a_json_integer(tmp_path, capsys, command, dim):
+    # 1e400 reads as an infinite float, 3.9 would truncate to a valid 3 and
+    # true would read as 1
+    path = tmp_path / "dim.json"
+    path.write_text('{"dim": %s, "translations": [["1/2", "1/2", "0"], ["0", "1/2", "1/2"]]}' % dim)
+    code, out, err = run_cli(capsys, command, "--input", str(path))
+    assert code == 2
+    assert "malformed candidate description" in err
+    assert out == ""
+
+
 def test_importing_the_cli_leaves_multiprocessing_out():
     # the survey runs in one process whatever --jobs says, and importing
     # multiprocessing would cost every start of the CLI about 11 ms
@@ -215,41 +228,83 @@ def _text_line(record):
     )
 
 
+# the survey seeds of the sampled inputs below, by dimension
+_RECORD_SEEDS = {5: 51, 7: 52}
+
+
 @pytest.mark.parametrize("n, indices", [
     (3, range(64)),
-    (5, _seeded_indices(5, 2000, seed=51)),
-    (7, _seeded_indices(7, 200, seed=52)),
+    (5, _seeded_indices(5, 2000, seed=_RECORD_SEEDS[5])),
+    (7, _seeded_indices(7, 200, seed=_RECORD_SEEDS[7])),
 ])
-def test_survey_record_from_index_matches_candidate_path(n, indices):
+def test_survey_record_from_index_matches_candidate_path(capsys, n, indices):
+    # the survey's lines, written from cached orbit tails and word text,
+    # against records built through an HWCandidate, byte for byte
+    argv = ["survey", "--dim", str(n)]
+    if n in _RECORD_SEEDS:
+        argv += ["--sample", str(len(indices)), "--seed", str(_RECORD_SEEDS[n])]
+    runs = {f: run_cli(capsys, *argv, "--format", f) for f in ("json", "text")}
+    assert {code for code, _, _ in runs.values()} == {0}
+    json_lines = runs["json"][1].splitlines()
+    text_lines = runs["text"][1].splitlines()
+    assert [json.loads(line)["index"] for line in json_lines[:-1]] == list(indices)
     counts = {"crystallographic": 0, "hw": 0}
-    for idx in indices:
+    for idx, json_line, text_line in zip(indices, json_lines, text_lines):
         expected = _record_from_candidate(n, idx)
-        cl = classify(candidate_from_index(n, idx))
-        assert cli._survey_line(n, idx, "json") == (
-            cl, expected["verdict"], json.dumps(expected, separators=(",", ":"))
-        ), idx
-        assert cli._survey_line(n, idx, "text") == (cl, expected["verdict"], _text_line(expected)), idx
-        units, index_cl = classify_index(n, idx)
-        assert index_cl == cl
-        assert units == tuple(
-            tuple(int(2 * t) for t in vec) for vec in candidate_from_index(n, idx).translations
-        )
+        assert json_line == json.dumps(expected, separators=(",", ":")), idx
+        assert text_line == _text_line(expected), idx
+        assert classify_index(n, idx) == classify(candidate_from_index(n, idx))
         for key in counts:
             counts[key] += expected[key]
+    summary = json.loads(json_lines[-1])
+    assert (summary["candidates"], summary["crystallographic"], summary["hantzsche_wendt"]) == (
+        len(indices), counts["crystallographic"], counts["hw"]
+    )
     assert counts["crystallographic"] > 0
     # the verification branch ran; at n=7, HW candidates are too rare for 200 draws
     assert counts["hw"] > 0 or n == 7
 
 
-def test_survey_record_reads_the_certificate(monkeypatch):
-    # a Hantzsche-Wendt line builds no Fraction candidate and classifies once
+def test_survey_record_reads_the_certificate(capsys, monkeypatch):
+    # a Hantzsche-Wendt line builds no Fraction candidate, and the survey
+    # classifies each of the 8 translation orbits of n=3 once
     monkeypatch.setattr(hwgroup, "candidate_from_index", _refuse)
     monkeypatch.setattr(hwgroup, "build_candidate", _refuse)
     monkeypatch.setattr(epimorphism, "classify", _refuse)
     monkeypatch.setattr(epimorphism, "build_epimorphism", _refuse)
+    classified = []
+
+    def counting_classify_index(n, idx):
+        classified.append(idx)
+        return classify_index(n, idx)
+
+    monkeypatch.setattr(cli, "classify_index", counting_classify_index)
     for output_format in ("json", "text"):
-        verdicts = [cli._survey_line(3, idx, output_format)[1] for idx in range(64)]
-        assert verdicts.count("pass") == 8 and verdicts.count(None) == 56
+        classified.clear()
+        code, out, _ = run_cli(capsys, "survey", "--dim", "3", "--format", output_format)
+        assert code == 0
+        lines = out.splitlines()[:-1]
+        if output_format == "json":
+            verdicts = [json.loads(line)["verdict"] for line in lines]
+        else:
+            verdicts = [line.rsplit(" verdict=", 1)[1] for line in lines]
+        assert verdicts.count("pass") == 8 and len(verdicts) == 64
+        assert len(classified) == len(set(classified)) == 8
+
+
+@pytest.mark.parametrize("orbits, batch", [(1, 1), (3, 7)])
+def test_survey_output_does_not_depend_on_its_bounds(capsys, monkeypatch, orbits, batch):
+    # past SURVEY_ORBITS the survey classifies every new orbit again, and
+    # SURVEY_BATCH only groups lines into writes
+    argvs = [
+        ("survey", "--dim", "3"),
+        ("survey", "--dim", "3", "--format", "json"),
+        ("survey", "--dim", "5", "--sample", "300", "--seed", "4", "--format", "json"),
+    ]
+    expected = [run_cli(capsys, *argv) for argv in argvs]
+    monkeypatch.setattr(cli, "SURVEY_ORBITS", orbits)
+    monkeypatch.setattr(cli, "SURVEY_BATCH", batch)
+    assert [run_cli(capsys, *argv) for argv in argvs] == expected
 
 
 @pytest.mark.parametrize("n, idx", [(3, 64), (3, -1), (5, candidate_count(5)), (4, 0), (1, 0)])
@@ -257,9 +312,6 @@ def test_index_path_rejects_what_candidate_from_index_rejects(n, idx):
     for fn in (candidate_from_index, classify_index):
         with pytest.raises(ValueError):
             fn(n, idx)
-    for output_format in ("json", "text"):
-        with pytest.raises(ValueError):
-            cli._survey_line(n, idx, output_format)
 
 
 # argv items standing for files holding a candidate
@@ -397,6 +449,27 @@ def test_stdout_byte_identical(capsys, tmp_path, argv):
     assert _stdout_sha256(capsys, tmp_path, argv) == STDOUT_SHA256[argv]
 
 
+# sha256 of the whole survey --dim 5 output (2^20 lines and the summary),
+# by format: the standing guard that CI also checks
+FULL_SURVEY_SHA256 = {
+    "json": "9c4045eba1634a18d1ea37acdd54286204d4e2d7216ce2737ae45e326378cb12",
+    "text": "c411a958a28df7455698a671a24b4f1c35900fde3eed321ee0b6632e1acff92a",
+}
+
+
+@pytest.mark.parametrize("output_format", sorted(FULL_SURVEY_SHA256))
+def test_full_dim5_survey_sha256(output_format):
+    # the JSON output is about 115 MB, so it is hashed as it streams
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "hwfib.cli", "survey", "--dim", "5", "--format", output_format]
+    digest = hashlib.sha256()
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src}) as proc:
+        for chunk in iter(lambda: proc.stdout.read(1 << 20), b""):
+            digest.update(chunk)
+    assert proc.returncode == 0
+    assert digest.hexdigest() == FULL_SURVEY_SHA256[output_format]
+
+
 def test_survey_jobs_matches_serial(capsys):
     base = ["survey", "--dim", "3", "--format", "json"]
     _, serial, _ = run_cli(capsys, *base)
@@ -408,9 +481,15 @@ def _refuse(*args, **kwargs):
     raise AssertionError("work started that the command line should refuse")
 
 
+def _refuse_survey_work(monkeypatch):
+    # everything the survey loop calls before it writes a line
+    for name in ("orbit_key", "candidate_indices", "classify_index"):
+        monkeypatch.setattr(cli, name, _refuse)
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1", str((os.cpu_count() or 1) + 1)])
 def test_survey_jobs_out_of_range(capsys, monkeypatch, jobs):
-    monkeypatch.setattr(cli, "classify_index", _refuse)
+    _refuse_survey_work(monkeypatch)
     code, out, err = run_cli(capsys, "survey", "--dim", "3", "--jobs", jobs)
     assert code == 2
     assert "--jobs" in err
@@ -480,7 +559,7 @@ def test_survey_sample_without_seed_draws_with_seed_0(capsys):
 
 
 def test_survey_seed_without_sample_refused(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "classify_index", _refuse)
+    _refuse_survey_work(monkeypatch)
     code, out, err = run_cli(capsys, "survey", "--dim", "3", "--seed", "1")
     assert code == 2
     assert "--seed needs --sample" in err

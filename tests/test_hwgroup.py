@@ -13,11 +13,13 @@ from hwfib.hwgroup import (
     candidate_indices,
     candidate_to_json_dict,
     classify,
+    classify_index,
     cyclic_hw,
     enumerate_candidates,
     is_crystallographic,
     is_hantzsche_wendt,
     is_torsion_free,
+    orbit_key,
     standard_signs,
     translation_lattice,
 )
@@ -388,6 +390,83 @@ def test_classification_invariant_under_integer_conjugation():
                 ],
             )
             assert classify(moved) == base
+
+
+def _flips(n):
+    """F_k for each coordinate k: bit i*n+k of an index for every generator
+    i != k, the units that conjugating by the translation e_k/4 moves."""
+    return [sum(1 << (i * n + k) for i in range(n - 1) if i != k) for k in range(n)]
+
+
+def _cyclic_index(n):
+    # cyclic_hw(n) as an enumerated candidate: generator i translates by 1/2
+    # along coordinates i and i+1
+    return sum(3 << (i * n + i) for i in range(n - 1))
+
+
+def _orbit_inputs():
+    yield 3, range(64)
+    for n, count, seed in ((5, 2000, 61), (7, 200, 62), (9, 100, 63)):
+        # the cyclic index puts a Hantzsche-Wendt orbit in every sample
+        yield n, [_cyclic_index(n)] + list(candidate_indices(n, count, seed))
+
+
+ORBIT_INPUTS = list(_orbit_inputs())
+ORBIT_IDS = [f"n{n}" for n, _ in ORBIT_INPUTS]
+
+
+@pytest.mark.parametrize("n, indices", ORBIT_INPUTS, ids=ORBIT_IDS)
+def test_translation_orbit_keeps_the_classification(n, indices):
+    flips = _flips(n)
+    hw = 0
+    for idx in indices:
+        cl = classify_index(n, idx)
+        hw += cl.hantzsche_wendt
+        for f in flips:
+            assert classify_index(n, idx ^ f) == cl, (idx, f)
+    assert hw > 0
+
+
+@pytest.mark.parametrize("n, indices", ORBIT_INPUTS, ids=ORBIT_IDS)
+def test_orbit_key_is_a_member_shared_by_the_orbit(n, indices):
+    flips = _flips(n)
+    key = orbit_key(n)
+    for idx in indices:
+        k = key(idx)
+        assert all(key(idx ^ f) == k for f in flips), idx
+        # idx ^ k is a sum of flips: in each column all of F_k or none of it
+        moved = idx ^ k
+        assert moved & ~sum(flips) == 0 and all(moved & f in (0, f) for f in flips), idx
+
+
+def test_dim3_splits_into_eight_orbits_of_eight():
+    key = orbit_key(3)
+    sizes = {}
+    for idx in range(64):
+        sizes[key(idx)] = sizes.get(key(idx), 0) + 1
+    assert sorted(sizes.values()) == [8] * 8
+
+
+@pytest.mark.parametrize("n, indices", ORBIT_INPUTS[:2], ids=ORBIT_IDS[:2])
+def test_flip_is_a_conjugation(n, indices):
+    # the proof in the hwgroup docstring: conjugate by x -> D x + e_k/4, D = -1
+    # at k only, then invert g_k (no generator fixes k = n-1); that gives
+    # the candidate at idx ^ F_k
+    for idx in indices[:64 if n == 3 else 20]:
+        c = candidate_from_index(n, idx)
+        for k, f in enumerate(_flips(n)):
+            scale = [-1 if j == k else 1 for j in range(n)]
+            shift = [F(1, 4) if j == k else 0 for j in range(n)]
+            gens = list(conjugate_diagonal(c, scale, shift).generators)
+            if k < n - 1:
+                gens[k] = gens[k].inverse()
+            assert [g.translation for g in gens] == list(candidate_from_index(n, idx ^ f).translations)
+
+
+def test_orbit_key_refuses_what_classify_index_refuses():
+    for n in (1, 4):
+        with pytest.raises(ValueError):
+            orbit_key(n)
 
 
 def test_enumerate_candidates_n3():
