@@ -66,10 +66,11 @@ MAX_DIM = 21
 MAX_SYMBOLIC_DIM = 151
 # Largest r and n abelianize accepts, so that abelianize 2 1000000 exits
 # instead of building a 10^6 x 10^6 relator matrix.  On the F(m-1, 2m)
-# family the Smith normal form grows about n^3 (measured on the same VM:
-# 0.007 s at n=82, 0.04 s at n=162, 0.21 s at n=322).  Other (r, n) inside
-# the limit can take far longer through coefficient growth in the
-# elimination: F(322, 60) takes 10 s, F(162, 92) 14 s and F(162, 220) 85 s.
+# family, whose elimination runs on unit pivots once the content 4 is
+# divided out, abelianization takes 0.003 s at n=82, 0.011 s at n=162 and
+# 0.044 s at n=322 (in process on the same VM).  Other (r, n) inside the
+# limit can take far longer through coefficient growth in the elimination:
+# F(322, 60) takes 6-12 s, F(162, 92) 12-14 s and F(162, 220) 75 s.
 MAX_ABELIANIZE = 322
 # Translation orbits a survey remembers: all 2^15 orbits of dimension 5
 # (see the hwgroup docstring).  Past this many the dict stops growing, so a

@@ -421,6 +421,15 @@ STDOUT_SHA256 = {
         "f7a068604bd3a235b891bc2c9696865ef19e0b78da65bc11702e7198ca9a0bab",
     ("abelianize", "9", "4", "--format", "json"):
         "5a6212173986b27f5185c8964cdde9278051bf0177932373eafad98cfa528d9d",
+    # recorded before the Smith normal form divided out the trailing
+    # block's content: both eliminations run out of unit pivots with a
+    # content of 4 left, at n = 82 and at n = 322
+    ("abelianize", "40", "82", "--format", "json"):
+        "29457cbaa8801a2d1e053c5a65b54b5e51e612bc667a65c12dc5e6440e692327",
+    ("abelianize", "160", "322", "--format", "json"):
+        "0868f1c32039bc45c991c86b91c91f4f9530e6746cb27b7ad0de5b10320bff3a",
+    ("abelianize", "160", "322"):
+        "21543ad5eb9997a97b903fe9dd041b7613c838da26b85c0a8d7f85220ea8e928",
 }
 
 

@@ -175,10 +175,14 @@ def test_snf_fast_paths_match_dense_elimination_on_fibonacci_grid():
 
 def test_snf_fast_paths_match_dense_elimination_on_random_matrices():
     # zero twice as likely as any other entry, so that rank-deficient
-    # matrices, non-unit pivots and xgcd steps all occur
+    # matrices, non-unit pivots and xgcd steps all occur.  Each matrix M is
+    # also taken as k*M, whose content k the elimination divides out at
+    # once, and as diag(1, 1, k*M), where that content appears only after
+    # two unit pivots
     entries = (0, 0, 1, -1, 2, -3, 4, 6, 9, -12)
+    scales = (2, 3, 4, 6, 12)
     rng = random.Random(6)
-    for _ in range(3000):
+    for index in range(3000):
         nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
         m = [[rng.choice(entries) for _ in range(ncols)] for _ in range(nrows)]
         divisors = smith_normal_form(m)
@@ -188,3 +192,10 @@ def test_snf_fast_paths_match_dense_elimination_on_random_matrices():
             for k, d in enumerate(divisors, start=1):
                 prod *= d
                 assert prod == minor_gcd(m, k), m
+        k = scales[index % len(scales)]
+        scaled = tuple(k * d for d in divisors)
+        km = [[k * v for v in row] for row in m]
+        assert smith_normal_form(km) == scaled == dense_smith_normal_form(km), km
+        block = [[1, 0] + [0] * ncols, [0, 1] + [0] * ncols]
+        block += [[0, 0] + row for row in km]
+        assert smith_normal_form(block) == (1, 1) + scaled == dense_smith_normal_form(block), block
