@@ -9,7 +9,7 @@ kept exactly as integer coefficients, one run certifies the identity for
 every real parameter value at once.
 """
 
-from hwfib import symbolic_sequence, verify_addrel, verify_periodicity
+from hwfib import symbolic_checks, symbolic_sequence, verify_addrel, verify_periodicity
 
 n, k = 3, 0
 seq = symbolic_sequence(n, k)
@@ -23,8 +23,9 @@ for i, term in enumerate(seq.terms):
 print("\nperiod 2n holds:", verify_periodicity(n, k))
 print("one-step recursion (inverse times square) holds:", verify_addrel(n, k))
 
-# The same check at scale: every odd dimension up to 13 and every seed
-# position, still exact and fast.
+# The same checks at scale: every odd dimension up to 13 and every seed
+# position, still exact and fast.  symbolic_checks runs all k at once, one
+# recursion in E(n) whose coordinate k is the sequence for k.
 for n in (3, 5, 7, 9, 11, 13):
-    results = [verify_periodicity(n, k) for k in range(n)]
-    print(f"n={n:2d}: period {2*n} confirmed for all k in 0..{n-1}: {all(results)}")
+    results = symbolic_checks(n)
+    print(f"n={n:2d}: period {2*n} confirmed for all k in 0..{n-1}: {all(map(all, results))}")

@@ -62,6 +62,7 @@ from .epimorphism import (
     VerificationReport,
     build_epimorphism,
     component_images,
+    symbolic_checks,
     symbolic_sequence,
     verify_addrel,
     verify_main_theorem,

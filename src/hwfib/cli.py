@@ -29,7 +29,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .epimorphism import _certified_report, symbolic_sequence, verify_main_theorem
+from .epimorphism import (
+    _certified_report,
+    symbolic_checks,
+    symbolic_sequence,
+    verify_main_theorem,
+)
 from .exact import format_rational
 from .fpgroup import abelianization, fibonacci_presentation
 from .hwgroup import (
@@ -58,11 +63,15 @@ FULL_ENUMERATION_LIMIT = 5  # dimensions above this need --sample
 # translation), and each step of 2 in n costs about 4x.
 MAX_DIM = 21
 # Largest dimension symbolic accepts, so that the all-k run stays within
-# about 1.4 s: it builds n sequences of 3n-1 terms, one inverse and two
-# products per term, on ints of 3n(n-1) bits.  Measured in process on the
-# same VM, 10 runs each: 0.16-0.23 s at n=81, 0.28-0.40 s at n=101,
-# 0.82-1.01 s at n=141, 1.10-1.22 s at n=151 and 1.12-1.45 s at n=161, so
-# it grows about n^3 here (tending to n^4 as the ints lengthen).
+# about 1.4 s: it runs the recursion of 3n-1 terms, one inverse and two
+# products per term on ints of about 3n^2 bits, once per block of
+# coordinates (epimorphism.SYMBOLIC_BLOCK_BITS; 7 coordinates at n=101, 2
+# at n=141 and 151, 1 at n=161).  Measured in process on the same VM, 10
+# runs each, with the host slower than when the cap was set (the check of
+# one E(1) sequence per k read 0.25-0.30 s at n=81, 0.36-0.47 s at n=101
+# and 1.23-1.92 s at n=151 alongside): 0.06-0.10 s at n=81, 0.12-0.20 s at
+# n=101, 0.57-0.76 s at n=141, 0.91-1.37 s at n=151 and 1.38-1.61 s at
+# n=161.  It grows faster than n^3 because the blocks narrow as n grows.
 MAX_SYMBOLIC_DIM = 151
 # Largest r and n abelianize accepts, so that abelianize 2 1000000 exits
 # instead of building a 10^6 x 10^6 relator matrix.  On the F(m-1, 2m)
@@ -281,18 +290,16 @@ def cmd_symbolic(cfg: argparse.Namespace) -> int:
         )
     if cfg.k is not None and not 0 <= cfg.k <= n - 1:
         return _fail_usage(f"--k must lie in [0, {n - 1}], got {cfg.k}")
-    ks = [cfg.k] if cfg.k is not None else list(range(n))
     started = time.perf_counter()
-    checks = []
-    for k in ks:
-        seq = symbolic_sequence(n, k)
-        checks.append(
-            {
-                "k": k,
-                "periodic": seq.periodic(),
-                "recursion_consistent": seq.recursion_consistent(),
-            }
-        )
+    if cfg.k is None:
+        verdicts = enumerate(symbolic_checks(n))
+    else:
+        seq = symbolic_sequence(n, cfg.k)
+        verdicts = [(cfg.k, (seq.periodic(), seq.recursion_consistent()))]
+    checks = [
+        {"k": k, "periodic": periodic, "recursion_consistent": consistent}
+        for k, (periodic, consistent) in verdicts
+    ]
     elapsed = time.perf_counter() - started
     all_ok = all(c["periodic"] and c["recursion_consistent"] for c in checks)
     if cfg.output_format == "json":

@@ -12,6 +12,25 @@ real parameters at once.  A ``SymSequence`` is built once per
 ``recursion_consistent``); ``verify_periodicity`` and ``verify_addrel``
 build one and run one check.
 
+The check for every k at once, ``symbolic_checks(n)``, runs one
+recursion in E(m) per block of m coordinates instead of n recursions in
+E(1).  One seed builder, ``_symbolic_terms``, serves it, the single
+sequence and the relator certificate below: generator i has sign +1 only
+at coordinate i and the packed translation B^i at every coordinate of the
+block, so its seed at coordinate k is the seed of ``symbolic_sequence(n,
+k)``.  Taking a coordinate is a homomorphism E(m) -> E(1)
+(``isometry.component``), so coordinate k of every term, and of every
+product and inverse that a check forms, is the E(1) value that
+``symbolic_sequence(n, k)`` gives, the same packed int.  Two elements of
+E(m) are equal exactly when they agree at every coordinate, so both
+checks run coordinate by coordinate (``_agreement``) and give at
+coordinate k exactly the verdicts of sequence k, and the packed-base
+lemma of ``SymSequence`` holds at each coordinate as before.  The checks
+of a ``SymSequence`` are the width-1 case of the same functions.  Block
+widths come from one bit budget, ``SYMBOLIC_BLOCK_BITS``: in one block
+the run would hold n times the packed ints of one sequence, and its
+maximum RSS at n = 101 reads 75 MB against 23 MB in blocks of seven.
+
 The n-dimensional side is certified once per dimension, not once per
 candidate.  ``_relator_certificate(n)`` runs the recursion in E(n) from
 generic seeds, generator i with the standard signs (+1 at coordinate i
@@ -22,7 +41,8 @@ so a candidate costs its classification only.  Two facts make this sound.
 
 * Specialisation.  The law of E(n) acts coordinate by coordinate, and at
   coordinate j generator i has sign +1 exactly when i = j.  So coordinate j
-  of the generic images is the sequence of ``symbolic_sequence(n, j)``
+  of the generic images, ``_symbolic_terms`` on the block range(n), is the
+  sequence of ``symbolic_sequence(n, j)``
   (k = n-1 at the last coordinate, where no seed has sign +1).  A
   candidate's generators have the same signs, which ``HWCandidate``
   enforces, and translation t_i[j] at coordinate j.  Evaluating a form at
@@ -48,8 +68,9 @@ so a candidate costs its classification only.  Two facts make this sound.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .fpgroup import GenImages, fibonacci_presentation, verify_relators
 from .hwgroup import (
@@ -58,7 +79,6 @@ from .hwgroup import (
     _check_dim,
     candidate_to_json_dict,
     classify,
-    standard_signs,
 )
 from .isometry import DiagIsometry
 from .record import Record
@@ -66,6 +86,7 @@ from .record import Record
 __all__ = [
     "SymSequence",
     "symbolic_sequence",
+    "symbolic_checks",
     "verify_periodicity",
     "verify_addrel",
     "component_images",
@@ -161,8 +182,7 @@ class SymSequence(Record):
     def periodic(self) -> bool:
         """Exact check that the sequence has period 2n: term 2n+j equals
         term j, coefficient by coefficient, for every seed index j."""
-        t, n = self.terms, self.n
-        return all(t[2 * n + j] == t[j] for j in range(n - 1))
+        return _periodic(self.n, self.terms)[0]
 
     def recursion_consistent(self) -> bool:
         """Check the derived one-step recursion: each term equals (previous
@@ -170,12 +190,7 @@ class SymSequence(Record):
         terms themselves are built as quotients of prefix products (see
         ``_product_recursion``), which never multiplies a term by its own
         predecessor, so this compares two routes to the same terms."""
-        t, n = self.terms, self.n
-        for i in range(1, 2 * n):
-            prev = t[i + n - 2]
-            if t[i + n - 1] != t[i - 1].inverse().compose(prev.compose(prev)):
-                return False
-        return True
+        return _recursion_consistent(self.n, self.terms)[0]
 
 
 def _product_recursion(seeds: Sequence[DiagIsometry], length: int) -> list[DiagIsometry]:
@@ -201,26 +216,100 @@ def _product_recursion(seeds: Sequence[DiagIsometry], length: int) -> list[DiagI
     """
     terms = list(seeds)
     width = len(terms)
-    prefixes = [terms[0].identity_like()]
+    # Q_i..Q_(i+w), the only prefixes later terms read
+    prefixes = deque([terms[0].identity_like()])
     for a in terms:
         prefixes.append(prefixes[-1].compose(a))
-    for i in range(length - width):
-        prefix = prefixes[i + width]
-        a = prefixes[i].inverse().compose(prefix)
+    for _ in range(length - width):
+        prefix = prefixes[-1]
+        a = prefixes.popleft().inverse().compose(prefix)
         terms.append(a)
         prefixes.append(prefix.compose(a))
     return terms
 
 
-def symbolic_sequence(n: int, k: int) -> SymSequence:
-    _check_dimension(n, k)
-    # d_i packed as B^i with B = 2^(3n) (see SymSequence); _normal keeps
-    # the ints that the public constructor would turn into Fractions
+def _symbolic_terms(n: int, block: range, length: int) -> list[DiagIsometry]:
+    """The first ``length`` terms of the product recursion in E(m) from the
+    generic seeds of dimension n restricted to the m coordinates of
+    ``block``: generator i has sign +1 only at coordinate i and the packed
+    translation B^i, B = 2^(3n), at every coordinate of the block.  Block
+    range(n) gives the generic images, block (k,) the sequence of
+    ``symbolic_sequence(n, k)``, and the all-k run takes range(n) in the
+    blocks of ``_symbolic_blocks``."""
+    # _normal keeps the ints that the public constructor would turn into
+    # Fractions
     seeds = [
-        DiagIsometry._normal((1 if i == k else -1,), (1 << (3 * n * i),))
+        DiagIsometry._normal(
+            tuple(1 if j == i else -1 for j in block), (1 << (3 * n * i),) * len(block)
+        )
         for i in range(n - 1)
     ]
-    return SymSequence(n, k, tuple(_product_recursion(seeds, 3 * n - 1)))
+    return _product_recursion(seeds, length)
+
+
+# Bits of packed ints one block of the all-k run may hold.  A coordinate
+# holds the 3n-1 terms and the n+1 live prefix products of the recursion,
+# ints of at most about 3n^2 bits, so under 12 n^3 bits; the width counts
+# 18 n^3 bits per coordinate, which leaves room for the check's
+# temporaries and the allocator's slack (a coordinate adds about 3.3 MB,
+# 8 n^3 bits, to the maximum RSS at n = 151).  2^27 bits, 16 MiB, takes
+# n <= 21 in one block, n = 61 in two and n = 151 in blocks of two.
+SYMBOLIC_BLOCK_BITS = 1 << 27
+
+
+def _symbolic_blocks(n: int) -> list[range]:
+    """The coordinates 0..n-1 cut into consecutive blocks of the width that
+    ``SYMBOLIC_BLOCK_BITS`` allows, at least one."""
+    width = max(1, SYMBOLIC_BLOCK_BITS // (18 * n**3))
+    return [range(lo, min(lo + width, n)) for lo in range(0, n, width)]
+
+
+def _agreement(pairs: Iterable[tuple[DiagIsometry, DiagIsometry]], width: int) -> tuple[bool, ...]:
+    """For each of the ``width`` coordinates, whether every pair (a, b) of
+    elements of E(width) agrees there, in sign and in translation.  Two
+    elements are equal exactly when they agree at every coordinate, so one
+    tuple comparison settles a pair that is equal."""
+    ok = [True] * width
+    for a, b in pairs:
+        if a != b:
+            for c, (s, t, x, y) in enumerate(zip(a.signs, b.signs, a.translation, b.translation)):
+                if s != t or x != y:
+                    ok[c] = False
+    return tuple(ok)
+
+
+def _periodic(n: int, terms: Sequence[DiagIsometry]) -> tuple[bool, ...]:
+    """Per coordinate of the 3n-1 terms: term 2n+j equals term j for every
+    seed index j."""
+    return _agreement(((terms[2 * n + j], terms[j]) for j in range(n - 1)), terms[0].dim)
+
+
+def _recursion_consistent(n: int, terms: Sequence[DiagIsometry]) -> tuple[bool, ...]:
+    """Per coordinate of the 3n-1 terms: term i+n-1 equals
+    (term i-1)^(-1) (term i+n-2)^2 for i = 1..2n-1."""
+    def pairs():
+        for i in range(1, 2 * n):
+            prev = terms[i + n - 2]
+            yield terms[i + n - 1], terms[i - 1].inverse().compose(prev.compose(prev))
+
+    return _agreement(pairs(), terms[0].dim)
+
+
+def symbolic_sequence(n: int, k: int) -> SymSequence:
+    _check_dimension(n, k)
+    return SymSequence(n, k, tuple(_symbolic_terms(n, range(k, k + 1), 3 * n - 1)))
+
+
+def symbolic_checks(n: int) -> tuple[tuple[bool, bool], ...]:
+    """``(periodic(), recursion_consistent())`` of ``symbolic_sequence(n, k)``
+    for k = 0..n-1, from one recursion per block of coordinates in E(m)
+    rather than n recursions in E(1) (see the module docstring)."""
+    _check_dim(n)
+    out: list[tuple[bool, bool]] = []
+    for block in _symbolic_blocks(n):
+        terms = _symbolic_terms(n, block, 3 * n - 1)
+        out += zip(_periodic(n, terms), _recursion_consistent(n, terms))
+    return tuple(out)
 
 
 def verify_periodicity(n: int, k: int) -> bool:
@@ -321,11 +410,7 @@ def _generic_images(n: int) -> GenImages:
     """The 2n images in E(n) of the generic candidate of dimension n:
     generator i has the standard signs and the packed translation B^i,
     B = 2^(3n), in every coordinate (see the module docstring)."""
-    seeds = [
-        DiagIsometry._normal(standard_signs(n, i), (1 << (3 * n * i),) * n)
-        for i in range(n - 1)
-    ]
-    return GenImages(_product_recursion(seeds, 2 * n))
+    return GenImages(_symbolic_terms(n, range(n), 2 * n))
 
 
 @lru_cache(maxsize=None)

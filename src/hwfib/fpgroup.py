@@ -109,18 +109,29 @@ class Presentation(Record):
         self.generator_count = generator_count
         self.relators = tuple(reduced)
 
+    @classmethod
+    def _normal(cls, generator_count: int, relators: tuple[Word, ...]) -> "Presentation":
+        """Wrap freely reduced relators over generators 0..generator_count-1,
+        skipping the checks of the public constructor."""
+        p = object.__new__(cls)
+        p.generator_count = generator_count
+        p.relators = relators
+        return p
+
 
 def fibonacci_presentation(r: int, n: int) -> Presentation:
     """The Fibonacci presentation F(r, n): n generators a_0..a_(n-1) and the
     n cyclic relators a_i a_(i+1) ... a_(i+r-1) a_(i+r)^(-1), indices mod n."""
     if r < 1 or n < 1:
         raise ValueError(f"F(r, n) needs r >= 1 and n >= 1, got ({r}, {n})")
-    relators = []
-    for i in range(n):
-        letters = [((i + j) % n, 1) for j in range(r)]
-        letters.append(((i + r) % n, -1))
-        relators.append(tuple(letters))
-    return Presentation(n, tuple(relators))
+    letters = [(j % n, 1) for j in range(n + r)]
+    relators = tuple(tuple(letters[i:i + r]) + ((letters[i + r][0], -1),) for i in range(n))
+    if n == 1:
+        # a_0^r a_0^(-1) reduces to a_0^(r-1)
+        return Presentation(n, relators)
+    # For n >= 2 every relator is freely reduced: its only inverse letter,
+    # a_(i+r), follows a_(i+r-1), a different generator mod n.
+    return Presentation._normal(n, relators)
 
 
 class GenImages(Record):

@@ -20,7 +20,9 @@ of each dimension: it shares the recursion and the relator evaluation with
 hwfib, but runs them in E(n) over each candidate's own Fraction
 translations, with no appeal to the specialisation argument.  The second
 route to a candidate's images runs the recursion in E(1) one coordinate at
-a time and reassembles the terms by direct sum.
+a time and reassembles the terms by direct sum.  The all-k symbolic check
+is the route hwfib replaced by one recursion per block of coordinates: one
+E(1) sequence per k, its two checks run by whole-term equality.
 """
 
 from fractions import Fraction
@@ -28,7 +30,12 @@ from functools import lru_cache, reduce
 from itertools import combinations, product
 from math import gcd, lcm
 
-from hwfib.epimorphism import _product_recursion, build_epimorphism, component_images
+from hwfib.epimorphism import (
+    _product_recursion,
+    build_epimorphism,
+    component_images,
+    symbolic_sequence,
+)
 from hwfib.exact import IntMatrix, _xgcd
 from hwfib.fpgroup import GenImages, fibonacci_presentation, verify_relators
 from hwfib.hwgroup import (
@@ -143,6 +150,23 @@ def sparse_symbolic_terms(n, k):
             sign *= s
         terms.append((sign, {j: c for j, c in acc.items() if c}))
     return terms
+
+
+def symbolic_checks_per_k(n):
+    """The all-k check one E(1) sequence at a time: for each k, whether
+    ``symbolic_sequence(n, k)`` has period 2n and satisfies the one-step
+    recursion, each compared term by term with ``==`` on whole E(1)
+    values."""
+    out = []
+    for k in range(n):
+        t = symbolic_sequence(n, k).terms
+        periodic = all(t[2 * n + j] == t[j] for j in range(n - 1))
+        consistent = all(
+            t[i + n - 1] == t[i - 1].inverse().compose(t[i + n - 2].compose(t[i + n - 2]))
+            for i in range(1, 2 * n)
+        )
+        out.append((periodic, consistent))
+    return tuple(out)
 
 
 def window_fold_recursion(seeds, length):

@@ -373,6 +373,12 @@ STDOUT_SHA256 = {
     # the benchmark input
     ("symbolic", "--dim", "21", "--format", "json"):
         "0e3271b20791123c1e3d51830e488d0c47a07d662ad9fc560ff57d7e738dc9d4",
+    # these two were recorded from the code that built one E(1) sequence
+    # per k; the all-k run now takes n = 61 in more than one block
+    ("symbolic", "--dim", "61", "--format", "json"):
+        "a46a9aeed402ac2f3a6188a506a9cba0953152e2147d057a2215bdd0b58c11b6",
+    ("symbolic", "--dim", "21"):
+        "8f79fce4bfbf065743cd15b892f307a3d9e0f40c47e30dffc7f9aec571efa64a",
     # k = n-1: no seed has sign +1
     ("symbolic", "--dim", "3", "--k", "2"):
         "a9d439a74f9327bddd52bb31058c4d15da8930f0fbbbf009058bd51c0b56c5e7",
@@ -534,6 +540,7 @@ def test_symbolic_and_abelianize_caps_refuse_before_building(capsys, monkeypatch
     # the benchmark inputs symbolic --dim 21 and abelianize 80 162 stay inside
     assert cli.MAX_SYMBOLIC_DIM >= 21 and cli.MAX_ABELIANIZE >= 162
     monkeypatch.setattr(cli, "symbolic_sequence", _refuse)
+    monkeypatch.setattr(cli, "symbolic_checks", _refuse)
     monkeypatch.setattr(cli, "fibonacci_presentation", _refuse)
     monkeypatch.setattr(cli, "abelianization", _refuse)
     for argv, limit in (
@@ -613,19 +620,33 @@ def test_symbolic_json_deterministic(capsys):
 
 
 def test_symbolic_builds_each_sequence_once(capsys, monkeypatch):
-    built = []
+    # the all-k run is one recursion per block of coordinates and builds no
+    # single sequence; --k builds exactly one, a recursion of width 1
+    widths, built = [], []
+    recursion = epimorphism._product_recursion
+
+    def counting_recursion(seeds, length):
+        widths.append(seeds[0].dim)
+        return recursion(seeds, length)
 
     def counting(n, k):
         built.append((n, k))
         return symbolic_sequence(n, k)
 
+    monkeypatch.setattr(epimorphism, "_product_recursion", counting_recursion)
+    monkeypatch.setattr(cli, "symbolic_sequence", _refuse)
+    for n in (9, 61):
+        widths.clear()
+        assert run_cli(capsys, "symbolic", "--dim", str(n), "--format", "json")[0] == 0
+        assert widths == [len(b) for b in epimorphism._symbolic_blocks(n)]
+    assert widths == [32, 29]
     monkeypatch.setattr(cli, "symbolic_sequence", counting)
-    assert run_cli(capsys, "symbolic", "--dim", "9", "--format", "json")[0] == 0
-    assert built == [(9, k) for k in range(9)]
-    built.clear()
+    monkeypatch.setattr(cli, "symbolic_checks", _refuse)
+    widths.clear()
     code, out, _ = run_cli(capsys, "symbolic", "--dim", "9", "--k", "4")
     assert code == 0
     assert built == [(9, 4)]
+    assert widths == [1]
     assert "term 25: " in out
 
 

@@ -8,10 +8,15 @@ from hwfib import epimorphism
 from hwfib.epimorphism import (
     SymSequence,
     _generic_images,
+    _periodic,
     _product_recursion,
+    _recursion_consistent,
     _relator_certificate,
+    _symbolic_blocks,
+    _symbolic_terms,
     build_epimorphism,
     component_images,
+    symbolic_checks,
     symbolic_sequence,
     verify_addrel,
     verify_main_theorem,
@@ -34,6 +39,7 @@ from _oracles import (
     build_epimorphism_by_components,
     relators_by_candidate,
     sparse_symbolic_terms,
+    symbolic_checks_per_k,
     window_fold_recursion,
 )
 from test_cli import CANDIDATE_FILES, NONCRYST5, SCALED9
@@ -211,6 +217,69 @@ def test_sequence_checks_fail_on_a_perturbed_term():
                     assert bad.coefficients(idx)[j] == seq.coefficients(idx)[j] + 1
                     assert not bad.periodic(), (n, k, idx, j)
                     assert not bad.recursion_consistent(), (n, k, idx, j)
+
+
+def _column(terms, c):
+    """Coordinate c of each term of a block, as E(1) values."""
+    return tuple(DiagIsometry._normal((t.signs[c],), (t.translation[c],)) for t in terms)
+
+
+@pytest.mark.parametrize("n", range(3, 62, 2))
+def test_all_k_checks_match_the_per_k_oracle(n):
+    # n = 61 runs in two blocks under the bit budget
+    blocks = _symbolic_blocks(n)
+    assert [k for block in blocks for k in block] == list(range(n))
+    assert symbolic_checks(n) == symbolic_checks_per_k(n) == ((True, True),) * n
+    for block in blocks:
+        terms = _symbolic_terms(n, block, 3 * n - 1)
+        for c, k in enumerate(block):
+            assert _column(terms, c) == symbolic_sequence(n, k).terms, (n, k)
+
+
+@pytest.mark.parametrize("n", [3, 7, 13])
+def test_all_k_checks_at_every_block_width(monkeypatch, n):
+    # the budget 18 n^3 w bits gives blocks of width w, the last one shorter
+    expected = symbolic_checks_per_k(n)
+    for width in range(1, n + 2):
+        monkeypatch.setattr(epimorphism, "SYMBOLIC_BLOCK_BITS", 18 * n**3 * width)
+        blocks = _symbolic_blocks(n)
+        assert [len(b) for b in blocks[:-1]] == [width] * (len(blocks) - 1)
+        assert [k for block in blocks for k in block] == list(range(n)), width
+        assert symbolic_checks(n) == expected, width
+    monkeypatch.setattr(epimorphism, "SYMBOLIC_BLOCK_BITS", 0)
+    assert _symbolic_blocks(n) == [range(k, k + 1) for k in range(n)]
+
+
+def test_symbolic_blocks_follow_the_budget():
+    assert [len(_symbolic_blocks(n)) for n in (3, 21, 61)] == [1, 1, 2]
+    assert {len(b) for b in _symbolic_blocks(151)} == {1, 2}
+    with pytest.raises(ValueError):
+        symbolic_checks(4)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_all_k_checks_fail_at_the_perturbed_coordinate_only(n):
+    # Both checks read terms 0 and 2n; only recursion_consistent reads term
+    # n-1.  Perturbing coordinate c of one term, its translation by d_j
+    # (B^j packed) or its sign, must fail the checks that read that term at
+    # k = c and nowhere else.
+    base = 1 << (3 * n)
+    terms = _symbolic_terms(n, range(n), 3 * n - 1)
+    clean = (True,) * n
+    assert _periodic(n, terms) == _recursion_consistent(n, terms) == clean
+    for idx, reads_periodic in ((0, True), (2 * n, True), (n - 1, False)):
+        for c in range(n):
+            only_c = tuple(k != c for k in range(n))
+            signs, trans = terms[idx].signs, terms[idx].translation
+            changes = [
+                (signs, trans[:c] + (trans[c] + base**j,) + trans[c + 1:]) for j in range(n - 1)
+            ]
+            changes.append((signs[:c] + (-signs[c],) + signs[c + 1:], trans))
+            for changed in changes:
+                bad = list(terms)
+                bad[idx] = DiagIsometry._normal(*changed)
+                assert _periodic(n, bad) == (only_c if reads_periodic else clean), (idx, c)
+                assert _recursion_consistent(n, bad) == only_c, (idx, c)
 
 
 def test_coefficients_rejects_what_is_not_a_form_in_the_seeds():

@@ -61,6 +61,31 @@ def test_fibonacci_presentation_f4_10():
     assert len(p.relators[0]) == 5
 
 
+def test_fibonacci_presentation_equals_the_checked_build():
+    # the direct build skips the public constructor's letter checks and
+    # free reduction; only n = 1 has a relator that reduces
+    differs = []
+    for r in range(1, 30):
+        for n in range(1, 40):
+            raw = [
+                tuple(((i + j) % n, 1) for j in range(r)) + (((i + r) % n, -1),)
+                for i in range(n)
+            ]
+            checked = Presentation(n, raw)
+            assert fibonacci_presentation(r, n) == checked, (r, n)
+            if checked.relators != tuple(raw):
+                differs.append((r, n))
+    assert differs == [(r, 1) for r in range(1, 30)]
+    assert fibonacci_presentation(3, 1).relators == (((0, 1), (0, 1)),)
+
+
+def test_presentation_from_input_keeps_its_checks():
+    assert Presentation(2, [((0, 1), (1, 1), (1, -1), (0, 1))]).relators == (((0, 1), (0, 1)),)
+    for bad in ([((2, 1),)], [((-1, 1),)], [((0, 2),)]):
+        with pytest.raises(ValueError):
+            Presentation(2, bad)
+
+
 def test_fibonacci_presentation_rejects_zero():
     with pytest.raises(ValueError):
         fibonacci_presentation(0, 5)
