@@ -74,12 +74,13 @@ MAX_DIM = 21
 # n=161.  It grows faster than n^3 because the blocks narrow as n grows.
 MAX_SYMBOLIC_DIM = 151
 # Largest r and n abelianize accepts, so that abelianize 2 1000000 exits
-# instead of building a 10^6 x 10^6 relator matrix.  On the F(m-1, 2m)
-# family, whose elimination runs on unit pivots once the content 4 is
-# divided out, abelianization takes 0.003 s at n=82, 0.011 s at n=162 and
-# 0.044 s at n=322 (in process on the same VM).  Other (r, n) inside the
-# limit can take far longer through coefficient growth in the elimination:
-# F(322, 60) takes 6-12 s, F(162, 92) 12-14 s and F(162, 220) 75 s.
+# instead of building a 10^6 x 10^6 relator matrix.  The Smith normal form
+# clears by nearest remainders, so its entries stay small.  In process on
+# the same VM: on the 289 F(r, n) with r and n in 2, 22, ..., 302, 322 the
+# slowest took 0.22 s, and on r = 322 with every n in 2..322 the slowest
+# was F(322, 318) at 0.6-0.8 s.  On the F(m-1, 2m) family, whose pivots
+# are units once the content 4 is divided out, the Smith normal form takes
+# 2 ms at n=82, 10 ms at n=162 and 35 ms at n=322.
 MAX_ABELIANIZE = 322
 # Translation orbits a survey remembers: all 2^15 orbits of dimension 5
 # (see the hwgroup docstring).  Past this many the dict stops growing, so a

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import index
 from typing import Sequence, Union
 
 __all__ = [
@@ -39,17 +40,10 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text.strip())
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with g = gcd(a, b) = x*a + y*b and g >= 0."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        return -a, -x0, -y0
-    return a, x0, y0
+def _nearest_quotient(b: int, p: int) -> int:
+    """The q for which b - q*p lies in [-|p|/2, |p|/2]."""
+    q, r = divmod(b, p)
+    return q + 1 if 2 * abs(r) > abs(p) else q
 
 
 def smith_normal_form(mat: IntMatrix) -> tuple[int, ...]:
@@ -57,15 +51,19 @@ def smith_normal_form(mat: IntMatrix) -> tuple[int, ...]:
 
     Returns all ``min(rows, cols)`` diagonal entries of the Smith normal
     form, nonnegative, with trailing zeros when the rank is deficient.
-    Pivots are chosen by smallest nonzero absolute value.  Entries can
-    still grow large: on some F(r, n) relator matrices the elimination
-    takes seconds to minutes.
+    Entries are read with ``operator.index``, so ints and bools are taken
+    and floats, Fractions and strings raise ``TypeError``.
 
     Trailing block.  Before pivot t the matrix is the direct sum of
     diag(d_1, ..., d_t) and a trailing block T, rows and columns t on:
     finished rows are zero from column t on, and rows from t on are zero
     left of column t.  So only T is kept, every row and column operation
     runs on T alone, and a finished pivot's row and column leave T.
+
+    Each pass takes as pivot p the first entry of smallest nonzero
+    absolute value in T, in row-major order, and swaps it into the
+    corner; no entry is smaller than a unit, so the scan stops at the
+    first one.
 
     Content step.  When T holds no unit, its content g, the gcd of its
     entries, is computed; the gcd scan stops at the first gcd of 1.  If
@@ -77,16 +75,32 @@ def smith_normal_form(mat: IntMatrix) -> tuple[int, ...]:
     Division keeps the order of absolute values, so the pivot the scan
     found stays the pivot.  On F(m-1, 2m) the pivots of 4 become units.
 
-    Clean column.  Once the column pass has cleared column t below the
-    pivot, the pivot is the only nonzero entry of column t, and it stays
-    so until an xgcd column operation mixes column t with another one
-    (``column_dirty``).  Until then an exact clear of ``a[t][j]`` changes
-    that entry alone, so it is set to 0 in O(1) instead of updating every
-    row, and no re-check of column t is needed.  A unit pivot divides
-    everything: exact clears alone would finish its row, so the row pass
-    and the divisibility sweep are skipped and row t leaves T as it is.
+    Nearest remainders.  Each entry b below the pivot is cleared by
+    row_i -= q row_t, with q the nearest quotient of b by p, which leaves
+    in column t a remainder of absolute value at most |p|/2.  Swaps and
+    adding a multiple of one row or column to another are unimodular, so
+    no step changes the divisors.  If a remainder is nonzero, it is
+    smaller than p, and the pass goes back to the scan.  Otherwise
+    column t is clean: p is its only nonzero entry, so col_j -= q col_t
+    changes row t alone, every other row being zero in column t.  Row
+    t's entries are therefore replaced in place by their nearest
+    remainders mod p, and if one is nonzero the pass goes back to the
+    scan.  A unit pivot leaves no remainder, so it skips the row step.
+
+    Divisibility sweep.  The pivot must divide the rest of T.  The first
+    row that it does not divide is added to row t, which keeps p alone in
+    column t and gives row t an entry that p does not divide, and the
+    pass goes back to the scan.  A unit pivot divides everything and
+    skips the sweep.  Otherwise |p| scale is emitted and p's row and
+    column leave T.
+
+    Termination.  Each pass that emits nothing lowers the smallest
+    nonzero absolute value in T (by a remainder or by the content step),
+    or, after the sweep, keeps it at the corner, where the scan finds it
+    again and the next pass lowers it by a remainder of row t.  That
+    value is a positive integer, and each emission shrinks T.
     """
-    a = [list(map(int, row)) for row in mat]
+    a = [list(map(index, row)) for row in mat]
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     if any(len(row) != ncols for row in a):
@@ -97,9 +111,7 @@ def smith_normal_form(mat: IntMatrix) -> tuple[int, ...]:
     # a is the trailing block T: its row 0 and column 0 are row and
     # column t of the whole matrix
     while a and a[0]:
-        # pivot: first entry of smallest nonzero absolute value in T, in
-        # row-major order; no entry is smaller than a unit, so the scan
-        # stops at the first one
+        # pivot: first entry of smallest nonzero absolute value in T
         best = None
         where = None
         for i, row in enumerate(a):
@@ -129,61 +141,32 @@ def smith_normal_form(mat: IntMatrix) -> tuple[int, ...]:
         if bj:
             for row in a:
                 row[0], row[bj] = row[bj], row[0]
+        top = a[0]
+        p = top[0]
 
-        while True:
-            # clear column t below the pivot
-            for i in range(1, len(a)):
-                b = a[i][0]
-                if b == 0:
-                    continue
-                p = a[0][0]
-                if b % p == 0:
-                    q = b // p
-                    a[i] = [x - q * y for x, y in zip(a[i], a[0])]
-                else:
-                    g, x, y = _xgcd(p, b)
-                    u, v = p // g, b // g
-                    top = [x * r + y * s for r, s in zip(a[0], a[i])]
-                    bot = [-v * r + u * s for r, s in zip(a[0], a[i])]
-                    a[0], a[i] = top, bot
-            if abs(a[0][0]) == 1:
-                break
-            # clear row t right of the pivot; may dirty the column again
-            column_dirty = False
-            top = a[0]
+        # clear column t below the pivot down to nearest remainders
+        for i in range(1, len(a)):
+            b = a[i][0]
+            if b:
+                q = _nearest_quotient(b, p)
+                a[i] = [x - q * y for x, y in zip(a[i], top)]
+        if any(row[0] for row in a[1:]):
+            continue
+
+        if abs(p) != 1:
+            # column t is clean: reduce row t to nearest remainders mod p
             for j in range(1, len(top)):
-                b = top[j]
-                if b == 0:
-                    continue
-                p = top[0]
-                if b % p == 0:
-                    if not column_dirty:
-                        top[j] = 0
-                        continue
-                    q = b // p
-                    for row in a:
-                        row[j] -= q * row[0]
-                else:
-                    g, x, y = _xgcd(p, b)
-                    u, v = p // g, b // g
-                    for row in a:
-                        r0, rj = row[0], row[j]
-                        row[0] = x * r0 + y * rj
-                        row[j] = -v * r0 + u * rj
-                    column_dirty = True
-            if not column_dirty:
-                break
-
-        # divisibility sweep: the pivot must divide the rest of T (its
-        # column below the pivot is zero by now)
-        pivot = a[0][0]
-        if abs(pivot) != 1:
-            offender = next((row for row in a[1:] if any(v % pivot for v in row)), None)
+                if top[j]:
+                    top[j] -= _nearest_quotient(top[j], p) * p
+            if any(top[1:]):
+                continue
+            # divisibility sweep
+            offender = next((row for row in a[1:] if any(v % p for v in row)), None)
             if offender is not None:
-                a[0] = [x + y for x, y in zip(a[0], offender)]
+                a[0] = [x + y for x, y in zip(top, offender)]
                 continue
 
-        divisors.append(abs(pivot) * scale)
+        divisors.append(abs(p) * scale)
         del a[0]
         for row in a:
             del row[0]

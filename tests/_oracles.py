@@ -10,8 +10,10 @@ elimination, and is checked against this one.  The Schreier lattice and the
 per-class torsion test use it, and test_exact checks it against minor gcds.
 The brute-force torsion search runs over a coefficient box of hwfib's
 ``translation_lattice``, which is checked against the Schreier lattice.
-The dense Smith normal form shares only ``exact._xgcd`` with the fast one
-it checks; test_exact checks both against minor gcds.  The symbolic
+The dense Smith normal form, an elimination by xgcd row and column
+combinations, shares nothing with the nearest-remainder one it checks;
+test_exact checks both against minor gcds, and checks the divisors of
+large relator matrices against a Bareiss determinant.  The symbolic
 sequence is rebuilt with one dict of coefficients per term, without
 ``DiagIsometry`` and without packing forms into integers, and the product
 recursion is also run as the direct fold of each window of terms.  The
@@ -36,7 +38,7 @@ from hwfib.epimorphism import (
     component_images,
     symbolic_sequence,
 )
-from hwfib.exact import IntMatrix, _xgcd
+from hwfib.exact import IntMatrix
 from hwfib.fpgroup import GenImages, fibonacci_presentation, verify_relators
 from hwfib.hwgroup import (
     HWCandidate,
@@ -62,6 +64,30 @@ def det_int(mat):
         minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
         total += (-1) ** j * v * det_int(minor)
     return total
+
+
+def bareiss_det(mat):
+    """Integer determinant by fraction-free (Bareiss) elimination: after
+    step k every entry of the trailing block is a (k+1) x (k+1) minor, so
+    the division by the previous pivot is exact."""
+    a = [list(row) for row in mat]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        top = a[k]
+        pivot = top[k]
+        for i in range(k + 1, n):
+            row = a[i]
+            c = row[k]
+            a[i] = row[: k + 1] + [(pivot * x - c * y) // prev for x, y in zip(row[k + 1 :], top[k + 1 :])]
+        prev = pivot
+    return sign * a[-1][-1] if n else 1
 
 
 def minor_gcd(mat, k):
@@ -197,6 +223,19 @@ def relators_by_candidate(c):
     images in E(n), built and evaluated over Fraction."""
     n = c.dim
     return verify_relators(fibonacci_presentation(n - 1, 2 * n), build_epimorphism(c)).trivial
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """Return (g, x, y) with g = gcd(a, b) = x*a + y*b and g >= 0."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        return -a, -x0, -y0
+    return a, x0, y0
 
 
 def hermite_normal_form(mat: IntMatrix) -> tuple[list[list[int]], int]:
@@ -472,9 +511,11 @@ def hnf_torsion_exists(c):
 def dense_smith_normal_form(mat):
     """Elementary divisors of an integer matrix by the plain elimination:
     every column operation updates every row, and the divisibility sweep
-    and the column re-check run after every pivot.  This is the algorithm
-    ``exact.smith_normal_form`` had before its fast paths, kept as the
-    reference they are checked against."""
+    and the column re-check run after every pivot, and a remainder is
+    cleared by an xgcd combination of two rows or two columns.  This is
+    the algorithm ``exact.smith_normal_form`` had before its fast paths
+    and its nearest-remainder elimination, kept as the reference that
+    one is checked against."""
     a = [[int(v) for v in row] for row in mat]
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0

@@ -421,8 +421,8 @@ STDOUT_SHA256 = {
         "d343286d6cfb6fd9cdda656069e5efd674934e5379e15043668963a4c553e67b",
     ("abelianize", "80", "162"):
         "f12af763deceea21194478c8bf007c2b9162fada05c012ec30f43f6746ee930a",
-    # the elimination of F(3, 10) does an xgcd column operation and then an
-    # exact clear in the same pass
+    # recorded from the xgcd elimination, whose pass on F(3, 10) did an
+    # xgcd column operation and then an exact clear
     ("abelianize", "3", "10", "--format", "json"):
         "f7a068604bd3a235b891bc2c9696865ef19e0b78da65bc11702e7198ca9a0bab",
     ("abelianize", "9", "4", "--format", "json"):
@@ -436,6 +436,14 @@ STDOUT_SHA256 = {
         "0868f1c32039bc45c991c86b91c91f4f9530e6746cb27b7ad0de5b10320bff3a",
     ("abelianize", "160", "322"):
         "21543ad5eb9997a97b903fe9dd041b7613c838da26b85c0a8d7f85220ea8e928",
+    # recorded from the xgcd elimination, whose coefficient growth took
+    # 12 s, 8.6 s and about 75 s on these three
+    ("abelianize", "162", "92", "--format", "json"):
+        "b00f83b190bd40e9e2cc4162898a4b2e264538fe12c9a1b2cbaf06d577259d5c",
+    ("abelianize", "322", "60", "--format", "json"):
+        "98e9045a6da610be8251ffc97f09c01a5002e93b0bd67ed90b82178ea524b6b0",
+    ("abelianize", "162", "220", "--format", "json"):
+        "27a0dc13ec5a3c1998f53c6afb3b3d229338f6a4ca8083421486335c89887727",
 }
 
 

@@ -1,5 +1,9 @@
 import random
+import time
 from fractions import Fraction
+from math import prod
+
+import pytest
 
 from hwfib.exact import (
     format_rational,
@@ -9,6 +13,7 @@ from hwfib.exact import (
 from hwfib.fpgroup import fibonacci_presentation, relator_matrix
 
 from _oracles import (
+    bareiss_det,
     dense_smith_normal_form,
     det_int,
     divisors_by_minor_gcds,
@@ -164,9 +169,35 @@ def test_snf_divisibility_chain_and_determinant():
             assert prod == abs(det)
 
 
+def test_snf_reads_entries_as_integers():
+    # entries go through operator.index: ints and bools are taken, and
+    # nothing is truncated into an int
+    assert smith_normal_form([[True, False], [False, 3]]) == (1, 3)
+    for bad in ([[2.5, 0], [0, 3]], [[Fraction(7, 2)]], [["4"]], [[4.0]]):
+        with pytest.raises(TypeError):
+            smith_normal_form(bad)
+
+
+def test_snf_former_growth_cases_match_bareiss_determinant():
+    # an elimination by xgcd row and column combinations took about 95 s
+    # on these three together, its entries growing to millions of bits;
+    # the determinants are nonzero, so the divisors must multiply to |det|
+    mats = [relator_matrix(fibonacci_presentation(r, n)) for r, n in ((162, 92), (322, 60), (162, 220))]
+    start = time.perf_counter()
+    results = [smith_normal_form(m) for m in mats]
+    elapsed = time.perf_counter() - start
+    for m, divisors in zip(mats, results):
+        det = bareiss_det(m)
+        assert det != 0
+        assert prod(divisors) == abs(det)
+        assert all(b % a == 0 for a, b in zip(divisors, divisors[1:]))
+    assert elapsed < 5
+
+
 def test_snf_fast_paths_match_dense_elimination_on_fibonacci_grid():
-    # includes F(3, 10), F(5, 16) and F(7, 14), whose eliminations mix
-    # xgcd column operations with exact clears of the pivot row
+    # includes F(3, 10), F(5, 16) and F(7, 14), whose dense eliminations
+    # mix xgcd column operations with exact clears of the pivot row, and
+    # whose nearest-remainder eliminations go back to the pivot scan
     for r in range(1, 30):
         for n in range(1, 40):
             m = relator_matrix(fibonacci_presentation(r, n))
@@ -175,7 +206,8 @@ def test_snf_fast_paths_match_dense_elimination_on_fibonacci_grid():
 
 def test_snf_fast_paths_match_dense_elimination_on_random_matrices():
     # zero twice as likely as any other entry, so that rank-deficient
-    # matrices, non-unit pivots and xgcd steps all occur.  Each matrix M is
+    # matrices, non-unit pivots, nonzero remainders (xgcd steps in the
+    # dense oracle) and divisibility sweeps all occur.  Each matrix M is
     # also taken as k*M, whose content k the elimination divides out at
     # once, and as diag(1, 1, k*M), where that content appears only after
     # two unit pivots
