@@ -12,6 +12,13 @@ and so the verdict, of the orbit's key.  It writes each line from cached
 text, the JSON text of each generator's word and the tail of each
 classification, rather than encoding a record per line.
 
+The command line is a command, then its flags in any order, each spelled in
+full as ``--flag value`` or ``--flag=value``, and for ``abelianize`` the
+integers r and n (USAGE lists them).  A value may start with ``-``, so
+``--jobs -1`` reaches the range check; a repeated flag's last value wins.
+``-h`` or ``--help`` prints USAGE and exits 0; any other malformed command
+line writes one ``error:`` line to stderr and raises SystemExit(2).
+
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 invalid
 input or usage.  JSON output is byte-deterministic for a fixed
 configuration, since a ``--sample`` without ``--seed`` draws with seed 0;
@@ -20,13 +27,13 @@ runtimes are only ever reported in text mode.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import Optional
 
 from .epimorphism import (
@@ -51,6 +58,14 @@ from .hwgroup import (
 )
 from .hwgroup import _word_units
 
+# The README's usage block, printed by -h and --help.
+USAGE = """\
+hwfib verify --input candidate.json [--format json|text]
+hwfib survey --dim 3 [--sample N [--seed S]] [--jobs J] [--format json|text]
+hwfib symbolic --dim 13 [--k K] [--format json|text]
+hwfib abelianize 2 6 [--format json|text]
+hwfib show --dim 3 | --input candidate.json [--format json|text]
+"""
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
@@ -131,12 +146,12 @@ def _translations_text(candidate) -> str:
     )
 
 
-def cmd_verify(cfg: argparse.Namespace) -> int:
+def cmd_verify(cfg: SimpleNamespace) -> int:
     if not cfg.input_path:
         return _fail_usage("verify needs --input FILE")
     try:
         candidate = _load_candidate(cfg.input_path)
-    except (OSError, ValueError) as exc:
+    except (OSError, RecursionError, ValueError) as exc:
         return _fail_usage(f"cannot load candidate: {exc}")
     report = verify_main_theorem(candidate)
     if cfg.output_format == "json":
@@ -193,7 +208,7 @@ def _survey_entry(n: int, cl: Classification, output_format: str) -> list:
     return [cl, verdict, tail, 0]
 
 
-def cmd_survey(cfg: argparse.Namespace) -> int:
+def cmd_survey(cfg: SimpleNamespace) -> int:
     if cfg.dim is None:
         return _fail_usage("survey needs --dim N")
     if cfg.dim % 2 == 0 or cfg.dim < 3:
@@ -278,7 +293,7 @@ def cmd_survey(cfg: argparse.Namespace) -> int:
     return EXIT_PASS if summary["verified_fail"] == 0 else EXIT_FAIL
 
 
-def cmd_symbolic(cfg: argparse.Namespace) -> int:
+def cmd_symbolic(cfg: SimpleNamespace) -> int:
     if cfg.dim is None:
         return _fail_usage("symbolic needs --dim N")
     n = cfg.dim
@@ -304,17 +319,13 @@ def cmd_symbolic(cfg: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - started
     all_ok = all(c["periodic"] and c["recursion_consistent"] for c in checks)
     if cfg.output_format == "json":
-        _emit(
-            _dumps(
-                {
-                    "command": "symbolic",
-                    "dim": n,
-                    "period": 2 * n,
-                    "checks": checks,
-                    "verdict": "pass" if all_ok else "fail",
-                }
-            )
-        )
+        _emit(_dumps({
+            "command": "symbolic",
+            "dim": n,
+            "period": 2 * n,
+            "checks": checks,
+            "verdict": "pass" if all_ok else "fail",
+        }))
     else:
         confirmed = [str(c["k"]) for c in checks if c["periodic"] and c["recursion_consistent"]]
         if all_ok:
@@ -329,9 +340,9 @@ def cmd_symbolic(cfg: argparse.Namespace) -> int:
     return EXIT_PASS if all_ok else EXIT_FAIL
 
 
-def cmd_abelianize(cfg: argparse.Namespace) -> int:
+def cmd_abelianize(cfg: SimpleNamespace) -> int:
     r, n = cfg.r, cfg.n
-    if r is None or n is None or r < 1 or n < 1:
+    if r < 1 or n < 1:
         return _fail_usage("abelianize needs positive r and n")
     if max(r, n) > MAX_ABELIANIZE:
         return _fail_usage(
@@ -350,21 +361,17 @@ def cmd_abelianize(cfg: argparse.Namespace) -> int:
     # compare against the expected holonomy 2-rank when (r, n) = (m-1, 2m)
     holonomy_rank = r if (n == 2 * (r + 1)) else None
     if cfg.output_format == "json":
-        _emit(
-            _dumps(
-                {
-                    "command": "abelianize",
-                    "r": r,
-                    "n": n,
-                    "divisors": list(divisors),
-                    "nontrivial": nontrivial,
-                    "free_rank": free_rank,
-                    "order": order,
-                    "even_divisors": even,
-                    "holonomy_rank": holonomy_rank,
-                }
-            )
-        )
+        _emit(_dumps({
+            "command": "abelianize",
+            "r": r,
+            "n": n,
+            "divisors": list(divisors),
+            "nontrivial": nontrivial,
+            "free_rank": free_rank,
+            "order": order,
+            "even_divisors": even,
+            "holonomy_rank": holonomy_rank,
+        }))
     else:
         _emit(f"abelianization of F({r},{n}): divisors {list(divisors)}")
         if free_rank:
@@ -379,11 +386,11 @@ def cmd_abelianize(cfg: argparse.Namespace) -> int:
     return EXIT_PASS
 
 
-def cmd_show(cfg: argparse.Namespace) -> int:
+def cmd_show(cfg: SimpleNamespace) -> int:
     if cfg.input_path:
         try:
             candidate = _load_candidate(cfg.input_path)
-        except (OSError, ValueError) as exc:
+        except (OSError, RecursionError, ValueError) as exc:
             return _fail_usage(f"cannot load candidate: {exc}")
     elif cfg.dim is not None:
         if cfg.dim > MAX_DIM:
@@ -397,20 +404,16 @@ def cmd_show(cfg: argparse.Namespace) -> int:
     cl = classify(candidate)
     lattice = translation_lattice(candidate)
     if cfg.output_format == "json":
-        _emit(
-            _dumps(
-                {
-                    "candidate": candidate_to_json_dict(candidate),
-                    "classification": cl.to_json_dict(),
-                    "holonomy_order": cl.holonomy_order,
-                    "lattice": {
-                        "rank": lattice.rank,
-                        "denominator": lattice.den,
-                        "basis": [list(row) for row in lattice.basis],
-                    },
-                }
-            )
-        )
+        _emit(_dumps({
+            "candidate": candidate_to_json_dict(candidate),
+            "classification": cl.to_json_dict(),
+            "holonomy_order": cl.holonomy_order,
+            "lattice": {
+                "rank": lattice.rank,
+                "denominator": lattice.den,
+                "basis": [list(row) for row in lattice.basis],
+            },
+        }))
     else:
         _emit(f"candidate: dim {candidate.dim}")
         for i, g in enumerate(candidate.generators):
@@ -430,73 +433,67 @@ def cmd_show(cfg: argparse.Namespace) -> int:
     return EXIT_PASS
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hwfib",
-        description=(
-            "Exact verification of Hantzsche-Wendt groups and their "
-            "Fibonacci-group quotient maps"
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, *, dim=False, k=False, inp=False, sampling=False):
-        if dim:
-            p.add_argument("--dim", type=int, help="ambient dimension (odd)")
-        if k:
-            p.add_argument("--k", type=int, help="position of the +1 seed generator")
-        if inp:
-            p.add_argument("--input", dest="input_path", help="candidate JSON file")
-        if sampling:
-            p.add_argument("--sample", type=int, help="number of random candidates")
-            p.add_argument("--seed", type=int, help="seed for --sample (default: 0)")
-            p.add_argument(
-                "--jobs",
-                type=int,
-                default=1,
-                help="accepted and checked against the CPU count; the survey "
-                "runs in one process",
-            )
-        p.add_argument(
-            "--format",
-            dest="output_format",
-            choices=("json", "text"),
-            default="text",
-            help="output format (default: text)",
-        )
-
-    p_verify = sub.add_parser("verify", help="verify one candidate from a JSON file")
-    add_common(p_verify, inp=True)
-
-    p_survey = sub.add_parser("survey", help="classify and verify a whole dimension")
-    add_common(p_survey, dim=True, sampling=True)
-
-    p_sym = sub.add_parser("symbolic", help="symbolic one-dimensional periodicity check")
-    add_common(p_sym, dim=True, k=True)
-
-    p_ab = sub.add_parser("abelianize", help="abelianization of a Fibonacci group")
-    p_ab.add_argument("r", type=int, help="relator length parameter r of F(r, n)")
-    p_ab.add_argument("n", type=int, help="generator count n of F(r, n)")
-    add_common(p_ab)
-
-    p_show = sub.add_parser("show", help="describe one candidate group")
-    add_common(p_show, dim=True, inp=True)
-
-    return parser
-
-
+# flag or positional -> (attribute of the parsed command line, function from
+# its text to its value that raises KeyError or ValueError on a bad one, default)
+OPTIONS = {
+    "--dim": ("dim", int, None),
+    "--k": ("k", int, None),
+    "--input": ("input_path", str, None),
+    "--sample": ("sample", int, None),
+    "--seed": ("seed", int, None),
+    "--jobs": ("jobs", int, 1),
+    "--format": ("output_format", {"json": "json", "text": "text"}.__getitem__, "text"),
+    "r": ("r", int, None),
+    "n": ("n", int, None),
+}
+# command -> (function, flags, positionals)
 COMMANDS = {
-    "verify": cmd_verify,
-    "survey": cmd_survey,
-    "symbolic": cmd_symbolic,
-    "abelianize": cmd_abelianize,
-    "show": cmd_show,
+    "verify": (cmd_verify, ("--input", "--format"), ()),
+    "survey": (cmd_survey, ("--dim", "--sample", "--seed", "--jobs", "--format"), ()),
+    "symbolic": (cmd_symbolic, ("--dim", "--k", "--format"), ()),
+    "abelianize": (cmd_abelianize, ("--format",), ("r", "n")),
+    "show": (cmd_show, ("--dim", "--input", "--format"), ()),
 }
 
 
+def parse_argv(argv: list[str]) -> tuple:
+    """The command's function and its parsed command line (the module
+    docstring gives the grammar)."""
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(USAGE)
+        raise SystemExit(EXIT_PASS)
+    command, *rest = argv or [""]
+    if command not in COMMANDS:
+        raise SystemExit(_fail_usage(f"expected a command (see --help), got {command!r}"))
+    run, flags, positionals = COMMANDS[command]
+    values = {dest: default for dest, _, default in OPTIONS.values()}
+    pending = list(positionals)
+    words = iter(rest)
+    for word in words:
+        if word.startswith("--"):
+            name, eq, text = word.partition("=")
+            if name not in flags:
+                raise SystemExit(_fail_usage(f"{command} takes no flag {name}"))
+            text = text if eq else next(words, None)
+            if text is None:
+                raise SystemExit(_fail_usage(f"{name} needs a value"))
+        elif pending:
+            name, text = pending.pop(0), word
+        else:
+            raise SystemExit(_fail_usage(f"{command} takes no further argument {word!r}"))
+        dest, kind, _ = OPTIONS[name]
+        try:
+            values[dest] = kind(text)
+        except (KeyError, ValueError):
+            raise SystemExit(_fail_usage(f"invalid {name} value {text!r}")) from None
+    if pending:
+        raise SystemExit(_fail_usage(f"{command} needs the integers {' '.join(positionals)}"))
+    return run, SimpleNamespace(**values)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    return COMMANDS[args.command](args)
+    run, cfg = parse_argv(sys.argv[1:] if argv is None else argv)
+    return run(cfg)
 
 
 if __name__ == "__main__":

@@ -36,7 +36,10 @@ def format_rational(value: ExactNumber) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the ``"p/q"`` / ``"p"`` wire format back into a rational."""
+    """Parse the ``"p/q"`` / ``"p"`` wire format back into a rational,
+    refusing exponents: Fraction takes seconds to build 10^10000000."""
+    if "e" in text or "E" in text:
+        raise ValueError("exponent notation is not a rational p/q")
     return Fraction(text.strip())
 
 

@@ -5,6 +5,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -116,6 +117,35 @@ def test_dim_must_be_a_json_integer(tmp_path, capsys, command, dim):
     assert out == ""
 
 
+@pytest.mark.parametrize("output_format", ["text", "json"])
+@pytest.mark.parametrize("command", ["verify", "show"])
+@pytest.mark.parametrize("entry", ["1e9999", "1e10000000"])
+def test_exponent_notation_is_a_usage_error(tmp_path, capsys, command, entry, output_format):
+    # Fraction reads exponents: 10^9999 has more digits than int-to-str
+    # will write, and building 10^10000000 alone takes seconds
+    path = tmp_path / "exponent.json"
+    path.write_text(
+        json.dumps({"dim": 3, "translations": [[entry, "1/2", "0"], ["0", "1/2", "1/2"]]})
+    )
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, command, "--input", str(path), "--format", output_format)
+    assert time.perf_counter() - started < 1
+    assert code == 2
+    assert "malformed candidate description" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["verify", "show"])
+def test_deeply_nested_json_is_a_usage_error(tmp_path, capsys, command):
+    # json.load raises RecursionError past the interpreter's recursion limit
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run_cli(capsys, command, "--input", str(path))
+    assert code == 2
+    assert "cannot load candidate" in err
+    assert out == ""
+
+
 def test_importing_the_cli_leaves_multiprocessing_out():
     # the survey runs in one process whatever --jobs says, and importing
     # multiprocessing would cost every start of the CLI about 11 ms
@@ -139,20 +169,27 @@ def test_importing_the_cli_leaves_multiprocessing_out():
 
 def test_importing_the_cli_leaves_dataclasses_and_inspect_out():
     # importing dataclasses loads inspect, ast, dis and tokenize: about 16 ms
-    # of every start, for nothing the arithmetic needs
+    # of every start, for nothing the arithmetic needs.  Likewise argparse,
+    # whose messages go through gettext and, once it parses, locale
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     code = (
         "import sys; before = set(sys.modules); import hwfib.cli; "
-        "print(' '.join(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))))"
+        "unwanted = {'dataclasses', 'inspect', 'argparse', 'getopt', 'gettext', 'locale'}; "
+        "print(' '.join(sorted(unwanted & (set(sys.modules) - before)))); "
+        "sys.stdout.flush(); code = hwfib.cli.main(sys.argv[1:]); "
+        "print(' '.join(sorted(unwanted & (set(sys.modules) - before)))); sys.exit(code)"
     )
     result = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, "symbolic", "--dim", "3"],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "", f"hwfib.cli imported {result.stdout.strip()}"
+    lines = result.stdout.splitlines()
+    assert len(lines) == 4, lines  # a line after import, two of symbolic, a line after the run
+    assert lines[0] == "", f"import hwfib.cli loaded {lines[0]}"
+    assert lines[-1] == "", f"symbolic --dim 3 loaded {lines[-1]}"
 
 
 def test_survey_dim3_full(capsys):
@@ -444,6 +481,14 @@ STDOUT_SHA256 = {
         "98e9045a6da610be8251ffc97f09c01a5002e93b0bd67ed90b82178ea524b6b0",
     ("abelianize", "162", "220", "--format", "json"):
         "27a0dc13ec5a3c1998f53c6afb3b3d229338f6a4ca8083421486335c89887727",
+    # the hashes of the same command lines above, with the flags written
+    # --flag=value or in another order
+    ("survey", "--format=json", "--dim", "3"):
+        "750e5b16ad77db6381d57b610c7f2a531646e3ebc1bd1b22a984a548cb9b1e58",
+    ("symbolic", "--format=json", "--dim=21"):
+        "0e3271b20791123c1e3d51830e488d0c47a07d662ad9fc560ff57d7e738dc9d4",
+    ("abelianize", "--format=json", "80", "162"):
+        "d343286d6cfb6fd9cdda656069e5efd674934e5379e15043668963a4c553e67b",
 }
 
 
@@ -733,3 +778,62 @@ def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == 2
+
+
+def _exit_code(capsys, *argv):
+    # the command line's verdict, whether main returns it or raises SystemExit
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    (),
+    ("symbolic", "--dim", "3", "--frobnicate", "1"),
+    ("symbolic", "--input", "x"),
+    ("survey", "--dim", "3", "--k", "0"),
+    ("symbolic", "--dim"),
+    ("symbolic", "--dim", "x"),
+    ("symbolic", "--dim", "3", "--format", "xml"),
+    ("symbolic", "--dim", "3", "--format="),
+    ("symbolic", "3"),
+    ("abelianize", "3"),
+    ("abelianize", "3", "4", "5"),
+    ("abelianize", "3", "x"),
+    # abbreviations of a flag are refused
+    ("verify", "--inp", "x"),
+    ("show", "--di", "3"),
+], ids=lambda argv: " ".join(argv) or "no command")
+def test_malformed_command_line_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1, captured.err
+
+
+def test_negative_positional_reaches_the_range_check(capsys):
+    code, out, err = _exit_code(capsys, "abelianize", "-1", "5")
+    assert code == 2
+    assert "positive" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [("-h",), ("--help",), ("verify", "--help"), ("abelianize", "-h")],
+                         ids=" ".join)
+def test_help_exits_0_and_names_every_command(capsys, argv):
+    code, out, err = _exit_code(capsys, *argv)
+    assert code == 0
+    assert err == ""
+    for command in ("verify", "survey", "symbolic", "abelianize", "show"):
+        assert f"hwfib {command} " in out, command
+
+
+def test_help_is_the_readme_usage_block(capsys):
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    _, out, _ = _exit_code(capsys, "--help")
+    assert f"```\n{out}```" in readme.read_text(encoding="utf-8")

@@ -1,4 +1,5 @@
 import random
+import signal
 import time
 from fractions import Fraction
 from math import prod
@@ -23,6 +24,29 @@ from _oracles import (
     unimodular_2x2,
 )
 
+# Each test here may run this long before it fails: a looping Smith normal
+# form then fails the suite instead of hanging it.  The slowest test takes
+# about 2 s on a 2-core x86-64 VM.
+WATCHDOG_S = 120
+
+
+@pytest.fixture(autouse=True)
+def watchdog():
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"test ran past the {WATCHDOG_S} s watchdog")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, WATCHDOG_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
 
 def test_rational_wire_format():
     assert format_rational(Fraction(1, 2)) == "1/2"
@@ -33,6 +57,10 @@ def test_rational_wire_format():
     assert parse_rational("-7") == -7
     for q in (Fraction(0), Fraction(5, 3), Fraction(-9, 4), Fraction(12)):
         assert parse_rational(format_rational(q)) == q
+    # Fraction would read the first two as 10^9999 and 10^10000000
+    for text in ("1e9999", "1E10000000", "1/2e3"):
+        with pytest.raises(ValueError):
+            parse_rational(text)
 
 
 def test_field_axioms_on_random_triples():
