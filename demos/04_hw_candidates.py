@@ -19,23 +19,29 @@ from hwfib import (
     is_torsion_free,
     translation_lattice,
 )
-from hwfib.hwgroup import _rep_units_raw, _schreier_lattice, _torsion_classes
+from hwfib.hwgroup import _column_mask, _rep_units_raw, _schreier_lattice, _torsion_classes
 
 HALF = Fraction(1, 2)
 
 
 def show_kernel(c):
     """The moduli m_j and the normalised words of the generators, the
-    crystallographic mask, a basis of the parity space V and the first
-    holonomy class holding torsion.  A word is printed bit 0 first."""
+    crystallographic mask read from the columns of the low words, whether
+    one generator decides torsion, a basis of the parity space V and the
+    first holonomy class holding torsion.  A word is printed bit 0 first."""
     n = c.dim
     bits = lambda w: format(w, f"0{n}b")[::-1]
     mods, lows, highs = _rep_units_raw(c)
-    cryst, basis = _schreier_lattice(n, lows)
+    basis = _schreier_lattice(n, lows)
     first = next(_torsion_classes(n, lows, highs, basis), None)
     print(f"  moduli m_j: {mods}")
     print(f"  low words: {[bits(u) for u in lows]}, high words: {[bits(u) for u in highs]}")
-    print(f"  crystallographic mask: {bits(cryst)}")
+    print(f"  crystallographic mask (column mask): {bits(_column_mask(n, lows))}")
+    own = [i for i, u in enumerate(lows) if not u >> i & 1]
+    if own:
+        print(f"  generator {own[0]} has no bit of its own: its class has torsion, no walk runs")
+    else:
+        print("  every generator has its own bit: classify builds V and walks the classes")
     print(f"  parity space V: dimension {len(basis)}, basis {[bits(b) for b in basis]}")
     print("  first class with torsion (coordinates negated):",
           "none" if first is None else bits(first))

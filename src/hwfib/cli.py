@@ -31,7 +31,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 from functools import lru_cache
 from types import SimpleNamespace
 from typing import Optional
@@ -178,10 +177,11 @@ def cmd_verify(cfg: SimpleNamespace) -> int:
 @lru_cache(maxsize=1 << 12)
 def _word_json(n: int, word: int) -> str:
     """JSON text of the translation of one generator of an enumerated
-    candidate, from its word, as candidate_to_json_dict writes it.  Cached
-    with a bound, as _word_units is, rather than tabulated: a table of all
-    2^n words would hold 2^21 strings at n = 21."""
-    return _dumps([format_rational(Fraction(u, 2)) for u in _word_units(n, word)])
+    candidate, from its word, as candidate_to_json_dict writes it: each
+    unit 0 or 1 is the string "0" or "1/2".  Cached with a bound, as
+    _word_units is, rather than tabulated: a table of all 2^n words would
+    hold 2^21 strings at n = 21."""
+    return "[" + ",".join(['"1/2"' if u else '"0"' for u in _word_units(n, word)]) + "]"
 
 
 def _survey_entry(n: int, cl: Classification, output_format: str) -> list:

@@ -63,7 +63,12 @@ zero where m_j = 0, whose parity mask lies in the F2 space V spanned by the
 parity masks of the normal generators: U_i & bit i for g_i^2 and
 (U_i & ~bit j) ^ (U_j & ~bit i) for [g_i, g_j], U_i the low word of g_i.
 Their OR, the crystallographic mask, holds the coordinates with m_j = 1;
-the candidate is crystallographic when it holds all n.  Undoing the
+the candidate is crystallographic when it holds all n.  It needs no basis:
+bit j of the word of [g_i, g_k] is U_i[j] ^ U_k[j] off {i, k}, U_i[i] at i
+and U_k[k] at k, so bit j of the OR is set when U_j[j] is 1 or when column
+j off the diagonal (the U_i[j], i != j) is not constant.  With D the OR of
+U_i & bit i, O the OR of U_i & ~bit i and A the AND of U_i | bit i, the
+mask is D | (O & ~A), as ``_column_mask`` computes it.  Undoing the
 scaling, the lattice of the candidate as given is the set of integer
 vectors x, zero where m_j = 0, with x_j in m_j Z and parity mask (bit j is
 x_j / m_j mod 2) in V.  ``translation_lattice`` writes its Hermite form
@@ -85,7 +90,13 @@ when the half units of a are even on F (and 0 where m_j = 0, which holds
 by the above) and the parity mask of a/2 on F lies in the projection of V
 to F.  That reads a mod 4 only, so the walk over the holonomy classes
 keeps the representative as two bit planes, and skips the projection test
-when V is all of F2^n.
+when V is all of F2^n.  The class of g_i alone fixes only F = {i}, and
+holds torsion exactly when bit i of the low word of g_i is 0, whatever the
+high word and V.  If m_i = 1 the mask has bit i, so the projection of V to
+{i} is all of F2; if m_i = 0 then u_i[i] = 0, as m_i divides it, so the
+high bit is 0 too.  This needs normalised words: on raw units, u_i[i] even
+says nothing of a_i / m_i.  So classify builds the basis and walks only
+when every g_i has its own bit, as every Hantzsche-Wendt candidate does.
 
 Translation orbits.  Let F_k be the bits i*n+k of an index over the
 generators i != k: unit k of every generator but g_k.  The candidates at
@@ -282,16 +293,23 @@ def _normal_generator_words(lows: Sequence[int]) -> Iterator[int]:
             yield (u & ~(1 << j)) ^ (w & ~bit)
 
 
-def _schreier_lattice(n: int, lows: Sequence[int]) -> tuple[int, list[int]]:
-    """Lattice step of classify: the crystallographic mask (the coordinates
-    with m_j = 1) and an F2 basis of the parity space V, sorted by
-    decreasing leading bit.  A word's support lies in the span's, so the
-    mask is the OR of the basis."""
-    basis = _xor_basis(_normal_generator_words(lows), n)
-    cryst = 0
-    for b in basis:
-        cryst |= b
-    return cryst, basis
+def _column_mask(n: int, lows: Sequence[int]) -> int:
+    """The crystallographic mask, the coordinates with m_j = 1, read from
+    the columns of the low words (see the module docstring)."""
+    diag = off = 0
+    ones = (1 << n) - 1
+    for i, u in enumerate(lows):
+        bit = 1 << i
+        diag |= u & bit
+        off |= u & ~bit
+        ones &= u | bit
+    return diag | off & ~ones
+
+
+def _schreier_lattice(n: int, lows: Sequence[int]) -> list[int]:
+    """Lattice step of classify: an F2 basis of the parity space V, sorted
+    by decreasing leading bit."""
+    return _xor_basis(_normal_generator_words(lows), n)
 
 
 def _torsion_classes(
@@ -371,10 +389,12 @@ def _classify_words(n: int, lows: Sequence[int], highs: Sequence[int]) -> Classi
     wrappers installed on them see each candidate.  The holonomy is always
     the full orientation-preserving group of order 2^(n-1) (see the module
     docstring), so a candidate is Hantzsche-Wendt exactly when it is
-    crystallographic and torsion-free."""
-    cryst_mask, basis = _schreier_lattice(n, lows)
-    cryst = cryst_mask == (1 << n) - 1
-    torsion_free = not _torsion_exists(n, lows, highs, basis)
+    crystallographic and torsion-free.  A generator without its own bit
+    decides torsion before any basis is built."""
+    cryst = _column_mask(n, lows) == (1 << n) - 1
+    torsion_free = all(u >> i & 1 for i, u in enumerate(lows)) and not _torsion_exists(
+        n, lows, highs, _schreier_lattice(n, lows)
+    )
     return Classification(cryst, torsion_free, 2 ** (n - 1), True, cryst and torsion_free)
 
 
@@ -476,7 +496,7 @@ def translation_lattice(c: HWCandidate) -> Lattice:
     the moduli m_j and the parity space V (see the module docstring)."""
     n = c.dim
     mods, lows, _ = _rep_units_raw(c)
-    pivots = _reduced_echelon(_schreier_lattice(n, lows)[1])
+    pivots = _reduced_echelon(_schreier_lattice(n, lows))
     rows = []
     for j, m in enumerate(mods):
         if m:

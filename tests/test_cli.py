@@ -403,6 +403,15 @@ STDOUT_SHA256 = {
     # normal generator, walk on per-coordinate remainders)
     ("survey", "--dim", "7", "--sample", "300", "--seed", "3", "--format", "json"):
         "18893d93c29fec8751391692187b17fe1a0197ea38d0d88ce7faf4fd34b84fdb",
+    # these three were recorded from the kernel that built an F2 basis of
+    # the parity space for every orbit key, and wrote each JSON unit
+    # through Fraction and format_rational
+    ("survey", "--dim", "9", "--sample", "2000", "--seed", "9", "--format", "json"):
+        "d3bd0e37f6613ac70a736e61157e88b132cb8cbed05e5228622ca21a18085e72",
+    ("survey", "--dim", "21", "--sample", "200", "--seed", "21", "--format", "json"):
+        "761b77eaf4fedc2902acb5e6c24a0c8cd30d5bc15db7c6ba80c8b5e6f61232a1",
+    ("survey", "--dim", "21", "--sample", "200", "--seed", "21"):
+        "d18e349bd6ac08d37372e274888ca830091473ef652530553f3126f3e93e447f",
     ("symbolic", "--dim", "13", "--format", "json"):
         "0c11c6e07ce371e460abf1f2afda4f904e12f6f66aba3d78b3dff12c3705262b",
     ("symbolic", "--dim", "7", "--k", "3"):
@@ -515,6 +524,27 @@ def test_survey_stdout_byte_identical(capsys, tmp_path, args):
 )
 def test_stdout_byte_identical(capsys, tmp_path, argv):
     assert _stdout_sha256(capsys, tmp_path, argv) == STDOUT_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (("survey", "--dim", "5", "--sample", "1000", "--seed", "1"), 55),
+    (("survey", "--dim", "3"), 2),
+    (("verify", "--input", CYCLIC13), 1),
+], ids=["survey-n5-seed1", "survey-n3", "verify-cyclic13"])
+def test_basis_and_walk_run_only_when_every_generator_has_its_own_bit(
+    capsys, tmp_path, monkeypatch, argv, calls
+):
+    # a generator whose low word lacks its own bit decides torsion, so the
+    # seeded survey builds 55 bases, not one per orbit key (978), and the
+    # n=3 survey 2, not 8; the cyclic candidate has every bit and walks once
+    counts = dict.fromkeys(("_schreier_lattice", "_torsion_exists"), 0)
+    for name in counts:
+        def counted(*args, _name=name, _run=getattr(hwgroup, name)):
+            counts[_name] += 1
+            return _run(*args)
+        monkeypatch.setattr(hwgroup, name, counted)
+    _stdout_sha256(capsys, tmp_path, argv)
+    assert counts == dict.fromkeys(counts, calls)
 
 
 # sha256 of the whole survey --dim 5 output (2^20 lines and the summary),

@@ -23,7 +23,13 @@ from hwfib.hwgroup import (
     standard_signs,
     translation_lattice,
 )
-from hwfib.hwgroup import _rep_units_raw, _schreier_lattice, _torsion_classes
+from hwfib.hwgroup import (
+    _column_mask,
+    _index_words,
+    _rep_units_raw,
+    _schreier_lattice,
+    _torsion_classes,
+)
 from hwfib.isometry import DiagIsometry, compose
 
 from _oracles import (
@@ -303,10 +309,9 @@ ORACLE_CANDIDATES = {
 def torsion_class_signs(c):
     n = c.dim
     _, lows, highs = _rep_units_raw(c)
-    _, basis = _schreier_lattice(n, lows)
     return {
         tuple(-1 if neg >> j & 1 else 1 for j in range(n))
-        for neg in _torsion_classes(n, lows, highs, basis)
+        for neg in _torsion_classes(n, lows, highs, _schreier_lattice(n, lows))
     }
 
 
@@ -354,11 +359,53 @@ def test_translation_lattice_is_the_hnf_of_its_generators(name):
         rows = [[2 * m if k == j else 0 for k in range(n)] for j, m in enumerate(mods) if m]
         rows += [
             [m if b >> j & 1 else 0 for j, m in enumerate(mods)]
-            for b in _schreier_lattice(n, lows)[1]
+            for b in _schreier_lattice(n, lows)
         ]
         lat = translation_lattice(c)
         assert lat == lattice_from_scaled(n, rows, 1), c
         assert lat.rank == len(mods) - mods.count(0), c
+
+
+def _lemma_cases():
+    """(dim, moduli, low words, high words) of every n=3 index, of the
+    general sample and of seeded n=5..11 indices, whose normalised words
+    are the index words classify_index reads."""
+    cases = [(c.dim, *_rep_units_raw(c)) for c in list(enumerate_candidates(3)) + _general_sample()]
+    rng = random.Random(43)
+    for n, count in ((5, 400), (7, 150), (9, 40), (11, 12)):
+        for _ in range(count):
+            idx = rng.randrange(candidate_count(n))
+            mods, lows, highs = _rep_units_raw(candidate_from_index(n, idx))
+            assert lows == _index_words(n, idx) and not any(highs)
+            cases.append((n, mods, lows, highs))
+    return cases
+
+
+def test_column_mask_is_the_or_of_the_basis_and_the_nonzero_moduli():
+    partial = 0
+    for n, mods, lows, _ in _lemma_cases():
+        span = 0
+        for b in _schreier_lattice(n, lows):
+            span |= b
+        mask = _column_mask(n, lows)
+        assert mask == span == sum(1 << j for j, m in enumerate(mods) if m), (n, lows)
+        partial += 0 < mask < (1 << n) - 1
+    assert partial > 100  # candidates of every rank, not only 0 and n
+
+
+def test_singleton_class_has_torsion_exactly_when_its_own_bit_is_0():
+    # the lemma that lets classify skip the basis and the walk: the class of
+    # g_i alone holds torsion exactly when bit i of its low word is 0,
+    # whether m_i is 1 or 0 and whatever the high word
+    seen = set()
+    for n, mods, lows, highs in _lemma_cases():
+        full = (1 << n) - 1
+        torsion = set(_torsion_classes(n, lows, highs, _schreier_lattice(n, lows)))
+        for i, u in enumerate(lows):
+            own = u >> i & 1
+            assert ((full ^ (1 << i)) in torsion) == (not own), (n, lows, highs, i)
+            seen.add((own, mods[i] != 0, highs[i] >> i & 1))
+    assert {(0, False, 0), (0, True, 0), (0, True, 1), (1, True, 0), (1, True, 1)} <= seen
 
 
 def test_is_hantzsche_wendt_cyclic_family():
