@@ -41,7 +41,7 @@ from .epimorphism import (
     symbolic_sequence,
     verify_main_theorem,
 )
-from .exact import format_rational
+from .exact import format_half
 from .fpgroup import abelianization, fibonacci_presentation
 from .hwgroup import (
     Classification,
@@ -53,9 +53,11 @@ from .hwgroup import (
     classify_index,
     cyclic_hw,
     orbit_key,
+    standard_signs,
     translation_lattice,
 )
 from .hwgroup import _word_units
+from .isometry import _text
 
 # The README's usage block, printed by -h and --help.
 USAGE = """\
@@ -139,10 +141,7 @@ def _load_candidate(path: str):
 
 
 def _translations_text(candidate) -> str:
-    return " ".join(
-        "(" + ",".join(format_rational(t) for t in vec) + ")"
-        for vec in candidate.translations
-    )
+    return " ".join("(" + ",".join(map(format_half, row)) + ")" for row in candidate.units)
 
 
 def cmd_verify(cfg: SimpleNamespace) -> int:
@@ -177,11 +176,10 @@ def cmd_verify(cfg: SimpleNamespace) -> int:
 @lru_cache(maxsize=1 << 12)
 def _word_json(n: int, word: int) -> str:
     """JSON text of the translation of one generator of an enumerated
-    candidate, from its word, as candidate_to_json_dict writes it: each
-    unit 0 or 1 is the string "0" or "1/2".  Cached with a bound, as
-    _word_units is, rather than tabulated: a table of all 2^n words would
-    hold 2^21 strings at n = 21."""
-    return "[" + ",".join(['"1/2"' if u else '"0"' for u in _word_units(n, word)]) + "]"
+    candidate, from its word, as candidate_to_json_dict writes it.  Cached
+    with a bound, as _word_units is, rather than tabulated: a table of all
+    2^n words would hold 2^21 strings at n = 21."""
+    return "[" + ",".join([f'"{format_half(u)}"' for u in _word_units(n, word)]) + "]"
 
 
 def _survey_entry(n: int, cl: Classification, output_format: str) -> list:
@@ -416,8 +414,9 @@ def cmd_show(cfg: SimpleNamespace) -> int:
         }))
     else:
         _emit(f"candidate: dim {candidate.dim}")
-        for i, g in enumerate(candidate.generators):
-            _emit(f"generator {i}: {g}")
+        for i, row in enumerate(candidate.units):
+            signs = standard_signs(candidate.dim, i)
+            _emit(f"generator {i}: {_text(signs, map(format_half, row))}")
         _emit(f"holonomy order: {cl.holonomy_order}")
         _emit(
             f"translation lattice: rank {lattice.rank}, basis rows/" + str(lattice.den)

@@ -326,11 +326,14 @@ def component_images(c: HWCandidate, j: int) -> GenImages:
     """Images of the n-1 group generators in E(1) at coordinate j: the sign
     at j and the j-th translation entry of each generator.  For j <= n-2
     exactly one image has sign +1 (generator j); for j = n-1 none does."""
+    from fractions import Fraction
+
     if not 0 <= j < c.dim:
         raise IndexError(f"coordinate {j} out of range for dimension {c.dim}")
     return GenImages(
         tuple(
-            DiagIsometry((g.signs[j],), (g.translation[j],)) for g in c.generators
+            DiagIsometry((1 if i == j else -1,), (Fraction(row[j], 2),))
+            for i, row in enumerate(c.units)
         )
     )
 

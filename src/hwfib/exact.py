@@ -1,22 +1,46 @@
 """Exact scalar and integer-matrix arithmetic.
 
-Everything in this module is exact: rationals are arbitrary-precision
-``fractions.Fraction`` values, and the Smith normal form works over
-arbitrary-precision integers.  No floating point appears anywhere in
-the package.
+Everything in this module is exact: the Smith normal form works over
+arbitrary-precision integers, and a rational is a ``fractions.Fraction``
+value.  No floating point appears anywhere in the package.
+
+Half units.  Every translation the package reads or writes for a
+candidate is a half-integer t, and it is kept as the int u = 2t.
+``format_half`` writes u as ``format_rational`` writes the Fraction u/2:
+``str(u // 2)`` for even u, and ``"u/2"`` for odd u, which is prime to 2,
+so that the fraction is in lowest terms.  ``parse_half`` reads the
+canonical text of t: after ``str.strip``, ASCII ``[+-]?[0-9]+``
+optionally followed by ``/1`` or ``/2``.  Such text holds no ``e``, so
+``parse_rational`` would not refuse it as an exponent, and Fraction's own
+grammar reads it as the sign, the digits p through ``int`` and the
+denominator q, the value ±p/q, on Python 3.10 to 3.13.  ``parse_half``
+calls ``int`` on the same digits, so it returns 2t, or raises the
+``ValueError`` that ``int`` raises on too many digits, exactly where
+Fraction would; any other text is left to ``parse_rational``.
+
+So the commands read and write candidates without ``Fraction``, and this
+package imports ``fractions`` only inside the functions that take or
+return a ``Fraction``: the import also loads ``numbers`` and ``decimal``,
+about 2 ms of every start of the command line (2-core x86-64 VM, Python
+3.11.7).  ``test_commands_on_canonical_input_leave_fractions_out`` in
+``tests/test_cli.py`` checks that no command loads it on canonical input.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from operator import index
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "ExactNumber",
     "IntMatrix",
+    "format_half",
     "format_rational",
+    "parse_half",
     "parse_rational",
     "smith_normal_form",
 ]
@@ -24,7 +48,7 @@ __all__ = [
 # Exact scalars.  Plain ints are admitted alongside Fraction so that
 # integer-only computations stay in fast int arithmetic; int and Fraction
 # compare and hash consistently.
-ExactNumber = Union[int, Fraction]
+ExactNumber = Union[int, "Fraction"]
 
 # Integer matrices are plain row-major nested sequences.
 IntMatrix = Sequence[Sequence[int]]
@@ -32,15 +56,38 @@ IntMatrix = Sequence[Sequence[int]]
 
 def format_rational(value: ExactNumber) -> str:
     """Render a rational as ``"p/q"``, or ``"p"`` when the denominator is 1."""
+    from fractions import Fraction
+
     return str(Fraction(value))
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse the ``"p/q"`` / ``"p"`` wire format back into a rational,
     refusing exponents: Fraction takes seconds to build 10^10000000."""
+    from fractions import Fraction
+
     if "e" in text or "E" in text:
         raise ValueError("exponent notation is not a rational p/q")
     return Fraction(text.strip())
+
+
+def format_half(u: int) -> str:
+    """The ``format_rational`` text of the half-integer u/2."""
+    return f"{u}/2" if u & 1 else str(u // 2)
+
+
+def parse_half(text: str) -> Optional[int]:
+    """The half units 2t of the canonical text of a half-integer t, or None
+    for any other text (see the module docstring)."""
+    body = text.strip()
+    sign = body[:1]
+    if sign in ("+", "-"):
+        body = body[1:]
+    digits, slash, den = body.partition("/")
+    if not (digits.isascii() and digits.isdigit()) or slash and den not in ("1", "2"):
+        return None
+    u = int(digits) if den == "2" else 2 * int(digits)
+    return -u if sign == "-" else u
 
 
 def _nearest_quotient(b: int, p: int) -> int:

@@ -7,13 +7,18 @@ half-integer vectors.  This module classifies such candidates (the
 crystallographic test, the torsion test, the holonomy), gives their
 translation lattice, and enumerates the half-integer search space.
 
-Classification runs on n-bit words.  Translations are counted in half
-units, u_i = 2 t_i, and a holonomy class is the bitmask of the coordinates
-its sign matrix negates.  ``classify`` takes an ``HWCandidate``;
-``classify_index`` reads the words of an enumerated candidate straight from
-the bits of its index.  Both run the same kernel, in three steps that keep
-the names bench/tracing.py hooks: ``_rep_units_raw`` (normalise, for an
-``HWCandidate`` only), ``_schreier_lattice`` and ``_torsion_exists``.
+A candidate stores its translations in half units, u_i = 2 t_i, n-1
+tuples of ints (``HWCandidate.units``), read and written as text through
+``exact.parse_half`` and ``exact.format_half``; the ``exact`` docstring
+says why those texts are ``Fraction``'s and where ``fractions`` remains.
+
+Classification runs on n-bit words.  A holonomy class is the bitmask of
+the coordinates its sign matrix negates.  ``classify`` takes an
+``HWCandidate``; ``classify_index`` reads the words of an enumerated
+candidate straight from the bits of its index.  Both run the same kernel,
+in three steps that keep the names bench/tracing.py hooks:
+``_rep_units_raw`` (normalise, for an ``HWCandidate`` only),
+``_schreier_lattice`` and ``_torsion_exists``.
 
 Holonomy.  Products of sign matrices are XORs of their masks.
 HWCandidate enforces the standard patterns, so generator i has the mask
@@ -134,14 +139,16 @@ i*n+i, which no F_k holds, leaves exactly the sum of those F_k.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
-from .exact import ExactNumber, format_rational, parse_rational
+from .exact import ExactNumber, format_half, parse_half, parse_rational
 from .isometry import DiagIsometry
 from .record import Record
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "HWCandidate",
@@ -164,9 +171,6 @@ __all__ = [
     "candidate_from_json_dict",
 ]
 
-HALF = Fraction(1, 2)
-
-
 def standard_signs(n: int, i: int) -> tuple[int, ...]:
     """Sign vector of the i-th standard generator: +1 at coordinate i only."""
     return tuple(1 if j == i else -1 for j in range(n))
@@ -180,31 +184,82 @@ def _check_dim(n: int) -> None:
         )
 
 
+def _check_count(n: int, count: int) -> None:
+    if count != n - 1:
+        raise ValueError(f"expected {n - 1} generators, got {count}")
+
+
+def _check_length(n: int, i: int, row: Sequence) -> None:
+    if len(row) != n:
+        raise ValueError(f"translation {i} has length {len(row)}, expected {n}")
+
+
+def _row_units(i: int, doubled: Iterable) -> tuple[int, ...]:
+    """Half units of the translation of generator i from its doubled
+    entries 2t, each an int or a ``Fraction`` that must be an integer."""
+    out = []
+    for u in doubled:
+        if type(u) is not int:
+            if u.denominator != 1:
+                raise ValueError(f"generator {i} translation entry {u / 2} is not a half-integer")
+            u = u.numerator
+        out.append(u)
+    return tuple(out)
+
+
 class HWCandidate(Record):
     """Generator data for a candidate group: dimension plus the n-1
-    half-integer translations attached to the standard sign matrices."""
+    half-integer translations attached to the standard sign matrices,
+    stored as half units (``units[i][j]`` is twice entry j of the
+    translation of generator i).  The public constructor takes the
+    generators as ``DiagIsometry`` values and checks them."""
 
-    __slots__ = ("dim", "generators")
+    __slots__ = ("dim", "units")
 
     def __init__(self, dim: int, generators: Sequence[DiagIsometry]) -> None:
         _check_dim(dim)
         generators = tuple(generators)
-        if len(generators) != dim - 1:
-            raise ValueError(f"expected {dim - 1} generators, got {len(generators)}")
+        _check_count(dim, len(generators))
+        units = []
         for i, g in enumerate(generators):
             if g.signs != standard_signs(dim, i):
                 raise ValueError(f"generator {i} does not carry the standard sign pattern")
-            for t in g.translation:
-                if t.denominator not in (1, 2):
-                    raise ValueError(
-                        f"generator {i} translation entry {t} is not a half-integer"
-                    )
+            units.append(_row_units(i, [2 * t for t in g.translation]))
         self.dim = dim
-        self.generators = generators
+        self.units = tuple(units)
+
+    @classmethod
+    def _normal(cls, dim: int, units: tuple[tuple[int, ...], ...]) -> "HWCandidate":
+        """Wrap checked half units, skipping the public constructor."""
+        c = object.__new__(cls)
+        c.dim = dim
+        c.units = units
+        return c
 
     @property
     def translations(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(g.translation for g in self.generators)
+        """The translations as ``Fraction`` values, built anew on every read."""
+        from fractions import Fraction
+
+        return tuple(tuple(Fraction(u, 2) for u in row) for row in self.units)
+
+    @property
+    def generators(self) -> tuple[DiagIsometry, ...]:
+        """The generators as ``DiagIsometry`` values over ``Fraction``, built
+        anew from the units on every read: read it once into a local."""
+        return tuple(
+            DiagIsometry._normal(standard_signs(self.dim, i), t)
+            for i, t in enumerate(self.translations)
+        )
+
+
+def _from_rows(n: int, rows: Sequence[Sequence]) -> HWCandidate:
+    """The candidate of dimension n whose generator i has the doubled
+    translation rows[i] (see ``_row_units``), checked in the order of the
+    public constructor."""
+    _check_dim(n)
+    _check_count(n, len(rows))
+    return HWCandidate._normal(n, tuple(_row_units(i, row) for i, row in enumerate(rows)))
 
 
 def build_candidate(
@@ -212,23 +267,21 @@ def build_candidate(
 ) -> HWCandidate:
     """Candidate with the standard sign patterns and the given half-integer
     translations (one vector of length n per generator)."""
-    gens = []
+    from fractions import Fraction
+
+    rows = []
     for i, t in enumerate(translations):
-        if len(t) != n:
-            raise ValueError(f"translation {i} has length {len(t)}, expected {n}")
-        gens.append(DiagIsometry(standard_signs(n, i), tuple(Fraction(x) for x in t)))
-    return HWCandidate(n, tuple(gens))
+        _check_length(n, i, t)
+        rows.append([2 * Fraction(x) for x in t])
+    return _from_rows(n, rows)
 
 
 def cyclic_hw(n: int) -> HWCandidate:
     """The classical cyclic family: generator i translates by (e_i + e_(i+1))/2."""
-    translations = []
-    for i in range(n - 1):
-        vec = [Fraction(0)] * n
-        vec[i] = HALF
-        vec[i + 1] = HALF
-        translations.append(tuple(vec))
-    return build_candidate(n, translations)
+    _check_dim(n)
+    return HWCandidate._normal(
+        n, tuple(tuple(int(j in (i, i + 1)) for j in range(n)) for i in range(n - 1))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +317,7 @@ def _rep_units_raw(c: HWCandidate) -> tuple[list[int], list[int], list[int]]:
     words of every generator after the conjugation that makes each nonzero
     m_j equal to 1 (see the module docstring)."""
     n = c.dim
-    units = [
-        [t.numerator * (2 // t.denominator) for t in g.translation]
-        for g in c.generators
-    ]
+    units = c.units
     mods = [0] * n
     lows = [0] * (n - 1)
     highs = [0] * (n - 1)
@@ -520,7 +570,7 @@ def _index_words(n: int, idx: int) -> list[int]:
     """The n-bit words of the candidate at idx: word i holds bits i*n to
     i*n+n-1, bit j for coordinate j of generator i."""
     _check_dim(n)
-    if not 0 <= idx < candidate_count(n):
+    if idx < 0 or idx >> (n * (n - 1)):
         raise ValueError(f"index {idx} out of range for dimension {n}")
     full = (1 << n) - 1
     return [idx >> (i * n) & full for i in range(n - 1)]
@@ -544,9 +594,7 @@ def _index_units(n: int, idx: int) -> tuple[tuple[int, ...], ...]:
 def candidate_from_index(n: int, idx: int) -> HWCandidate:
     """Bit i*n+j of idx decides whether generator i translates by 1/2 along
     coordinate j; indices enumerate the whole space deterministically."""
-    return build_candidate(
-        n, [[Fraction(u, 2) for u in vec] for vec in _index_units(n, idx)]
-    )
+    return HWCandidate._normal(n, _index_units(n, idx))
 
 
 def candidate_indices(
@@ -579,21 +627,30 @@ def enumerate_candidates(
 def candidate_to_json_dict(c: HWCandidate) -> dict:
     return {
         "dim": c.dim,
-        "translations": [
-            [format_rational(t) for t in vec] for vec in c.translations
-        ],
+        "translations": [[format_half(u) for u in row] for row in c.units],
     }
 
 
+def _doubled_entry(value) -> int | Fraction:
+    """2t for a JSON entry t: the half units that ``parse_half`` reads from
+    canonical text, else twice the ``parse_rational`` value."""
+    text = str(value)
+    u = parse_half(text)
+    return 2 * parse_rational(text) if u is None else u
+
+
 def candidate_from_json_dict(data: dict) -> HWCandidate:
+    """The candidate of a JSON description.  Every entry is read first, then
+    the lengths, the dimension, the count and the half-integers are checked,
+    in that order, as when every entry went through ``parse_rational``."""
     try:
         dim = data["dim"]
         # a JSON integer only: int() would truncate 3.9 and overflow on 1e400
         if type(dim) is not int:
             raise ValueError(f"dim must be an integer, got {dim!r}")
-        translations = [
-            [parse_rational(str(t)) for t in vec] for vec in data["translations"]
-        ]
+        rows = [[_doubled_entry(t) for t in vec] for vec in data["translations"]]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed candidate description: {exc}") from exc
-    return build_candidate(dim, translations)
+    for i, row in enumerate(rows):
+        _check_length(dim, i, row)
+    return _from_rows(dim, rows)

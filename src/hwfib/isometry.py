@@ -7,16 +7,21 @@ The law only adds and negates translation entries, so it also runs on
 plain ints; the symbolic sequence of ``epimorphism`` uses that for its
 translations, linear forms packed into integers.  No operation changes a
 value once it is built and all operations are pure.
+
+``fractions`` is imported only where a ``Fraction`` is made; the ``exact``
+docstring says why.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .exact import ExactNumber
 from .record import Record
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "DiagIsometry",
@@ -52,6 +57,8 @@ class DiagIsometry(Record):
     __slots__ = ("signs", "translation")
 
     def __init__(self, signs: Iterable[int], translation: Iterable[ExactNumber]) -> None:
+        from fractions import Fraction
+
         self.signs = _check_signs(signs)
         self.translation = tuple(
             t if type(t) is Fraction else Fraction(t) for t in translation
@@ -88,7 +95,7 @@ class DiagIsometry(Record):
 
     @classmethod
     def identity(cls, dim: int) -> "DiagIsometry":
-        return cls((1,) * dim, (Fraction(0),) * dim)
+        return cls((1,) * dim, (0,) * dim)
 
     def identity_like(self) -> "DiagIsometry":
         """The identity with zero translation entries of this isometry's own
@@ -119,6 +126,8 @@ class DiagIsometry(Record):
 
     def apply(self, point: Sequence[ExactNumber]) -> tuple[Fraction, ...]:
         """Image B x + b of a rational point x."""
+        from fractions import Fraction
+
         if len(point) != self.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {len(point)}")
         return tuple(
@@ -128,9 +137,14 @@ class DiagIsometry(Record):
 
     def __str__(self) -> str:
         # str of a Fraction is its format_rational text
-        signs = ",".join("+" if s > 0 else "-" for s in self.signs)
-        trans = ",".join(str(t) for t in self.translation)
-        return f"(diag({signs}), ({trans}))"
+        return _text(self.signs, map(str, self.translation))
+
+
+def _text(signs: Iterable[int], entries: Iterable[str]) -> str:
+    """``(diag(+,-,...), (t,...))``: the text of an isometry with the given
+    signs and translation entry texts."""
+    sign_text = ",".join("+" if s > 0 else "-" for s in signs)
+    return f"(diag({sign_text}), ({','.join(entries)}))"
 
 
 # Exists only for bench/run.py, whose traced run imports this name to time

@@ -344,7 +344,10 @@ def test_survey_output_does_not_depend_on_its_bounds(capsys, monkeypatch, orbits
     assert [run_cli(capsys, *argv) for argv in argvs] == expected
 
 
-@pytest.mark.parametrize("n, idx", [(3, 64), (3, -1), (5, candidate_count(5)), (4, 0), (1, 0)])
+@pytest.mark.parametrize("n, idx", [
+    (3, 64), (3, -1), (5, candidate_count(5)), (5, -1), (7, candidate_count(7)), (7, -1),
+    (4, 0), (1, 0),
+])
 def test_index_path_rejects_what_candidate_from_index_rejects(n, idx):
     for fn in (candidate_from_index, classify_index):
         with pytest.raises(ValueError):
@@ -357,6 +360,7 @@ SCALED9 = "scaled9.json"
 NONCRYST5 = "noncryst5.json"
 TORSION5 = "torsion5.json"
 CYCLIC17 = "cyclic17.json"
+NONCANON5 = "noncanonical5.json"
 Q = Fraction(1, 4)
 CANDIDATE_FILES = {
     CYCLIC13: lambda: cyclic_hw(13),
@@ -377,6 +381,19 @@ CANDIDATE_FILES = {
     # candidate in the standard form is torsion-free)
     TORSION5: lambda: candidate_from_index(5, 281782),
     CYCLIC17: lambda: cyclic_hw(17),
+}
+# candidate files written by hand rather than by candidate_to_json_dict: a
+# Hantzsche-Wendt candidate of dimension 5 whose entries spell half-integers
+# as the loader must read them, the way Fraction does (2/4, 0.5, a sign,
+# padding, 4/2, and bare JSON integers)
+RAW_CANDIDATE_FILES = {
+    NONCANON5: """{"dim": 5, "translations": [
+  ["2/4", "0.5", "0", "4/2", 0],
+  [0, "+1/2", " -3/2 ", "0", 1],
+  ["0", "0", "1/2", "-1/2", "0"],
+  [1, "0", "0", "1/2", "1/2"]
+]}
+""",
 }
 
 # sha256 of stdout keyed by argv, without any "runtime:" line.  The survey
@@ -450,6 +467,15 @@ STDOUT_SHA256 = {
         "8364f705b4f399cacb4ecef63cc8927c7ddab53ba110394559a6ac42ded3e323",
     ("verify", "--input", CYCLIC17, "--format", "json"):
         "53c639047ea9d98730649e57994aff5ec9a5ffd47d6411e7d287b5df7bbc37cb",
+    # recorded from the loader that read every entry through Fraction
+    ("verify", "--input", NONCANON5, "--format", "json"):
+        "7bde014fc50b9ed13814b4c482a716cbff0a69546ea4b6b091b040dac5ef5ca5",
+    ("verify", "--input", NONCANON5):
+        "8717572c7cb9882f1282b1fbede2183c4d5fab332e0212c9c14c778ffceab489",
+    ("show", "--input", NONCANON5, "--format", "json"):
+        "63746f8601f330ea165217b21ac739da0a6e52e2980a0985c68aa8bdf5f8a1ec",
+    ("show", "--input", NONCANON5):
+        "a32a0424fb02562a4c93ebc7d822f2d6e463cfba5753d4544f210981f3683f95",
     ("show", "--dim", "7", "--format", "json"):
         "6abd804acd09fe6a9f117d585fb1f479bcdcdc439117afa06663c56535b52ef0",
     # these three were recorded from the code that built the translation
@@ -501,16 +527,52 @@ STDOUT_SHA256 = {
 }
 
 
+def _argv_item(tmp_path, item):
+    if item in CANDIDATE_FILES:
+        return write_candidate(tmp_path, CANDIDATE_FILES[item](), item)
+    if item in RAW_CANDIDATE_FILES:
+        path = tmp_path / item
+        path.write_text(RAW_CANDIDATE_FILES[item])
+        return str(path)
+    return item
+
+
 def _stdout_sha256(capsys, tmp_path, argv):
-    code, out, _ = run_cli(capsys, *(
-        write_candidate(tmp_path, CANDIDATE_FILES[a](), a) if a in CANDIDATE_FILES else a
-        for a in argv
-    ))
+    code, out, _ = run_cli(capsys, *(_argv_item(tmp_path, a) for a in argv))
     # show always exits 0; verify fails the non-crystallographic candidate
     # and the one with torsion
     assert code == (1 if argv[0] == "verify" and {NONCRYST5, TORSION5} & set(argv) else 0)
     kept = [line for line in out.splitlines(keepends=True) if not line.startswith("runtime:")]
     return hashlib.sha256("".join(kept).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("output_format", ["text", "json"])
+@pytest.mark.parametrize("argv", [
+    ("verify", "--input", CYCLIC13),
+    ("show", "--input", CYCLIC13),
+    ("show", "--dim", "5"),
+    ("survey", "--dim", "3"),
+    ("symbolic", "--dim", "5"),
+    ("abelianize", "4", "10"),
+], ids=" ".join)
+def test_commands_on_canonical_input_leave_fractions_out(tmp_path, argv, output_format):
+    # candidates are stored in half units and written and read as text
+    # without Fraction; importing fractions also loads numbers, decimal and
+    # _decimal, about 2 ms of every start
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    argv = [_argv_item(tmp_path, a) for a in argv]
+    code = (
+        "import sys; from hwfib.cli import main; code = main(sys.argv[1:]); "
+        "print(sorted({'fractions', 'decimal'} & set(sys.modules))); sys.exit(code)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, *argv, "--format", output_format],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]", f"{' '.join(argv)} loaded fractions"
 
 
 @pytest.mark.parametrize("args", sorted(a[1:] for a in STDOUT_SHA256 if a[0] == "survey"))

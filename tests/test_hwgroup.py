@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import islice, product
 
@@ -559,6 +560,128 @@ def test_candidate_json_round_trip():
     assert candidate_from_json_dict(data) == c
     with pytest.raises(ValueError):
         candidate_from_json_dict({"dim": 3})
+
+
+def _load_outcome(data):
+    """The translations the loader reads from data, as candidate_to_json_dict
+    writes them, or the message of the ValueError it raises."""
+    try:
+        c = candidate_from_json_dict(data)
+    except ValueError as exc:
+        return str(exc)
+    return candidate_to_json_dict(c)["translations"]
+
+
+def _int_refusal(digits):
+    try:
+        int(digits)
+    except ValueError as exc:
+        return f"malformed candidate description: {exc}"
+    raise AssertionError("int read the digits")
+
+
+_BAD_LITERAL = "malformed candidate description: Invalid literal for Fraction: "
+_EXPONENT = "malformed candidate description: exponent notation is not a rational p/q"
+# Entry (0, 0) of the cyclic candidate of dimension 3, in other spellings,
+# and the loader's outcome: the text candidate_to_json_dict writes for it,
+# or the error message.  Recorded from the loader that read every entry
+# through Fraction (parse_rational), on Python 3.11.  Only Python 3.11 and
+# later read underscores in a Fraction, only 3.12 and later read spaces
+# around its slash, and the message for too many digits is the interpreter's
+# own.
+LOADER_CORPUS = [
+    ("1/2", "1/2"), ("2/4", "1/2"), ("+1/2", "1/2"), (" -3/2 ", "-3/2"), ("4/2", "2"),
+    ("1/1", "1"), ("-0", "0"), ("007/2", "7/2"), ("1/02", "1/2"), ("-5/2", "-5/2"),
+    ("\t3\n", "3"), ("\xa01/2 ", "1/2"), ("0.5", "1/2"), (".5", "1/2"), ("1.", "1"),
+    ("١/٢", "1/2"), ("１/2", "1/2"),
+    ("1_0/2", "5" if sys.version_info >= (3, 11) else _BAD_LITERAL + "'1_0/2'"),
+    ("9" * 5000 + "/2", _int_refusal("9" * 5000)),
+    ("1/3", "generator 0 translation entry 1/3 is not a half-integer"),
+    ("2/6", "generator 0 translation entry 1/3 is not a half-integer"),
+    ("1/4", "generator 0 translation entry 1/4 is not a half-integer"),
+    ("1/0", "malformed candidate description: Fraction(1, 0)"),
+    ("1e3", _EXPONENT), ("1E3", _EXPONENT),
+    ("abc", _BAD_LITERAL + "'abc'"), ("", _BAD_LITERAL + "''"), ("/2", _BAD_LITERAL + "'/2'"),
+    ("1 / 2", "1/2" if sys.version_info >= (3, 12) else _BAD_LITERAL + "'1 / 2'"),
+    ("1/2/2", _BAD_LITERAL + "'1/2/2'"),
+    ("+-1", _BAD_LITERAL + "'+-1'"), ("--1", _BAD_LITERAL + "'--1'"),
+    ("1/+2", _BAD_LITERAL + "'1/+2'"), ("-1/-2", _BAD_LITERAL + "'-1/-2'"),
+    ("½", _BAD_LITERAL + "'½'"), ("²", _BAD_LITERAL + "'²'"), ("1/²", _BAD_LITERAL + "'1/²'"),
+    ("inf", _BAD_LITERAL + "'inf'"),
+    ("nan", _BAD_LITERAL + "'nan'"),
+    # JSON values other than strings are read through their str
+    (1, "1"), (-3, "-3"), (0, "0"), (0.5, "1/2"), (1.5, "3/2"), (1e3, "1000"),
+    (10**30, str(10**30)), (-(10**30) - 1, str(-(10**30) - 1)),
+    (True, _EXPONENT), (None, _EXPONENT), ([1], _BAD_LITERAL + "'[1]'"),
+]
+
+
+@pytest.mark.parametrize("text, expected", LOADER_CORPUS, ids=lambda v: repr(v)[:20])
+def test_loader_reads_every_spelling_as_fraction_did(text, expected):
+    got = _load_outcome({"dim": 3, "translations": [[text, "1/2", "0"], ["0", "1/2", "1/2"]]})
+    assert (got[0][0] if isinstance(got, list) else got) == expected
+
+
+# Which error wins when several apply, recorded from the same loader
+LOADER_PRECEDENCE = [
+    ({"dim": 3.5, "translations": [["abc", "0", "0"], ["0", "0", "0"]]},
+     "malformed candidate description: dim must be an integer, got 3.5"),
+    ({"dim": 4, "translations": [["abc"] * 4] * 3}, _BAD_LITERAL + "'abc'"),
+    ({"dim": 4, "translations": [["1/3"] * 4] * 3},
+     "dimension must be odd and >= 3 (Hantzsche-Wendt groups exist only in odd "
+     "dimensions); got 4"),
+    ({"dim": 3, "translations": [["1/3", "0"], ["0", "0", "0"]]},
+     "translation 0 has length 2, expected 3"),
+    ({"dim": 3, "translations": [["1/3", "0", "0"], ["0", "0"]]},
+     "translation 1 has length 2, expected 3"),
+    ({"dim": 3, "translations": [["1/3", "0", "0"]] * 3}, "expected 2 generators, got 3"),
+    ({"dim": 3, "translations": [["1/3", "0", "0"], ["0", "1/0", "0"]]},
+     "malformed candidate description: Fraction(1, 0)"),
+    ({"dim": 3, "translations": [["0", "1/3", "0"], ["2/3", "0", "0"]]},
+     "generator 0 translation entry 1/3 is not a half-integer"),
+    ({"dim": 3, "translations": [["1e3", "abc", "0"], ["0", "0", "0"]]}, _EXPONENT),
+    ({"dim": 3}, "malformed candidate description: 'translations'"),
+    ({"translations": []}, "malformed candidate description: 'dim'"),
+    ([3], "malformed candidate description: list indices must be integers or slices, not str"),
+    ({"dim": 3, "translations": "101"}, "translation 0 has length 1, expected 3"),
+    ({"dim": 3, "translations": ["110", "011"]}, [["1", "1", "0"], ["0", "1", "1"]]),
+    ({"dim": 1, "translations": []},
+     "dimension must be odd and >= 3 (Hantzsche-Wendt groups exist only in odd "
+     "dimensions); got 1"),
+    ({"dim": 5, "translations": []}, "expected 4 generators, got 0"),
+    ({"dim": -1, "translations": [["0"]]}, "translation 0 has length 1, expected -1"),
+    ({"dim": 3, "translations": [1, 2]},
+     "malformed candidate description: 'int' object is not iterable"),
+]
+
+
+@pytest.mark.parametrize("data, expected", LOADER_PRECEDENCE, ids=lambda v: repr(v)[:30])
+def test_loader_error_precedence(data, expected):
+    assert _load_outcome(data) == expected
+
+
+def test_loader_fast_path_matches_fraction_on_random_texts():
+    # texts near the canonical form p or p/q, q in {1, 2}: the loader gives
+    # each the outcome of reading it with Fraction, exponents refused
+    rng = random.Random(21)
+    pieces = ["", "+", "-", "0", "1", "7", "12", "/", "/1", "/2", "/3", "/0", " ", "_", ".",
+              "\u0663", "\xb2", "\xa0", "e"]
+    for _ in range(3000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randrange(1, 6)))
+        if "e" in text:
+            expected = _EXPONENT
+        else:
+            try:
+                t = Fraction(text.strip())
+            except (ValueError, ZeroDivisionError) as exc:
+                expected = f"malformed candidate description: {exc}"
+            else:
+                expected = (
+                    str(t) if t.denominator <= 2
+                    else f"generator 0 translation entry {t} is not a half-integer"
+                )
+        got = _load_outcome({"dim": 3, "translations": [[text, "0", "0"], ["0", "0", "0"]]})
+        assert (got[0][0] if isinstance(got, list) else got) == expected, text
 
 
 def test_lattice_membership_and_reduction():

@@ -47,7 +47,7 @@ RECORDS = {
         lambda: DiagIsometry((1, -1), (F(1, 2), 3)),
         lambda: DiagIsometry((1, -1), (F(1, 2), 4)),
     ),
-    HWCandidate: (("dim", "generators"), lambda: cyclic_hw(3), lambda: cyclic_hw(5)),
+    HWCandidate: (("dim", "units"), lambda: cyclic_hw(3), lambda: cyclic_hw(5)),
     Classification: (
         ("crystallographic", "torsion_free", "holonomy_order",
          "orientation_preserving", "hantzsche_wendt"),
