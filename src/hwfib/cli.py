@@ -78,16 +78,13 @@ FULL_ENUMERATION_LIMIT = 5  # dimensions above this need --sample
 # and 0.34-0.40 s (0.32-0.37 s at n=21 conjugated by a dense integer
 # translation), and each step of 2 in n costs about 4x.
 MAX_DIM = 21
-# Largest dimension symbolic accepts, so that the all-k run stays within
-# about 1.4 s: it runs the recursion of 3n-1 terms, one inverse and two
-# products per term on ints of about 3n^2 bits, once per block of
-# coordinates (epimorphism.SYMBOLIC_BLOCK_BITS; 7 coordinates at n=101, 2
-# at n=141 and 151, 1 at n=161).  Measured in process on the same VM, 10
-# runs each, with the host slower than when the cap was set (the check of
-# one E(1) sequence per k read 0.25-0.30 s at n=81, 0.36-0.47 s at n=101
-# and 1.23-1.92 s at n=151 alongside): 0.06-0.10 s at n=81, 0.12-0.20 s at
-# n=101, 0.57-0.76 s at n=141, 0.91-1.37 s at n=151 and 1.38-1.61 s at
-# n=161.  It grows faster than n^3 because the blocks narrow as n grows.
+# Largest dimension symbolic accepts.  The all-k run is one recursion of
+# 3n-1 terms in E(n), one inverse and two products per term, on ints of
+# (n-1) b bits (B = 2^b > 8(n-1), epimorphism._base_bits), so it grows about
+# as n^3 log n.  Measured in process
+# on the same VM, 10 runs each: 0.013-0.024 s at n=81, 0.021-0.022 s at
+# n=101, 0.057-0.062 s at n=151, 0.065-0.074 s at n=161 and 0.12-0.15 s at
+# n=201.  Raising the cap is left for a change that sets its budget.
 MAX_SYMBOLIC_DIM = 151
 # Largest r and n abelianize accepts, so that abelianize 2 1000000 exits
 # instead of building a 10^6 x 10^6 relator matrix.  The Smith normal form

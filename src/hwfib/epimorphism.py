@@ -2,68 +2,41 @@
 Fibonacci group F(n-1, 2n) onto Hantzsche-Wendt candidate groups.
 
 Both sides run one recursion, a_(i+n-1) = a_i a_(i+1) ··· a_(i+n-2), in
-``_product_recursion`` over ``DiagIsometry`` values.  The one-dimensional
-side is done symbolically: the seed isometries of E(1) carry formal
-translations d_0..d_(n-2), each linear form packed into one integer (see
-``SymSequence``), and 2n-periodicity is checked as an exact identity of
-linear forms; one computation certifies the statement for every choice of
-real parameters at once.  A ``SymSequence`` is built once per
-(n, k) and carries both of its checks (``periodic`` and
-``recursion_consistent``); ``verify_periodicity`` and ``verify_addrel``
-build one and run one check.
-
-The check for every k at once, ``symbolic_checks(n)``, runs one
-recursion in E(m) per block of m coordinates instead of n recursions in
-E(1).  One seed builder, ``_symbolic_terms``, serves it, the single
-sequence and the relator certificate below: generator i has sign +1 only
-at coordinate i and the packed translation B^i at every coordinate of the
-block, so its seed at coordinate k is the seed of ``symbolic_sequence(n,
-k)``.  Taking a coordinate is a homomorphism E(m) -> E(1)
+``_product_recursion`` over ``DiagIsometry`` values.  The paper's two
+machine checks, symbolic 2n-periodicity in E(1) and the quotient map, are
+one symbolic run per dimension, ``_symbolic_terms(n, coords)``: the
+recursion in E(m) on m chosen coordinates from the generic seeds,
+generator i with sign +1 only at coordinate i and the formal translation
+d_i at every coordinate, each linear form in d_0..d_(n-2) packed into one
+int.  Taking a coordinate is a homomorphism E(m) -> E(1)
 (``isometry.component``), so coordinate k of every term, and of every
-product and inverse that a check forms, is the E(1) value that
-``symbolic_sequence(n, k)`` gives, the same packed int.  Two elements of
-E(m) are equal exactly when they agree at every coordinate, so both
-checks run coordinate by coordinate (``_agreement``) and give at
-coordinate k exactly the verdicts of sequence k, and the packed-base
-lemma of ``SymSequence`` holds at each coordinate as before.  The checks
-of a ``SymSequence`` are the width-1 case of the same functions.  Block
-widths come from one bit budget, ``SYMBOLIC_BLOCK_BITS``: in one block
-the run would hold n times the packed ints of one sequence, and its
-maximum RSS at n = 101 reads 75 MB against 23 MB in blocks of seven.
+product and inverse a check forms, is the E(1) value of the sequence for
+k, the same packed int.
 
-The n-dimensional side is certified once per dimension, not once per
-candidate.  ``_relator_certificate(n)`` runs the recursion in E(n) from
-generic seeds, generator i with the standard signs (+1 at coordinate i
-only) and the translation d_i in every coordinate, packed as B^i with
-B = 2^(3n), and evaluates the 2n relators of F(n-1, 2n) on the 2n images.
-``verify_main_theorem`` reads its relator verdicts from that certificate,
-so a candidate costs its classification only.  Two facts make this sound.
-
-* Specialisation.  The law of E(n) acts coordinate by coordinate, and at
-  coordinate j generator i has sign +1 exactly when i = j.  So coordinate j
-  of the generic images, ``_symbolic_terms`` on the block range(n), is the
-  sequence of ``symbolic_sequence(n, j)``
-  (k = n-1 at the last coordinate, where no seed has sign +1).  A
-  candidate's generators have the same signs, which ``HWCandidate``
-  enforces, and translation t_i[j] at coordinate j.  Evaluating a form at
-  d_i = t_i[j] is additive, and the E(1) law only adds and negates
-  translations while multiplying signs, so evaluation commutes with
-  products and inverses.  Hence coordinate j of any word in the
-  candidate's images is the generic one evaluated at d_i = t_i[j], and a
-  relator that is trivial generically (every sign +1, every form 0) is
-  trivial for every candidate ``verify`` can load, Hantzsche-Wendt or not.
-  The converse need not hold at special translations, but the certificate
-  is trivial on all 2n relators at every dimension the command line
-  accepts (the tests check each odd n from 3 to 21), so no verdict rests
-  on it.
-* The packed bound.  As in ``SymSequence``, the coefficients of image m
-  have L1-norm at most 2^m <= 2^(2n-1).  A relator is a product of n
-  factors, and the translation of a product is a signed sum of its
-  factors' translations, so the relator and every partial product that
-  ``evaluate`` forms have norm at most n 2^(2n-1) < 2^(3n-1) = B/2.  A form
-  whose coefficients lie below B packs to 0 only when it is 0 (the
-  ``SymSequence`` lemma), so a packed entry is 0 exactly when the form is
-  0, and ``is_identity`` on the packed images decides generic triviality.
+* Periodicity.  ``symbolic_sequence(n, k)`` is the run on coordinate k
+  alone, and ``symbolic_checks(n)`` the run on all n coordinates.  Two
+  elements of E(m) are equal exactly when they agree at every
+  coordinate, so both checks run coordinate by coordinate
+  (``_agreement``) and give at coordinate k exactly the verdicts of
+  sequence k.  One computation on linear forms certifies the statement
+  for every choice of real parameters at once.
+* The quotient map, certified once per dimension, not once per
+  candidate.  ``_relator_certificate(n)`` evaluates the 2n relators of
+  F(n-1, 2n) on the first 2n terms of the run on all n coordinates, the
+  generic images.  ``verify_main_theorem`` reads its relator verdicts
+  from that certificate, so a candidate costs its classification only.
+  This is sound by specialisation.  A candidate's generators have the
+  standard signs, which ``HWCandidate`` enforces, and translation t_i[j]
+  at coordinate j.  Evaluating a form at d_i = t_i[j] is additive, and
+  the E(1) law only adds and negates translations while multiplying
+  signs, so evaluation commutes with products and inverses.  Hence
+  coordinate j of any word in the candidate's images is the generic one
+  evaluated at d_i = t_i[j], and a relator that is trivial generically
+  (every sign +1, every form 0) is trivial for every candidate ``verify``
+  can load, Hantzsche-Wendt or not.  The converse need not hold at
+  special translations, but the certificate is trivial on all 2n
+  relators at every dimension the command line accepts (the tests check
+  each odd n from 3 to 21), so no verdict rests on it.
 """
 
 from __future__ import annotations
@@ -112,28 +85,9 @@ class SymSequence(Record):
     checks read the stored terms, so one build serves both and any listing
     of the terms.
 
-    Every translation is an integer linear form in d_0..d_(n-2) with
-    constant 0, and it is stored packed: d_j is replaced by B^j with
-    B = 2^(3n), so the stored entry is an ``int``.  The substitution is
-    additive, so the product law of E(1) computes on the packed integers
-    exactly what it computes on the forms.  It is one-to-one on the forms
-    that get compared:
-
-    * Lemma: the coefficients of term i have L1-norm N_i <= 2^i.  A seed
-      has N = 1, and a product term is a signed sum of the n-1 terms before
-      it, so N_i <= N_(i-n+1) + ... + N_(i-1) < 2^i.  Every coefficient of
-      the 3n-1 stored terms is therefore at most 2^(3n-2) = B/4 in size.
-    * The right side of ``recursion_consistent``, (term i-1)^(-1) times
-      (term i+n-2)^2, has norm at most N_(i-1) + 2 N_(i+n-2)
-      <= 3 * 2^(3n-3) < B/2 for i <= 2n-1.
-    * A nonzero form whose coefficients c_j satisfy |c_j| < B packs to a
-      nonzero integer: its top term c_m B^m has absolute value at least
-      B^m, and the lower terms sum to at most (B-1)(B^m-1)/(B-1) < B^m.
-      Both sides of every comparison have coefficients below B/2, so their
-      difference is such a form: integer equality is equality of linear
-      forms.  For the same reason the balanced base-B digits in
-      [-B/2, B/2) of a stored term are its coefficients
-      (``coefficients``).
+    Every translation is an integer linear form in d_0..d_(n-2), stored
+    packed as in ``_symbolic_terms``, whose check keeps every coefficient
+    in [-4, 4) and makes the comparisons of both checks exact.
     """
 
     __slots__ = ("n", "k", "terms")
@@ -147,8 +101,9 @@ class SymSequence(Record):
         ``term_text`` shows its sign and form."""
 
     def coefficients(self, i: int) -> tuple[int, ...]:
-        """Coefficients of d_0..d_(n-2) in the translation of term i."""
-        shift = 3 * self.n
+        """Coefficients of d_0..d_(n-2) in the translation of term i: the
+        balanced base-B digits, in [-B/2, B/2), of its packed int."""
+        shift = _base_bits(self.n)
         base = 1 << shift
         rest = self.terms[i].translation[0]
         out = []
@@ -206,13 +161,10 @@ def _product_recursion(seeds: Sequence[DiagIsometry], length: int) -> list[DiagI
     extends the prefixes by Q_(i+w+1) = Q_(i+w) a_(i+w).  The identity
     uses only the group axioms, so it holds exactly in E(n) over
     ``Fraction`` and in E(1) over ``int`` alike, and every term equals the
-    one the direct (w-1)-fold product gives.  In particular the packed
-    symbolic terms are unchanged: packing d_j -> B^j is additive, so the
-    E(1) law computes on packed ints exactly what it computes on linear
-    forms, and the packed prefix quotient is the packed form of the
-    window product.  The prefixes Q_j are never compared, so their
-    coefficients need no bound (Python ints do not overflow); only the
-    stored terms are, and they are the same ints as before.
+    one the direct (w-1)-fold product gives, packed symbolic terms
+    included.  The prefixes Q_j are never compared, so their coefficients
+    need no bound (Python ints do not overflow), and ``_symbolic_terms``
+    checks the stored terms only.
     """
     terms = list(seeds)
     width = len(terms)
@@ -228,40 +180,66 @@ def _product_recursion(seeds: Sequence[DiagIsometry], length: int) -> list[DiagI
     return terms
 
 
-def _symbolic_terms(n: int, block: range, length: int) -> list[DiagIsometry]:
-    """The first ``length`` terms of the product recursion in E(m) from the
-    generic seeds of dimension n restricted to the m coordinates of
-    ``block``: generator i has sign +1 only at coordinate i and the packed
-    translation B^i, B = 2^(3n), at every coordinate of the block.  Block
-    range(n) gives the generic images, block (k,) the sequence of
-    ``symbolic_sequence(n, k)``, and the all-k run takes range(n) in the
-    blocks of ``_symbolic_blocks``."""
+def _base_bits(n: int) -> int:
+    """The b of the packing base B = 2^b of dimension n, the least power of
+    two above 8(n-1)."""
+    return (8 * (n - 1)).bit_length()
+
+
+def _symbolic_terms(n: int, coords: Sequence[int]) -> list[DiagIsometry]:
+    """The 3n-1 terms of the symbolic run of dimension n on ``coords``: the
+    product recursion in E(m), m = len(coords), from the generic seeds,
+    generator i with sign +1 only at coordinate i and translation d_i at
+    every coordinate.  Coordinates range(n) give the generic images,
+    (k,) the sequence of ``symbolic_sequence(n, k)``.
+
+    A translation is an integer linear form in d_0..d_(n-2), stored
+    packed: d_j is replaced by B^j, B = 2^``_base_bits(n)`` > 8(n-1).  The
+    substitution is additive, so the law of E(m) computes on the packed
+    ints exactly what it computes on the forms.  Every stored entry x is
+    checked: x + 4(1 + B + ... + B^(n-2)) must have base-B digits in
+    [0, 7] and no others, that is, x must pack a form whose coefficients
+    lie in [-4, 4); else ``ArithmeticError``.  Lemma: when the check
+    passes, that form is the true one, and packed equality decides every
+    comparison the checks and the certificate make.
+
+    * A nonzero form whose coefficients c_j satisfy |c_j| < B packs to a
+      nonzero int: its top term c_t B^t has size at least B^t, and the
+      lower terms sum to at most (B-1)(B^t-1)/(B-1) < B^t.  For the same
+      reason the balanced base-B digits of the packing of a form with
+      every |c_j| < B/2 are its coefficients (``coefficients``).
+    * Let term m be the first stored term whose true form leaves
+      [-4, 4).  A seed is d_i, so term m is a product term, a signed sum
+      of the n-1 terms before it, and |c_j| <= 4(n-1) < B/2.  Had its
+      packed int passed the check, the form that passed and the true one
+      would differ by a form with |c_j| < B that packs to 0, so they
+      would be equal.  The check therefore refuses term m.
+    * A periodicity comparison involves 2 terms, a recursion comparison
+      4, (term i+n-1) against (term i-1)^(-1) (term i+n-2)^2, and a
+      relator of F(n-1, 2n) has n letters.  So the difference of two
+      compared sides, or a relator, has |c_j| <= 4 max(4, n) <= 8(n-1) < B
+      for n >= 3, and it packs to 0 exactly when it is 0.
+    """
+    bits = _base_bits(n)
     # _normal keeps the ints that the public constructor would turn into
     # Fractions
     seeds = [
         DiagIsometry._normal(
-            tuple(1 if j == i else -1 for j in block), (1 << (3 * n * i),) * len(block)
+            tuple(1 if j == i else -1 for j in coords), (1 << (bits * i),) * len(coords)
         )
         for i in range(n - 1)
     ]
-    return _product_recursion(seeds, length)
-
-
-# Bits of packed ints one block of the all-k run may hold.  A coordinate
-# holds the 3n-1 terms and the n+1 live prefix products of the recursion,
-# ints of at most about 3n^2 bits, so under 12 n^3 bits; the width counts
-# 18 n^3 bits per coordinate, which leaves room for the check's
-# temporaries and the allocator's slack (a coordinate adds about 3.3 MB,
-# 8 n^3 bits, to the maximum RSS at n = 151).  2^27 bits, 16 MiB, takes
-# n <= 21 in one block, n = 61 in two and n = 151 in blocks of two.
-SYMBOLIC_BLOCK_BITS = 1 << 27
-
-
-def _symbolic_blocks(n: int) -> list[range]:
-    """The coordinates 0..n-1 cut into consecutive blocks of the width that
-    ``SYMBOLIC_BLOCK_BITS`` allows, at least one."""
-    width = max(1, SYMBOLIC_BLOCK_BITS // (18 * n**3))
-    return [range(lo, min(lo + width, n)) for lo in range(0, n, width)]
+    terms = _product_recursion(seeds, 3 * n - 1)
+    # 1 + B + ... + B^(n-2); a negative x + 4 ones has bits outside 7 ones
+    ones = ((1 << (bits * (n - 1))) - 1) // ((1 << bits) - 1)
+    offset, outside = 4 * ones, ~(7 * ones)
+    for m, g in enumerate(terms):
+        if any((x + offset) & outside for x in g.translation):
+            raise ArithmeticError(
+                f"term {m} of the symbolic run of dimension {n} has a "
+                f"coefficient outside [-4, 4)"
+            )
+    return terms
 
 
 def _agreement(pairs: Iterable[tuple[DiagIsometry, DiagIsometry]], width: int) -> tuple[bool, ...]:
@@ -297,19 +275,16 @@ def _recursion_consistent(n: int, terms: Sequence[DiagIsometry]) -> tuple[bool, 
 
 def symbolic_sequence(n: int, k: int) -> SymSequence:
     _check_dimension(n, k)
-    return SymSequence(n, k, tuple(_symbolic_terms(n, range(k, k + 1), 3 * n - 1)))
+    return SymSequence(n, k, _symbolic_terms(n, (k,)))
 
 
 def symbolic_checks(n: int) -> tuple[tuple[bool, bool], ...]:
     """``(periodic(), recursion_consistent())`` of ``symbolic_sequence(n, k)``
-    for k = 0..n-1, from one recursion per block of coordinates in E(m)
-    rather than n recursions in E(1) (see the module docstring)."""
+    for k = 0..n-1, from one run on all n coordinates rather than n runs
+    of one coordinate (see the module docstring)."""
     _check_dim(n)
-    out: list[tuple[bool, bool]] = []
-    for block in _symbolic_blocks(n):
-        terms = _symbolic_terms(n, block, 3 * n - 1)
-        out += zip(_periodic(n, terms), _recursion_consistent(n, terms))
-    return tuple(out)
+    terms = _symbolic_terms(n, range(n))
+    return tuple(zip(_periodic(n, terms), _recursion_consistent(n, terms)))
 
 
 def verify_periodicity(n: int, k: int) -> bool:
@@ -409,19 +384,13 @@ class VerificationReport(Record):
         }
 
 
-def _generic_images(n: int) -> GenImages:
-    """The 2n images in E(n) of the generic candidate of dimension n:
-    generator i has the standard signs and the packed translation B^i,
-    B = 2^(3n), in every coordinate (see the module docstring)."""
-    return GenImages(_symbolic_terms(n, range(n), 2 * n))
-
-
 @lru_cache(maxsize=None)
 def _relator_certificate(n: int) -> tuple[bool, ...]:
     """Which of the 2n relators of F(n-1, 2n) are trivial on the generic
     images of dimension n, and so on every candidate of that dimension
     (see the module docstring)."""
-    return verify_relators(fibonacci_presentation(n - 1, 2 * n), _generic_images(n)).trivial
+    images = GenImages(_symbolic_terms(n, range(n))[: 2 * n])
+    return verify_relators(fibonacci_presentation(n - 1, 2 * n), images).trivial
 
 
 def _certified_report(

@@ -631,24 +631,51 @@ def candidate_to_json_dict(c: HWCandidate) -> dict:
     }
 
 
-def _doubled_entry(value) -> int | Fraction:
-    """2t for a JSON entry t: the half units that ``parse_half`` reads from
-    canonical text, else twice the ``parse_rational`` value."""
+# The JSON names of the types json.load returns
+_JSON_TYPES = {
+    dict: "object", list: "array", str: "string", int: "number", float: "number",
+    bool: "boolean", type(None): "null",
+}
+
+
+def _json_type(value) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def _json_array(value, what: str) -> list:
+    if type(value) is not list:
+        raise ValueError(f"{what} must be a JSON array, got {_json_type(value)}")
+    return value
+
+
+def _doubled_entry(i: int, value) -> int | Fraction:
+    """2t for entry t of generator i, a JSON string or number: the half
+    units that ``parse_half`` reads from canonical text, else twice the
+    ``parse_rational`` value."""
+    if type(value) not in (str, int, float):
+        raise ValueError(
+            f"generator {i} translation entry must be a string or a number, "
+            f"got {_json_type(value)}"
+        )
     text = str(value)
     u = parse_half(text)
     return 2 * parse_rational(text) if u is None else u
 
 
 def candidate_from_json_dict(data: dict) -> HWCandidate:
-    """The candidate of a JSON description.  Every entry is read first, then
-    the lengths, the dimension, the count and the half-integers are checked,
-    in that order, as when every entry went through ``parse_rational``."""
+    """The candidate of a JSON description.  Every entry is read first, and
+    the translations, each of their rows and each entry must have a JSON
+    type that can hold them; then the lengths, the dimension, the count and
+    the half-integers are checked, in that order."""
     try:
         dim = data["dim"]
         # a JSON integer only: int() would truncate 3.9 and overflow on 1e400
         if type(dim) is not int:
             raise ValueError(f"dim must be an integer, got {dim!r}")
-        rows = [[_doubled_entry(t) for t in vec] for vec in data["translations"]]
+        rows = [
+            [_doubled_entry(i, t) for t in _json_array(vec, f"translation {i}")]
+            for i, vec in enumerate(_json_array(data["translations"], "translations"))
+        ]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed candidate description: {exc}") from exc
     for i, row in enumerate(rows):

@@ -23,8 +23,8 @@ hwfib, but runs them in E(n) over each candidate's own Fraction
 translations, with no appeal to the specialisation argument.  The second
 route to a candidate's images runs the recursion in E(1) one coordinate at
 a time and reassembles the terms by direct sum.  The all-k symbolic check
-is the route hwfib replaced by one recursion per block of coordinates: one
-E(1) sequence per k, its two checks run by whole-term equality.
+is the route hwfib replaced by one recursion on all coordinates: one E(1)
+sequence per k, its two checks run by whole-term equality.
 """
 
 from fractions import Fraction

@@ -437,7 +437,7 @@ STDOUT_SHA256 = {
     ("symbolic", "--dim", "21", "--format", "json"):
         "0e3271b20791123c1e3d51830e488d0c47a07d662ad9fc560ff57d7e738dc9d4",
     # these two were recorded from the code that built one E(1) sequence
-    # per k; the all-k run now takes n = 61 in more than one block
+    # per k; the all-k run now takes all 61 coordinates in one recursion
     ("symbolic", "--dim", "61", "--format", "json"):
         "a46a9aeed402ac2f3a6188a506a9cba0953152e2147d057a2215bdd0b58c11b6",
     ("symbolic", "--dim", "21"):
@@ -447,6 +447,12 @@ STDOUT_SHA256 = {
         "a9d439a74f9327bddd52bb31058c4d15da8930f0fbbbf009058bd51c0b56c5e7",
     ("symbolic", "--dim", "13", "--k", "6"):
         "5281549f5398620ef770a25f51834034da20a78cf0df1bda4294e2cc2b7bd155",
+    # these two were recorded from the code that packed each form with base
+    # 2^(3n): the terms of one sequence at the cap and at k = n-1
+    ("symbolic", "--dim", "151", "--k", "75"):
+        "eca16eada5d4db248a8d26c4cead4527403b6a043d33cf19c686acd05b174e13",
+    ("symbolic", "--dim", "61", "--k", "60"):
+        "2f31a3713dead11b8ffc1a1ddf8dd4876a082c005fa38e1e17e8b6e4bd5fac41",
     ("verify", "--input", CYCLIC13, "--format", "json"):
         "b7463b682632d97ec12782a0c7091803e164c626932d67c51f2d37c1c871ace8",
     ("verify", "--input", CYCLIC13):
@@ -765,7 +771,7 @@ def test_symbolic_json_deterministic(capsys):
 
 
 def test_symbolic_builds_each_sequence_once(capsys, monkeypatch):
-    # the all-k run is one recursion per block of coordinates and builds no
+    # the all-k run is one recursion on all n coordinates and builds no
     # single sequence; --k builds exactly one, a recursion of width 1
     widths, built = [], []
     recursion = epimorphism._product_recursion
@@ -783,8 +789,7 @@ def test_symbolic_builds_each_sequence_once(capsys, monkeypatch):
     for n in (9, 61):
         widths.clear()
         assert run_cli(capsys, "symbolic", "--dim", str(n), "--format", "json")[0] == 0
-        assert widths == [len(b) for b in epimorphism._symbolic_blocks(n)]
-    assert widths == [32, 29]
+        assert widths == [n]
     monkeypatch.setattr(cli, "symbolic_sequence", counting)
     monkeypatch.setattr(cli, "symbolic_checks", _refuse)
     widths.clear()

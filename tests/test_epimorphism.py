@@ -5,14 +5,14 @@ from functools import lru_cache
 import pytest
 
 from hwfib import epimorphism
+from hwfib.cli import MAX_SYMBOLIC_DIM
 from hwfib.epimorphism import (
     SymSequence,
-    _generic_images,
+    _base_bits,
     _periodic,
     _product_recursion,
     _recursion_consistent,
     _relator_certificate,
-    _symbolic_blocks,
     _symbolic_terms,
     build_epimorphism,
     component_images,
@@ -84,30 +84,24 @@ def test_symbolic_sequence_first_derived_terms():
 
 
 def test_coefficients_match_sparse_oracle_and_bound():
-    # the packing base B = 2^(3n) is one-to-one only while every compared
-    # coefficient stays below B/2: check the norm lemma behind that on the
-    # oracle's terms, and the decoded terms against the oracle
+    # the decoded terms against the oracle, and on the oracle's terms the
+    # bound that the packed run checks: every coefficient in [-4, 4), which
+    # keeps sums of up to 8(n-1)/4 terms below the base B
     for n in range(3, 22, 2):
-        half_base = 1 << (3 * n - 1)
+        assert 1 << _base_bits(n) > 8 * (n - 1) >= 4 * max(4, n)
         for k in range(n):
             seq = symbolic_sequence(n, k)
             expected = sparse_symbolic_terms(n, k)
             assert len(seq.terms) == len(expected) == 3 * n - 1
-            norms = []
             for i, (sign, coeffs) in enumerate(expected):
                 assert term(seq, i) == (sign, tuple(coeffs.get(j, 0) for j in range(n - 1)))
-                assert all(abs(c) <= 2**i and abs(c) < half_base for c in coeffs.values())
-                norms.append(sum(abs(c) for c in coeffs.values()))
-                assert norms[i] <= 2**i, (n, k, i)
-            # the right side of recursion_consistent, (term i-1)^-1 (term i+n-2)^2
-            for i in range(1, 2 * n):
-                assert norms[i - 1] + 2 * norms[i + n - 2] <= 3 * 2 ** (3 * n - 3) < half_base
+                assert all(-4 <= c < 4 for c in coeffs.values()), (n, k, i)
 
 
 def _with_terms(seq, *coeff_tuples):
     """``seq`` with its terms replaced by sign +1 and the given coefficient
-    tuples, packed as d_j -> B^j with B = 2^(3n)."""
-    shift = 3 * seq.n
+    tuples, packed as d_j -> B^j with B = 2^_base_bits(n)."""
+    shift = _base_bits(seq.n)
     return SymSequence(
         seq.n,
         seq.k,
@@ -134,7 +128,7 @@ def test_translation_text():
 
 def test_coefficients_round_trip_balanced_digits():
     seq = symbolic_sequence(5, 1)
-    half = 1 << (3 * 5 - 1)
+    half = 1 << (_base_bits(5) - 1)
     cases = [(0, 0, 0, 0), (1 - half, half - 1, -1, 1), (-half, 0, half - 1, -half), (3, -7, 0, 5)]
     made = _with_terms(seq, *cases)
     for i, cs in enumerate(cases):
@@ -170,6 +164,8 @@ def test_symbolic_sequence_validation():
         symbolic_sequence(3, 3)
     with pytest.raises(ValueError):
         symbolic_sequence(1, 0)
+    with pytest.raises(ValueError):
+        symbolic_checks(4)
 
 
 def test_verify_periodicity_small():
@@ -204,7 +200,7 @@ def test_sequence_checks_fail_on_a_perturbed_term():
     # periodicity check compares with it and an addrel left-hand side.
     # Adding B^j to a packed translation adds d_j to its form.
     for n in (3, 5, 7):
-        base = 1 << (3 * n)
+        base = 1 << _base_bits(n)
         for k in range(n):
             seq = symbolic_sequence(n, k)
             assert seq.periodic() and seq.recursion_consistent()
@@ -220,41 +216,54 @@ def test_sequence_checks_fail_on_a_perturbed_term():
 
 
 def _column(terms, c):
-    """Coordinate c of each term of a block, as E(1) values."""
+    """Coordinate c of each term of a run, as E(1) values."""
     return tuple(DiagIsometry._normal((t.signs[c],), (t.translation[c],)) for t in terms)
 
 
 @pytest.mark.parametrize("n", range(3, 62, 2))
 def test_all_k_checks_match_the_per_k_oracle(n):
-    # n = 61 runs in two blocks under the bit budget
-    blocks = _symbolic_blocks(n)
-    assert [k for block in blocks for k in block] == list(range(n))
+    # one run on all n coordinates: coordinate k of each of its 3n-1 terms
+    # is the term of sequence k
     assert symbolic_checks(n) == symbolic_checks_per_k(n) == ((True, True),) * n
-    for block in blocks:
-        terms = _symbolic_terms(n, block, 3 * n - 1)
-        for c, k in enumerate(block):
-            assert _column(terms, c) == symbolic_sequence(n, k).terms, (n, k)
+    terms = _symbolic_terms(n, range(n))
+    assert len(terms) == 3 * n - 1
+    for k in range(n):
+        assert _column(terms, k) == symbolic_sequence(n, k).terms, (n, k)
 
 
-@pytest.mark.parametrize("n", [3, 7, 13])
-def test_all_k_checks_at_every_block_width(monkeypatch, n):
-    # the budget 18 n^3 w bits gives blocks of width w, the last one shorter
-    expected = symbolic_checks_per_k(n)
-    for width in range(1, n + 2):
-        monkeypatch.setattr(epimorphism, "SYMBOLIC_BLOCK_BITS", 18 * n**3 * width)
-        blocks = _symbolic_blocks(n)
-        assert [len(b) for b in blocks[:-1]] == [width] * (len(blocks) - 1)
-        assert [k for block in blocks for k in block] == list(range(n)), width
-        assert symbolic_checks(n) == expected, width
-    monkeypatch.setattr(epimorphism, "SYMBOLIC_BLOCK_BITS", 0)
-    assert _symbolic_blocks(n) == [range(k, k + 1) for k in range(n)]
+def test_symbolic_run_passes_its_check_at_every_dimension_symbolic_accepts():
+    # the run on all n coordinates raises ArithmeticError if a coefficient
+    # leaves [-4, 4); verify and symbolic accept no odd n above the cap
+    for n in range(3, MAX_SYMBOLIC_DIM + 1, 2):
+        assert symbolic_checks(n) == ((True, True),) * n, n
 
 
-def test_symbolic_blocks_follow_the_budget():
-    assert [len(_symbolic_blocks(n)) for n in (3, 21, 61)] == [1, 1, 2]
-    assert {len(b) for b in _symbolic_blocks(151)} == {1, 2}
-    with pytest.raises(ValueError):
-        symbolic_checks(4)
+def test_symbolic_run_refuses_a_coefficient_outside_its_range(monkeypatch):
+    # set the coefficient of d_j at coordinate c of stored term idx to each
+    # value: [-4, 4) passes the check, -5 and 4 raise
+    recursion = epimorphism._product_recursion
+    for n in (3, 5, 7):
+        bits = _base_bits(n)
+        clean = _symbolic_terms(n, range(n))
+        for idx, c, j in ((0, 0, 0), (n - 1, n - 1, n - 2), (2 * n, n // 2, 1), (3 * n - 2, 1, 0)):
+            now = SymSequence(n, c, _column(clean, c)).coefficients(idx)[j]
+            for value in (-5, -4, 3, 4):
+                def perturbed(seeds, length, value=value):
+                    terms = recursion(seeds, length)
+                    g = terms[idx]
+                    trans = list(g.translation)
+                    trans[c] += (value - now) << (bits * j)
+                    terms[idx] = DiagIsometry._normal(g.signs, tuple(trans))
+                    return terms
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(epimorphism, "_product_recursion", perturbed)
+                    if -4 <= value < 4:
+                        terms = _symbolic_terms(n, range(n))
+                        assert SymSequence(n, c, _column(terms, c)).coefficients(idx)[j] == value
+                    else:
+                        with pytest.raises(ArithmeticError, match=f"term {idx} of the symbolic run"):
+                            _symbolic_terms(n, range(n))
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
@@ -263,8 +272,8 @@ def test_all_k_checks_fail_at_the_perturbed_coordinate_only(n):
     # n-1.  Perturbing coordinate c of one term, its translation by d_j
     # (B^j packed) or its sign, must fail the checks that read that term at
     # k = c and nowhere else.
-    base = 1 << (3 * n)
-    terms = _symbolic_terms(n, range(n), 3 * n - 1)
+    base = 1 << _base_bits(n)
+    terms = _symbolic_terms(n, range(n))
     clean = (True,) * n
     assert _periodic(n, terms) == _recursion_consistent(n, terms) == clean
     for idx, reads_periodic in ((0, True), (2 * n, True), (n - 1, False)):
@@ -362,9 +371,9 @@ RECURSION_SEEDS = {
     "cyclic": lambda: [cyclic_hw(n).generators for n in range(3, 14, 2)],
     "seeded": lambda: [c.generators for c in _seeded_half_integer_candidates()],
     "scaled": lambda: [c.generators for c in ORACLE_CANDIDATES["scaled"]()],
-    # the seeds of symbolic_sequence: d_i packed as B^i with B = 2^(3n)
+    # the seeds of symbolic_sequence: d_i packed as B^i with B = 2^_base_bits(n)
     "packed": lambda: [
-        [DiagIsometry._normal((1 if i == k else -1,), (1 << (3 * n * i),)) for i in range(n - 1)]
+        [DiagIsometry._normal((1 if i == k else -1,), (1 << (_base_bits(n) * i),)) for i in range(n - 1)]
         for n in range(3, 22, 2) for k in range(n)
     ],
 }
@@ -447,6 +456,12 @@ def test_verify_builds_no_images_per_candidate(monkeypatch):
     _relator_certificate.cache_clear()
     for n in (3, 5):
         assert verify_main_theorem(cyclic_hw(n)).verdict == "pass"
+
+
+def _generic_images(n):
+    """The images of the certificate of dimension n: the first 2n terms of
+    the run on all n coordinates."""
+    return GenImages(_symbolic_terms(n, range(n))[: 2 * n])
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])

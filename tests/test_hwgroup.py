@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from fractions import Fraction
@@ -582,6 +583,10 @@ def _int_refusal(digits):
 
 _BAD_LITERAL = "malformed candidate description: Invalid literal for Fraction: "
 _EXPONENT = "malformed candidate description: exponent notation is not a rational p/q"
+_ENTRY_TYPE = (
+    "malformed candidate description: generator 0 translation entry must be a string or a "
+    "number, got "
+)
 # Entry (0, 0) of the cyclic candidate of dimension 3, in other spellings,
 # and the loader's outcome: the text candidate_to_json_dict writes for it,
 # or the error message.  Recorded from the loader that read every entry
@@ -609,10 +614,12 @@ LOADER_CORPUS = [
     ("½", _BAD_LITERAL + "'½'"), ("²", _BAD_LITERAL + "'²'"), ("1/²", _BAD_LITERAL + "'1/²'"),
     ("inf", _BAD_LITERAL + "'inf'"),
     ("nan", _BAD_LITERAL + "'nan'"),
-    # JSON values other than strings are read through their str
+    # JSON numbers are read through their str
     (1, "1"), (-3, "-3"), (0, "0"), (0.5, "1/2"), (1.5, "3/2"), (1e3, "1000"),
     (10**30, str(10**30)), (-(10**30) - 1, str(-(10**30) - 1)),
-    (True, _EXPONENT), (None, _EXPONENT), ([1], _BAD_LITERAL + "'[1]'"),
+    # other JSON values are refused by their type; the Fraction loader read
+    # true and null as exponent notation and [1] as an invalid literal
+    (True, _ENTRY_TYPE + "boolean"), (None, _ENTRY_TYPE + "null"), ([1], _ENTRY_TYPE + "array"),
 ]
 
 
@@ -622,7 +629,10 @@ def test_loader_reads_every_spelling_as_fraction_did(text, expected):
     assert (got[0][0] if isinstance(got, list) else got) == expected
 
 
-# Which error wins when several apply, recorded from the same loader
+# Which error wins when several apply, recorded from the same loader.  The
+# rows of "101", ["110", "011"] and [1, 2] come from the loader that checks
+# JSON types: the one before read a string row by its characters, so that
+# ["110", "011"] loaded, and failed on iterating a number
 LOADER_PRECEDENCE = [
     ({"dim": 3.5, "translations": [["abc", "0", "0"], ["0", "0", "0"]]},
      "malformed candidate description: dim must be an integer, got 3.5"),
@@ -643,21 +653,38 @@ LOADER_PRECEDENCE = [
     ({"dim": 3}, "malformed candidate description: 'translations'"),
     ({"translations": []}, "malformed candidate description: 'dim'"),
     ([3], "malformed candidate description: list indices must be integers or slices, not str"),
-    ({"dim": 3, "translations": "101"}, "translation 0 has length 1, expected 3"),
-    ({"dim": 3, "translations": ["110", "011"]}, [["1", "1", "0"], ["0", "1", "1"]]),
+    ({"dim": 3, "translations": "101"},
+     "malformed candidate description: translations must be a JSON array, got string"),
+    ({"dim": 3, "translations": ["110", "011"]},
+     "malformed candidate description: translation 0 must be a JSON array, got string"),
     ({"dim": 1, "translations": []},
      "dimension must be odd and >= 3 (Hantzsche-Wendt groups exist only in odd "
      "dimensions); got 1"),
     ({"dim": 5, "translations": []}, "expected 4 generators, got 0"),
     ({"dim": -1, "translations": [["0"]]}, "translation 0 has length 1, expected -1"),
     ({"dim": 3, "translations": [1, 2]},
-     "malformed candidate description: 'int' object is not iterable"),
+     "malformed candidate description: translation 0 must be a JSON array, got number"),
 ]
 
 
 @pytest.mark.parametrize("data, expected", LOADER_PRECEDENCE, ids=lambda v: repr(v)[:30])
 def test_loader_error_precedence(data, expected):
     assert _load_outcome(data) == expected
+
+
+@pytest.mark.parametrize("text, expected", [
+    ('{"dim": 3, "translations": {"0": ["0", "0", "0"], "1": ["0", "0", "0"]}}',
+     "translations must be a JSON array, got object"),
+    ('{"dim": 3, "translations": [{"a": 0, "b": 0, "c": 0}, ["0", "0", "0"]]}',
+     "translation 0 must be a JSON array, got object"),
+    ('{"dim": 3, "translations": [["0", "0", "0"], null]}', "translation 1 must be a JSON array, got null"),
+    ('{"dim": 3, "translations": [["0", "0", "0"], ["0", false, "0"]]}',
+     "generator 1 translation entry must be a string or a number, got boolean"),
+])
+def test_loader_names_the_json_type_it_refuses(text, expected):
+    # a row or a translations value that is not an array was read by its
+    # characters, keys or items, and true, false and null through their str
+    assert _load_outcome(json.loads(text)) == "malformed candidate description: " + expected
 
 
 def test_loader_fast_path_matches_fraction_on_random_texts():
