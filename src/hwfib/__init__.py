@@ -13,7 +13,6 @@ covers every candidate of that dimension.
 
 from .exact import (
     format_rational,
-    parse_rational,
     smith_normal_form,
 )
 from .isometry import (

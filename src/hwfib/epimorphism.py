@@ -102,7 +102,8 @@ class SymSequence(Record):
 
     def coefficients(self, i: int) -> tuple[int, ...]:
         """Coefficients of d_0..d_(n-2) in the translation of term i: the
-        balanced base-B digits, in [-B/2, B/2), of its packed int."""
+        balanced base-B digits, in [-B/2, B/2), of its packed int;
+        ``ArithmeticError`` if the int carries a further digit."""
         shift = _base_bits(self.n)
         base = 1 << shift
         rest = self.terms[i].translation[0]
@@ -113,7 +114,8 @@ class SymSequence(Record):
                 digit -= base
             out.append(digit)
             rest = (rest - digit) >> shift
-        assert rest == 0, f"term {i} does not decode to a form in d_0..d_{self.n - 2}"
+        if rest:
+            raise ArithmeticError(f"term {i} does not decode to a form in d_0..d_{self.n - 2}")
         return tuple(out)
 
     def translation_text(self, i: int) -> str:

@@ -8,29 +8,28 @@ Half units.  Every translation the package reads or writes for a
 candidate is a half-integer t, and it is kept as the int u = 2t.
 ``format_half`` writes u as ``format_rational`` writes the Fraction u/2:
 ``str(u // 2)`` for even u, and ``"u/2"`` for odd u, which is prime to 2,
-so that the fraction is in lowest terms.  ``parse_half`` reads the
-canonical text of t: after ``str.strip``, ASCII ``[+-]?[0-9]+``
-optionally followed by ``/1`` or ``/2``.  Such text holds no ``e``, so
-``parse_rational`` would not refuse it as an exponent, and Fraction's own
-grammar reads it as the sign, the digits p through ``int`` and the
-denominator q, the value ±p/q, on Python 3.10 to 3.13.  ``parse_half``
-calls ``int`` on the same digits, so it returns 2t, or raises the
-``ValueError`` that ``int`` raises on too many digits, exactly where
-Fraction would; any other text is left to ``parse_rational``.
+so that the fraction is in lowest terms.  ``parse_half`` is the one
+reader of a candidate entry, for candidate files and ``build_candidate``
+alike.  After ``str.strip`` it takes ASCII ``[+-]?digits(/digits)?`` or a
+decimal ``[+-]?digits?.digits?`` with at least one digit, and returns 2t
+as an int numerator and denominator in lowest terms.  It reads no other
+spelling, so a file loads the same on every interpreter.  Each digit
+string goes through ``int`` before a power of ten is built from it, so
+the interpreter's limit on the digits of an int bounds the work.
 
-So the commands read and write candidates without ``Fraction``, and this
-package imports ``fractions`` only inside the functions that take or
-return a ``Fraction``: the import also loads ``numbers`` and ``decimal``,
-about 2 ms of every start of the command line (2-core x86-64 VM, Python
-3.11.7).  ``test_commands_on_canonical_input_leave_fractions_out`` in
-``tests/test_cli.py`` checks that no command loads it on canonical input.
+So the commands read and write candidates in ints, and this package
+imports ``fractions`` only inside the functions that take or return a
+``Fraction``: the import also loads ``numbers`` and ``decimal``, about
+2 ms of every start of the command line (2-core x86-64 VM, Python
+3.11.7).  The ``leave_fractions_out`` tests in ``tests/test_cli.py``
+check that no command loads it, on canonical and other input.
 """
 
 from __future__ import annotations
 
 from math import gcd
 from operator import index
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -41,7 +40,6 @@ __all__ = [
     "format_half",
     "format_rational",
     "parse_half",
-    "parse_rational",
     "smith_normal_form",
 ]
 
@@ -61,33 +59,31 @@ def format_rational(value: ExactNumber) -> str:
     return str(Fraction(value))
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse the ``"p/q"`` / ``"p"`` wire format back into a rational,
-    refusing exponents: Fraction takes seconds to build 10^10000000."""
-    from fractions import Fraction
-
-    if "e" in text or "E" in text:
-        raise ValueError("exponent notation is not a rational p/q")
-    return Fraction(text.strip())
-
-
 def format_half(u: int) -> str:
     """The ``format_rational`` text of the half-integer u/2."""
     return f"{u}/2" if u & 1 else str(u // 2)
 
 
-def parse_half(text: str) -> Optional[int]:
-    """The half units 2t of the canonical text of a half-integer t, or None
-    for any other text (see the module docstring)."""
+def parse_half(text: str) -> tuple[int, int]:
+    """2t for the text of a rational t, as a numerator and a positive
+    denominator in lowest terms (see the module docstring); the
+    denominator is 1 exactly when t is a half-integer.  Other text raises
+    ``ValueError``, and a zero denominator ``ZeroDivisionError``."""
     body = text.strip()
-    sign = body[:1]
-    if sign in ("+", "-"):
-        body = body[1:]
-    digits, slash, den = body.partition("/")
-    if not (digits.isascii() and digits.isdigit()) or slash and den not in ("1", "2"):
-        return None
-    u = int(digits) if den == "2" else 2 * int(digits)
-    return -u if sign == "-" else u
+    head, slash, den = (body[1:] if body[:1] in ("+", "-") else body).partition("/")
+    whole, point, frac = head.partition(".")
+    digits = whole + frac
+    if not (
+        (digits + den).isascii() and (digits + den).isdigit()
+        and (not slash or whole and den and not point)
+    ):
+        raise ValueError(f"{body!r} is not an ASCII rational p/q or decimal")
+    p = int(digits)
+    q = int(den) if slash else 10 ** len(frac)
+    if not q:
+        raise ZeroDivisionError(f"{body} has a zero denominator")
+    g = gcd(2 * p, q)
+    return (-2 * p if body[:1] == "-" else 2 * p) // g, q // g
 
 
 def _nearest_quotient(b: int, p: int) -> int:

@@ -10,7 +10,7 @@ translation lattice, and enumerates the half-integer search space.
 A candidate stores its translations in half units, u_i = 2 t_i, n-1
 tuples of ints (``HWCandidate.units``), read and written as text through
 ``exact.parse_half`` and ``exact.format_half``; the ``exact`` docstring
-says why those texts are ``Fraction``'s and where ``fractions`` remains.
+gives the grammar and says where ``fractions`` remains.
 
 Classification runs on n-bit words.  A holonomy class is the bitmask of
 the coordinates its sign matrix negates.  ``classify`` takes an
@@ -143,7 +143,7 @@ from functools import lru_cache
 from math import gcd
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
-from .exact import ExactNumber, format_half, parse_half, parse_rational
+from .exact import ExactNumber, format_half, parse_half
 from .isometry import DiagIsometry
 from .record import Record
 
@@ -194,16 +194,19 @@ def _check_length(n: int, i: int, row: Sequence) -> None:
         raise ValueError(f"translation {i} has length {len(row)}, expected {n}")
 
 
-def _row_units(i: int, doubled: Iterable) -> tuple[int, ...]:
+def _row_units(i: int, doubled: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     """Half units of the translation of generator i from its doubled
-    entries 2t, each an int or a ``Fraction`` that must be an integer."""
+    entries 2t, each the numerator and denominator that ``parse_half``
+    returns; every denominator must be 1."""
     out = []
-    for u in doubled:
-        if type(u) is not int:
-            if u.denominator != 1:
-                raise ValueError(f"generator {i} translation entry {u / 2} is not a half-integer")
-            u = u.numerator
-        out.append(u)
+    for p, q in doubled:
+        if q != 1:
+            # t = p/(2q), and p is prime to q
+            g = gcd(p, 2)
+            raise ValueError(
+                f"generator {i} translation entry {p // g}/{2 * q // g} is not a half-integer"
+            )
+        out.append(p)
     return tuple(out)
 
 
@@ -224,7 +227,7 @@ class HWCandidate(Record):
         for i, g in enumerate(generators):
             if g.signs != standard_signs(dim, i):
                 raise ValueError(f"generator {i} does not carry the standard sign pattern")
-            units.append(_row_units(i, [2 * t for t in g.translation]))
+            units.append(_row_units(i, [parse_half(str(t)) for t in g.translation]))
         self.dim = dim
         self.units = tuple(units)
 
@@ -266,13 +269,12 @@ def build_candidate(
     n: int, translations: Sequence[Sequence[ExactNumber]]
 ) -> HWCandidate:
     """Candidate with the standard sign patterns and the given half-integer
-    translations (one vector of length n per generator)."""
-    from fractions import Fraction
-
+    translations (one vector of length n per generator), each entry read
+    through its str by ``parse_half``."""
     rows = []
     for i, t in enumerate(translations):
         _check_length(n, i, t)
-        rows.append([2 * Fraction(x) for x in t])
+        rows.append([parse_half(str(x)) for x in t])
     return _from_rows(n, rows)
 
 
@@ -648,18 +650,15 @@ def _json_array(value, what: str) -> list:
     return value
 
 
-def _doubled_entry(i: int, value) -> int | Fraction:
-    """2t for entry t of generator i, a JSON string or number: the half
-    units that ``parse_half`` reads from canonical text, else twice the
-    ``parse_rational`` value."""
+def _doubled_entry(i: int, value) -> tuple[int, int]:
+    """2t for entry t of generator i, a JSON string or number, as
+    ``parse_half`` reads it from its str."""
     if type(value) not in (str, int, float):
         raise ValueError(
             f"generator {i} translation entry must be a string or a number, "
             f"got {_json_type(value)}"
         )
-    text = str(value)
-    u = parse_half(text)
-    return 2 * parse_rational(text) if u is None else u
+    return parse_half(str(value))
 
 
 def candidate_from_json_dict(data: dict) -> HWCandidate:

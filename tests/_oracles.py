@@ -24,9 +24,12 @@ translations, with no appeal to the specialisation argument.  The second
 route to a candidate's images runs the recursion in E(1) one coordinate at
 a time and reassembles the terms by direct sum.  The all-k symbolic check
 is the route hwfib replaced by one recursion on all coordinates: one E(1)
-sequence per k, its two checks run by whole-term equality.
+sequence per k, its two checks run by whole-term equality.  A candidate
+entry is read by a regular expression for its grammar and valued by
+Fraction, where hwfib reads it with str methods and ints alone.
 """
 
+import re
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations, product
@@ -48,6 +51,16 @@ from hwfib.hwgroup import (
     translation_lattice,
 )
 from hwfib.isometry import DiagIsometry, component, direct_sum
+
+# A candidate entry after str.strip: ASCII p or p/q, or a decimal with a digit
+_ENTRY = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)")
+
+
+def entry_value(text):
+    """The rational a candidate entry spells, or None for text outside the
+    grammar; a zero denominator raises ZeroDivisionError."""
+    body = text.strip()
+    return None if _ENTRY.fullmatch(body) is None else Fraction(body)
 
 
 def det_int(mat):

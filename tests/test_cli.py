@@ -384,7 +384,7 @@ CANDIDATE_FILES = {
 }
 # candidate files written by hand rather than by candidate_to_json_dict: a
 # Hantzsche-Wendt candidate of dimension 5 whose entries spell half-integers
-# as the loader must read them, the way Fraction does (2/4, 0.5, a sign,
+# as the loader must read them, the way Fraction did (2/4, 0.5, a sign,
 # padding, 4/2, and bare JSON integers)
 RAW_CANDIDATE_FILES = {
     NONCANON5: """{"dim": 5, "translations": [
@@ -565,6 +565,21 @@ def test_commands_on_canonical_input_leave_fractions_out(tmp_path, argv, output_
     # candidates are stored in half units and written and read as text
     # without Fraction; importing fractions also loads numbers, decimal and
     # _decimal, about 2 ms of every start
+    _assert_fractions_left_out(tmp_path, argv, output_format)
+
+
+@pytest.mark.parametrize("output_format", ["text", "json"])
+@pytest.mark.parametrize("argv", [
+    ("verify", "--input", NONCANON5),
+    ("show", "--input", NONCANON5),
+], ids=" ".join)
+def test_commands_on_noncanonical_input_leave_fractions_out(tmp_path, argv, output_format):
+    # every spelling the loader accepts (2/4, 0.5, a sign, padding, JSON
+    # numbers) is read in ints by the same reader as canonical text
+    _assert_fractions_left_out(tmp_path, argv, output_format)
+
+
+def _assert_fractions_left_out(tmp_path, argv, output_format):
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     argv = [_argv_item(tmp_path, a) for a in argv]
     code = (

@@ -1,4 +1,8 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -293,8 +297,31 @@ def test_all_k_checks_fail_at_the_perturbed_coordinate_only(n):
 
 def test_coefficients_rejects_what_is_not_a_form_in_the_seeds():
     # n = 3 has seeds d_0, d_1; B^2 would be a third symbol
-    with pytest.raises(AssertionError):
+    with pytest.raises(ArithmeticError):
         _with_terms(symbolic_sequence(3, 0), (0, 0, 1)).coefficients(0)
+
+
+def test_hand_built_term_with_a_further_symbol_is_refused_under_python_o():
+    # python -O drops asserts, and with the check gone this term would decode
+    # to (0, 0) and print as 0
+    code = (
+        "from hwfib.epimorphism import SymSequence, _base_bits\n"
+        "from hwfib.isometry import DiagIsometry\n"
+        "seq = SymSequence(3, 0, (DiagIsometry._normal((1,), (1 << 2 * _base_bits(3),)),))\n"
+        "for read in (seq.coefficients, seq.translation_text):\n"
+        "    try:\n"
+        "        print(read(0))\n"
+        "    except ArithmeticError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = str(pathlib.Path(epimorphism.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert result.stdout.splitlines() == ["term 0 does not decode to a form in d_0..d_1"] * 2
 
 
 def test_addrel_numeric_substitution():

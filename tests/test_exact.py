@@ -7,8 +7,9 @@ from math import prod
 import pytest
 
 from hwfib.exact import (
+    format_half,
     format_rational,
-    parse_rational,
+    parse_half,
     smith_normal_form,
 )
 from hwfib.fpgroup import fibonacci_presentation, relator_matrix
@@ -53,14 +54,18 @@ def test_rational_wire_format():
     assert format_rational(Fraction(-3, 2)) == "-3/2"
     assert format_rational(Fraction(4, 2)) == "2"
     assert format_rational(0) == "0"
-    assert parse_rational("1/2") == Fraction(1, 2)
-    assert parse_rational("-7") == -7
-    for q in (Fraction(0), Fraction(5, 3), Fraction(-9, 4), Fraction(12)):
-        assert parse_rational(format_rational(q)) == q
-    # Fraction would read the first two as 10^9999 and 10^10000000
-    for text in ("1e9999", "1E10000000", "1/2e3"):
+    # the half-unit text is the Fraction text, and parse_half reads it back
+    for u in range(-9, 10):
+        assert format_half(u) == format_rational(Fraction(u, 2))
+        assert parse_half(format_half(u)) == (u, 1)
+    assert parse_half("-2/6") == (-2, 3)
+    assert parse_half("0.25") == (1, 2)
+    # no exponents: Fraction read the first two as 10^9999 and 10^10000000
+    for text in ("1e9999", "1E10000000", "1/2e3", "1_0", "\u0661"):
         with pytest.raises(ValueError):
-            parse_rational(text)
+            parse_half(text)
+    with pytest.raises(ZeroDivisionError):
+        parse_half("1/0")
 
 
 def test_field_axioms_on_random_triples():
