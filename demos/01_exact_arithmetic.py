@@ -8,12 +8,12 @@ lattices need no general normal form; demo 04 prints one.
 
 from fractions import Fraction
 
-from hwfib import format_rational, smith_normal_form
+from hwfib import smith_normal_form
 
 # Rationals are fractions.Fraction values, always reduced, denominator > 0;
-# format_rational writes the "p/q" text of the candidate files.
-print("Fraction(2, 4)  =", format_rational(Fraction(2, 4)))
-print("Fraction(3, -6) =", format_rational(Fraction(3, -6)))
+# their str is the "p/q" text of the candidate files.
+print("Fraction(2, 4)  =", Fraction(2, 4))
+print("Fraction(3, -6) =", Fraction(3, -6))
 
 # Smith normal form: elementary divisors d1 | d2 | ... of an integer matrix.
 print("\nSNF of diag(2,3) =", smith_normal_form([[2, 0], [0, 3]]))

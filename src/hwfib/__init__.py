@@ -11,21 +11,11 @@ dimension, on generic translations packed into ints, a certificate that
 covers every candidate of that dimension.
 """
 
-from .exact import (
-    format_rational,
-    smith_normal_form,
-)
-from .isometry import (
-    DiagIsometry,
-    component,
-    compose,
-    direct_sum,
-    inverse,
-)
+from .exact import smith_normal_form
+from .isometry import DiagIsometry
 from .fpgroup import (
     GenImages,
     Presentation,
-    RelatorReport,
     Word,
     abelianization,
     concat,
@@ -60,7 +50,6 @@ from .epimorphism import (
     SymSequence,
     VerificationReport,
     build_epimorphism,
-    component_images,
     symbolic_checks,
     symbolic_sequence,
     verify_addrel,

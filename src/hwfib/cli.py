@@ -56,7 +56,7 @@ from .hwgroup import (
     standard_signs,
     translation_lattice,
 )
-from .hwgroup import _word_units
+from .hwgroup import _NumberText, _word_units
 from .isometry import _text
 
 # The README's usage block, printed by -h and --help.
@@ -130,7 +130,7 @@ def _dumps(data: dict) -> str:
 
 def _load_candidate(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = json.load(fh, parse_float=_NumberText, parse_constant=_NumberText)
     candidate = candidate_from_json_dict(data)
     if candidate.dim > MAX_DIM:
         raise ValueError(_over_cap(candidate.dim))

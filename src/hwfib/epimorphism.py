@@ -8,8 +8,8 @@ one symbolic run per dimension, ``_symbolic_terms(n, coords)``: the
 recursion in E(m) on m chosen coordinates from the generic seeds,
 generator i with sign +1 only at coordinate i and the formal translation
 d_i at every coordinate, each linear form in d_0..d_(n-2) packed into one
-int.  Taking a coordinate is a homomorphism E(m) -> E(1)
-(``isometry.component``), so coordinate k of every term, and of every
+int.  Taking a coordinate, g -> (g.signs[i], g.translation[i]), is a
+homomorphism E(m) -> E(1), so coordinate k of every term, and of every
 product and inverse a check forms, is the E(1) value of the sequence for
 k, the same packed int.
 
@@ -62,7 +62,6 @@ __all__ = [
     "symbolic_checks",
     "verify_periodicity",
     "verify_addrel",
-    "component_images",
     "build_epimorphism",
     "VerificationReport",
     "verify_main_theorem",
@@ -299,22 +298,6 @@ def verify_addrel(n: int, k: int) -> bool:
     return symbolic_sequence(n, k).recursion_consistent()
 
 
-def component_images(c: HWCandidate, j: int) -> GenImages:
-    """Images of the n-1 group generators in E(1) at coordinate j: the sign
-    at j and the j-th translation entry of each generator.  For j <= n-2
-    exactly one image has sign +1 (generator j); for j = n-1 none does."""
-    from fractions import Fraction
-
-    if not 0 <= j < c.dim:
-        raise IndexError(f"coordinate {j} out of range for dimension {c.dim}")
-    return GenImages(
-        tuple(
-            DiagIsometry((1 if i == j else -1,), (Fraction(row[j], 2),))
-            for i, row in enumerate(c.units)
-        )
-    )
-
-
 def build_epimorphism(c: HWCandidate) -> GenImages:
     """Images of a_0..a_(2n-1) in E(n): the first n-1 are the group
     generators, the rest follow the length-(n-1) product recursion."""
@@ -392,7 +375,7 @@ def _relator_certificate(n: int) -> tuple[bool, ...]:
     images of dimension n, and so on every candidate of that dimension
     (see the module docstring)."""
     images = GenImages(_symbolic_terms(n, range(n))[: 2 * n])
-    return verify_relators(fibonacci_presentation(n - 1, 2 * n), images).trivial
+    return verify_relators(fibonacci_presentation(n - 1, 2 * n), images)
 
 
 def _certified_report(

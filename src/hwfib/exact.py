@@ -6,7 +6,7 @@ value.  No floating point appears anywhere in the package.
 
 Half units.  Every translation the package reads or writes for a
 candidate is a half-integer t, and it is kept as the int u = 2t.
-``format_half`` writes u as ``format_rational`` writes the Fraction u/2:
+``format_half`` writes u as ``str(Fraction(u, 2))`` writes it:
 ``str(u // 2)`` for even u, and ``"u/2"`` for odd u, which is prime to 2,
 so that the fraction is in lowest terms.  ``parse_half`` is the one
 reader of a candidate entry, for candidate files and ``build_candidate``
@@ -38,7 +38,6 @@ __all__ = [
     "ExactNumber",
     "IntMatrix",
     "format_half",
-    "format_rational",
     "parse_half",
     "smith_normal_form",
 ]
@@ -52,15 +51,8 @@ ExactNumber = Union[int, "Fraction"]
 IntMatrix = Sequence[Sequence[int]]
 
 
-def format_rational(value: ExactNumber) -> str:
-    """Render a rational as ``"p/q"``, or ``"p"`` when the denominator is 1."""
-    from fractions import Fraction
-
-    return str(Fraction(value))
-
-
 def format_half(u: int) -> str:
-    """The ``format_rational`` text of the half-integer u/2."""
+    """``str(Fraction(u, 2))``, the text of the half-integer u/2."""
     return f"{u}/2" if u & 1 else str(u // 2)
 
 

@@ -18,7 +18,6 @@ __all__ = [
     "Word",
     "Presentation",
     "GenImages",
-    "RelatorReport",
     "word",
     "gen",
     "word_inverse",
@@ -167,33 +166,15 @@ def evaluate(w: Word, imgs: GenImages):
     return acc
 
 
-class RelatorReport(Record):
-    """Outcome of checking every relator of a presentation under an image
-    assignment; failures are recorded, not raised."""
-
-    __slots__ = ("trivial",)
-
-    def __init__(self, trivial: tuple[bool, ...]) -> None:
-        self.trivial = trivial
-
-    @property
-    def passed(self) -> bool:
-        return all(self.trivial)
-
-    def failures(self) -> list[int]:
-        return [i for i, ok in enumerate(self.trivial) if not ok]
-
-
-def verify_relators(p: Presentation, imgs: GenImages) -> RelatorReport:
-    """Check that every relator evaluates to the identity, i.e. that the
-    assignment extends to a homomorphism."""
+def verify_relators(p: Presentation, imgs: GenImages) -> tuple[bool, ...]:
+    """Whether each relator evaluates to the identity; all are true exactly
+    when the assignment extends to a homomorphism.  Failures are recorded,
+    not raised."""
     if len(imgs.images) < p.generator_count:
         raise ValueError(
             f"{p.generator_count} generators but only {len(imgs.images)} images"
         )
-    return RelatorReport(
-        tuple(evaluate(r, imgs).is_identity() for r in p.relators)
-    )
+    return tuple(evaluate(r, imgs).is_identity() for r in p.relators)
 
 
 def relator_matrix(p: Presentation) -> list[list[int]]:

@@ -102,6 +102,13 @@ high word and V.  If m_i = 1 the mask has bit i, so the projection of V to
 high bit is 0 too.  This needs normalised words: on raw units, u_i[i] even
 says nothing of a_i / m_i.  So classify builds the basis and walks only
 when every g_i has its own bit, as every Hantzsche-Wendt candidate does.
+Then V holds every e_i = U_i & bit i, i < n-1, so V is all of F2^n when
+its OR, the mask, has bit n-1, that is when the candidate is
+crystallographic, and is spanned by e_0..e_(n-2) otherwise.  The parity
+test alone then decides each class.  At rank n the projection test passes.
+At rank n-1 it needs bit n-1 of rh to be 0 in the classes that fix n-1,
+the products of evenly many generators.  There m_(n-1) = 0, every g_i acts
+on coordinate n-1 as one reflection x -> c - x, and so a_(n-1) = 0.
 
 Translation orbits.  Let F_k be the bits i*n+k of an index over the
 generators i != k: unit k of every generator but g_k.  The candidates at
@@ -633,10 +640,18 @@ def candidate_to_json_dict(c: HWCandidate) -> dict:
     }
 
 
+class _NumberText(str):
+    """A JSON number that is not an integer, as its text in the file: the
+    ``parse_float`` and ``parse_constant`` of ``cli``'s ``json.load``."""
+
+    __slots__ = ()
+    __repr__ = str.__str__
+
+
 # The JSON names of the types json.load returns
 _JSON_TYPES = {
     dict: "object", list: "array", str: "string", int: "number", float: "number",
-    bool: "boolean", type(None): "null",
+    _NumberText: "number", bool: "boolean", type(None): "null",
 }
 
 
@@ -653,7 +668,7 @@ def _json_array(value, what: str) -> list:
 def _doubled_entry(i: int, value) -> tuple[int, int]:
     """2t for entry t of generator i, a JSON string or number, as
     ``parse_half`` reads it from its str."""
-    if type(value) not in (str, int, float):
+    if type(value) not in (str, int, float, _NumberText):
         raise ValueError(
             f"generator {i} translation entry must be a string or a number, "
             f"got {_json_type(value)}"
@@ -666,6 +681,8 @@ def candidate_from_json_dict(data: dict) -> HWCandidate:
     the translations, each of their rows and each entry must have a JSON
     type that can hold them; then the lengths, the dimension, the count and
     the half-integers are checked, in that order."""
+    if type(data) is not dict:
+        raise ValueError(f"candidate description must be a JSON object, got {_json_type(data)}")
     try:
         dim = data["dim"]
         # a JSON integer only: int() would truncate 3.9 and overflow on 1e400

@@ -23,13 +23,7 @@ from .record import Record
 if TYPE_CHECKING:
     from fractions import Fraction
 
-__all__ = [
-    "DiagIsometry",
-    "compose",
-    "inverse",
-    "component",
-    "direct_sum",
-]
+__all__ = ["DiagIsometry"]
 
 
 def _check_signs(signs: Iterable[int]) -> tuple[int, ...]:
@@ -136,7 +130,6 @@ class DiagIsometry(Record):
         )
 
     def __str__(self) -> str:
-        # str of a Fraction is its format_rational text
         return _text(self.signs, map(str, self.translation))
 
 
@@ -150,37 +143,3 @@ def _text(signs: Iterable[int], entries: Iterable[str]) -> str:
 # Exists only for bench/run.py, whose traced run imports this name to time
 # the symbolic compose; the symbolic terms are 1-D DiagIsometry values.
 SymIsometry1 = DiagIsometry
-
-
-# Operation-style aliases; the methods above are the implementation.
-
-def compose(g, h):
-    """Exact product g∘h in E(n), numeric or symbolic."""
-    return g.compose(h)
-
-
-def inverse(g):
-    return g.inverse()
-
-
-def component(g: DiagIsometry, i: int) -> tuple[int, Fraction]:
-    """Restriction of g to coordinate i, as an E(1) pair (sign, translation).
-
-    Taking the i-th component is a group homomorphism: the component of a
-    product is the E(1)-product of the components.
-    """
-    if not 0 <= i < g.dim:
-        raise IndexError(f"coordinate index {i} out of range for dimension {g.dim}")
-    return g.signs[i], g.translation[i]
-
-
-def direct_sum(parts: Sequence[tuple[int, ExactNumber]]) -> DiagIsometry:
-    """Reassemble an E(n) element from n one-dimensional (sign, translation)
-    pairs acting on the coordinate axes; inverse of taking all components."""
-    parts = list(parts)
-    if not parts:
-        raise ValueError("direct_sum needs at least one component")
-    return DiagIsometry(
-        tuple(s for s, _ in parts),
-        tuple(t for _, t in parts),
-    )

@@ -22,7 +22,8 @@ of each dimension: it shares the recursion and the relator evaluation with
 hwfib, but runs them in E(n) over each candidate's own Fraction
 translations, with no appeal to the specialisation argument.  The second
 route to a candidate's images runs the recursion in E(1) one coordinate at
-a time and reassembles the terms by direct sum.  The all-k symbolic check
+a time, from each generator's coordinate images (``component_images``),
+and reassembles the terms coordinate by coordinate.  The all-k symbolic check
 is the route hwfib replaced by one recursion on all coordinates: one E(1)
 sequence per k, its two checks run by whole-term equality.  A candidate
 entry is read by a regular expression for its grammar and valued by
@@ -38,7 +39,6 @@ from math import gcd, lcm
 from hwfib.epimorphism import (
     _product_recursion,
     build_epimorphism,
-    component_images,
     symbolic_sequence,
 )
 from hwfib.exact import IntMatrix
@@ -50,7 +50,7 @@ from hwfib.hwgroup import (
     is_crystallographic,
     translation_lattice,
 )
-from hwfib.isometry import DiagIsometry, component, direct_sum
+from hwfib.isometry import DiagIsometry
 
 # A candidate entry after str.strip: ASCII p or p/q, or a decimal with a digit
 _ENTRY = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)")
@@ -219,15 +219,33 @@ def window_fold_recursion(seeds, length):
     return terms
 
 
+def component_images(c: HWCandidate, j: int) -> GenImages:
+    """Images of the n-1 group generators in E(1) at coordinate j: the sign
+    at j and the j-th translation entry of each generator.  For j <= n-2
+    exactly one image has sign +1 (generator j); for j = n-1 none does."""
+    if not 0 <= j < c.dim:
+        raise IndexError(f"coordinate {j} out of range for dimension {c.dim}")
+    return GenImages(
+        tuple(
+            DiagIsometry((1 if i == j else -1,), (Fraction(row[j], 2),))
+            for i, row in enumerate(c.units)
+        )
+    )
+
+
 def build_epimorphism_by_components(c: HWCandidate) -> GenImages:
     """Independent route to the same images: run the recursion in E(1) for
-    each coordinate separately and reassemble by direct sum."""
+    each coordinate separately and reassemble the coordinates of each term
+    into one element of E(n)."""
     sequences = [
         _product_recursion(component_images(c, j).images, 2 * c.dim)
         for j in range(c.dim)
     ]
     return GenImages(
-        tuple(direct_sum(component(g, 0) for g in terms) for terms in zip(*sequences))
+        tuple(
+            DiagIsometry(tuple(g.signs[0] for g in terms), tuple(g.translation[0] for g in terms))
+            for terms in zip(*sequences)
+        )
     )
 
 
@@ -235,7 +253,7 @@ def relators_by_candidate(c):
     """Which relators of F(n-1, 2n) are trivial on the candidate's own 2n
     images in E(n), built and evaluated over Fraction."""
     n = c.dim
-    return verify_relators(fibonacci_presentation(n - 1, 2 * n), build_epimorphism(c)).trivial
+    return verify_relators(fibonacci_presentation(n - 1, 2 * n), build_epimorphism(c))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -514,6 +532,27 @@ def hnf_torsion_classes(c):
         if lattice_contains(projected, [Fraction(-units[j], 2) for j in fixed]):
             found.add(signs)
     return found
+
+
+def parity_torsion_classes(n, lows):
+    """Sign masks of the non-identity holonomy classes whose product of
+    generators has an even translation, in half units, at every coordinate
+    its sign mask fixes: the torsion test on the low words alone, with no
+    high words and no parity space.  Each class is built from the class
+    without its highest generator, not by a Gray-code walk."""
+    full = (1 << n) - 1
+    rl = [0] * (1 << (n - 1))
+    neg = [0] * (1 << (n - 1))
+    out = set()
+    for s in range(1, 1 << (n - 1)):
+        k = s.bit_length() - 1
+        rest = s ^ (1 << k)
+        # translations add mod 2 whatever the signs
+        rl[s] = rl[rest] ^ lows[k]
+        neg[s] = neg[rest] ^ full ^ (1 << k)
+        if not rl[s] & ~neg[s]:
+            out.add(neg[s])
+    return out
 
 
 def hnf_torsion_exists(c):

@@ -135,6 +135,40 @@ def test_exponent_notation_is_a_usage_error(tmp_path, capsys, command, entry, ou
     assert out == ""
 
 
+def _refused_entry(text):
+    return f"malformed candidate description: {text!r} is not an ASCII rational p/q or decimal"
+
+
+# A candidate file and the reason the loader gives for refusing it.  A JSON
+# number with a fraction or an exponent was read through a float, so the
+# first entry loaded as 1/2, 5e-1 loaded, and the messages for 1e16,
+# 0.00005, NaN and Infinity quoted the float's text, not the file's
+_ENTRY_FILE = '{"dim": 3, "translations": [[%s, "1/2", "0"], ["0", "1/2", "1/2"]]}'
+FILE_REFUSALS = [
+    (_ENTRY_FILE % "0.50000000000000001",
+     "generator 0 translation entry 50000000000000001/100000000000000000 is not a half-integer"),
+    (_ENTRY_FILE % "5e-1", _refused_entry("5e-1")),
+    (_ENTRY_FILE % "1e16", _refused_entry("1e16")),
+    (_ENTRY_FILE % "0.00005", "generator 0 translation entry 1/20000 is not a half-integer"),
+    (_ENTRY_FILE % "NaN", _refused_entry("NaN")),
+    (_ENTRY_FILE % "Infinity", _refused_entry("Infinity")),
+    (_ENTRY_FILE % "-Infinity", _refused_entry("-Infinity")),
+    ('{"dim": 3.50, "translations": []}',
+     "malformed candidate description: dim must be an integer, got 3.50"),
+    ("[3]", "candidate description must be a JSON object, got array"),
+    ('"abc"', "candidate description must be a JSON object, got string"),
+]
+
+
+@pytest.mark.parametrize("command", ["verify", "show"])
+@pytest.mark.parametrize("text, reason", FILE_REFUSALS, ids=lambda v: v[:40])
+def test_loader_reads_json_numbers_from_the_file_text(tmp_path, capsys, command, text, reason):
+    path = tmp_path / "candidate.json"
+    path.write_text(text)
+    assert run_cli(capsys, command, "--input", str(path)) == (
+        2, "", f"error: cannot load candidate: {reason}\n")
+
+
 @pytest.mark.parametrize("command", ["verify", "show"])
 def test_deeply_nested_json_is_a_usage_error(tmp_path, capsys, command):
     # json.load raises RecursionError past the interpreter's recursion limit
@@ -398,7 +432,7 @@ RAW_CANDIDATE_FILES = {
 
 # sha256 of stdout keyed by argv, without any "runtime:" line.  The survey
 # entries were recorded from the Fraction-based survey (each candidate built
-# as an HWCandidate, classified and written with format_rational); the
+# as an HWCandidate, classified and written by Fraction's str); the
 # others from the code that kept a separate E(1) isometry type for the
 # symbolic sequence and copied the product recursion three times.
 STDOUT_SHA256 = {
@@ -422,7 +456,7 @@ STDOUT_SHA256 = {
         "18893d93c29fec8751391692187b17fe1a0197ea38d0d88ce7faf4fd34b84fdb",
     # these three were recorded from the kernel that built an F2 basis of
     # the parity space for every orbit key, and wrote each JSON unit
-    # through Fraction and format_rational
+    # through Fraction and its str
     ("survey", "--dim", "9", "--sample", "2000", "--seed", "9", "--format", "json"):
         "d3bd0e37f6613ac70a736e61157e88b132cb8cbed05e5228622ca21a18085e72",
     ("survey", "--dim", "21", "--sample", "200", "--seed", "21", "--format", "json"):

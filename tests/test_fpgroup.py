@@ -18,7 +18,7 @@ from hwfib.fpgroup import (
     word,
     word_inverse,
 )
-from hwfib.isometry import DiagIsometry, compose
+from hwfib.isometry import DiagIsometry
 
 from _oracles import divisors_by_minor_gcds, hom_matrix, hom_mul
 
@@ -132,7 +132,7 @@ def test_evaluate_against_homogeneous_product():
     got = evaluate(word([(0, 1), (1, 1)]), imgs)
     expected = hom_mul(hom_matrix(G0.signs, G0.translation), hom_matrix(G1.signs, G1.translation))
     assert hom_matrix(got.signs, got.translation) == expected
-    assert got == compose(G0, G1)
+    assert got == G0.compose(G1)
 
 
 def test_evaluate_out_of_range():
@@ -147,23 +147,20 @@ def test_evaluate_is_monoid_homomorphism():
     for _ in range(150):
         u = word([(rng.randint(0, 5), rng.choice((1, -1))) for _ in range(rng.randint(0, 8))])
         v = word([(rng.randint(0, 5), rng.choice((1, -1))) for _ in range(rng.randint(0, 8))])
-        assert evaluate(concat(u, v), imgs) == compose(evaluate(u, imgs), evaluate(v, imgs))
+        assert evaluate(concat(u, v), imgs) == evaluate(u, imgs).compose(evaluate(v, imgs))
         assert evaluate(free_reduce(u), imgs) == evaluate(u, imgs)
         assert evaluate(word_inverse(u), imgs) == evaluate(u, imgs).inverse()
 
 
 def test_verify_relators_cyclic3():
     p = fibonacci_presentation(2, 6)
-    report = verify_relators(p, cyclic3_images())
-    assert report.trivial == (True,) * 6
-    assert report.passed
-    assert report.failures() == []
+    assert verify_relators(p, cyclic3_images()) == (True,) * 6
 
 
 def test_verify_relators_trivial_homomorphism():
     p = fibonacci_presentation(2, 6)
     e = DiagIsometry.identity(3)
-    assert verify_relators(p, GenImages((e,) * 6)).passed
+    assert all(verify_relators(p, GenImages((e,) * 6)))
 
 
 def test_verify_relators_detects_bad_images():
@@ -171,12 +168,12 @@ def test_verify_relators_detects_bad_images():
     good = cyclic3_images()
     # swap the images of a_0 and a_1, keep the rest
     swapped = GenImages((good.images[1], good.images[0]) + good.images[2:])
-    report = verify_relators(p, swapped)
-    assert not report.passed
+    trivial = verify_relators(p, swapped)
+    assert not all(trivial)
     # oracle: relator 0 = a_0 a_1 a_2^(-1) evaluated directly
-    direct = compose(compose(G1, G0), good.images[2].inverse())
+    direct = G1.compose(G0).compose(good.images[2].inverse())
     assert not direct.is_identity()
-    assert 0 in report.failures()
+    assert 0 in [i for i, ok in enumerate(trivial) if not ok]
 
 
 def test_derived_relation_under_verified_images():
@@ -187,8 +184,8 @@ def test_derived_relation_under_verified_images():
     full = list(imgs.images)
     # extend images cyclically for index arithmetic
     for i in range(two_n):
-        lhs = compose(full[i], full[(i + n) % two_n])
-        rhs = compose(full[(i + n - 1) % two_n], full[(i + n - 1) % two_n])
+        lhs = full[i].compose(full[(i + n) % two_n])
+        rhs = full[(i + n - 1) % two_n].compose(full[(i + n - 1) % two_n])
         assert lhs == rhs
 
 

@@ -30,8 +30,9 @@ from hwfib.hwgroup import (
     _rep_units_raw,
     _schreier_lattice,
     _torsion_classes,
+    _xor_reduce,
 )
-from hwfib.isometry import DiagIsometry, compose
+from hwfib.isometry import DiagIsometry
 
 from _oracles import (
     conjugate_diagonal,
@@ -43,6 +44,7 @@ from _oracles import (
     lattice_from_scaled,
     lattice_from_vectors,
     lattice_reduce,
+    parity_torsion_classes,
     schreier_lattice,
     torsion_oracle,
 )
@@ -61,7 +63,7 @@ def word_ball_lattice(c, max_len):
     frontier = [DiagIsometry.identity(c.dim)]
     translations = set()
     for _ in range(max_len):
-        frontier = [compose(f, l) for f in frontier for l in letters]
+        frontier = [f.compose(l) for f in frontier for l in letters]
         # dedupe to keep the ball small
         frontier = list(dict.fromkeys(frontier))
         for f in frontier:
@@ -107,7 +109,7 @@ def test_holonomy_table_cyclic3():
     assert rep.translation == (HALF, 0, -HALF)
     # oracle: the representative is the product of the two generators
     c = cyclic_hw(3)
-    assert rep == compose(c.generators[0], c.generators[1])
+    assert rep == c.generators[0].compose(c.generators[1])
 
 
 def test_holonomy_table_sizes_and_orientation():
@@ -133,7 +135,7 @@ def test_holonomy_representatives_live_in_group():
     letters = [c.generators[0], c.generators[1]]
     frontier = [DiagIsometry.identity(3)]
     for _ in range(4):
-        frontier = [compose(f, l) for f in frontier for l in letters]
+        frontier = [f.compose(l) for f in frontier for l in letters]
         for f in frontier:
             ball.setdefault(f.signs, f)
     for signs, rep in table.items():
@@ -141,7 +143,7 @@ def test_holonomy_representatives_live_in_group():
             assert rep.is_identity()
             continue
         witness = ball[signs]
-        diff = compose(rep, witness.inverse())
+        diff = rep.compose(witness.inverse())
         assert all(s == 1 for s in diff.signs)
         assert lattice_contains(lat, diff.translation)
 
@@ -174,7 +176,7 @@ def test_translation_lattice_contains_squared_generators():
         c = candidate_from_index(3, rng.randrange(candidate_count(3)))
         lat = translation_lattice(c)
         for g in c.generators:
-            sq = compose(g, g)
+            sq = g.compose(g)
             assert all(s == 1 for s in sq.signs)
             assert lattice_contains(lat, sq.translation)
 
@@ -212,7 +214,7 @@ def test_is_torsion_free_requires_crystallographic():
         torsion_oracle(c)
     # the group visibly has torsion (generator 0 squares to the identity),
     # and the classifier reports it as not Hantzsche-Wendt
-    sq = compose(c.generators[0], c.generators[0])
+    sq = c.generators[0].compose(c.generators[0])
     assert sq.is_identity()
     assert not is_hantzsche_wendt(c)
 
@@ -393,6 +395,33 @@ def test_column_mask_is_the_or_of_the_basis_and_the_nonzero_moduli():
         assert mask == span == sum(1 << j for j, m in enumerate(mods) if m), (n, lows)
         partial += 0 < mask < (1 << n) - 1
     assert partial > 100  # candidates of every rank, not only 0 and n
+
+
+def test_own_bit_lemma_parity_decides_torsion():
+    # the lemma of the hwgroup docstring, for words in which every generator
+    # has its own bit, as every Hantzsche-Wendt candidate's do: V holds
+    # e_0..e_(n-2), the basis has rank n exactly when the candidate is
+    # crystallographic, and the walk finds the classes of the parity
+    # condition alone, whatever the high words
+    cases = [(n, lows, highs) for n, _, lows, highs in _lemma_cases()
+             if all(u >> i & 1 for i, u in enumerate(lows))]
+    rng = random.Random(47)
+    for n, count in ((7, 200), (9, 60), (11, 16), (13, 6)):
+        own = sum(1 << (i * n + i) for i in range(n - 1))
+        for _ in range(count):
+            cases.append((n, _index_words(n, rng.randrange(candidate_count(n)) | own), (0,) * (n - 1)))
+    seen = set()
+    for n, lows, highs in cases:
+        basis = _schreier_lattice(n, lows)
+        assert not any(_xor_reduce(basis, 1 << i) for i in range(n - 1)), (n, lows)
+        cryst = _column_mask(n, lows) == (1 << n) - 1
+        assert (len(basis) == n) == cryst, (n, lows)
+        torsion = set(_torsion_classes(n, lows, highs, basis))
+        assert torsion == parity_torsion_classes(n, lows), (n, lows, highs)
+        seen.add((cryst, bool(torsion), any(highs)))
+    # both ranks, with and without torsion, with high words zero and not
+    assert {(True, True, True), (True, False, True), (False, True, True),
+            (True, True, False), (True, False, False), (False, True, False)} <= seen
 
 
 def test_singleton_class_has_torsion_exactly_when_its_own_bit_is_0():
@@ -636,7 +665,9 @@ def test_loader_reads_every_spelling_as_fraction_did(text, expected):
 # Which error wins when several apply, recorded from the same loader.  The
 # rows of "101", ["110", "011"] and [1, 2] come from the loader that checks
 # JSON types: the one before read a string row by its characters, so that
-# ["110", "011"] loaded, and failed on iterating a number
+# ["110", "011"] loaded, and failed on iterating a number.  The row of [3]
+# comes from the loader that checks the top-level type: the one before
+# refused it by indexing a list with "dim"
 LOADER_PRECEDENCE = [
     ({"dim": 3.5, "translations": [["abc", "0", "0"], ["0", "0", "0"]]},
      "malformed candidate description: dim must be an integer, got 3.5"),
@@ -655,7 +686,7 @@ LOADER_PRECEDENCE = [
     ({"dim": 3, "translations": [["1e3", "abc", "0"], ["0", "0", "0"]]}, _refused("1e3")),
     ({"dim": 3}, "malformed candidate description: 'translations'"),
     ({"translations": []}, "malformed candidate description: 'dim'"),
-    ([3], "malformed candidate description: list indices must be integers or slices, not str"),
+    ([3], "candidate description must be a JSON object, got array"),
     ({"dim": 3, "translations": "101"},
      "malformed candidate description: translations must be a JSON array, got string"),
     ({"dim": 3, "translations": ["110", "011"]},

@@ -17,9 +17,7 @@ from hwfib.epimorphism import (
 from hwfib.fpgroup import (
     GenImages,
     Presentation,
-    RelatorReport,
     fibonacci_presentation,
-    verify_relators,
 )
 from hwfib.hwgroup import (
     Classification,
@@ -68,11 +66,6 @@ RECORDS = {
         ("images",),
         lambda: build_epimorphism(cyclic_hw(3)),
         lambda: build_epimorphism(_zero3()),
-    ),
-    RelatorReport: (
-        ("trivial",),
-        lambda: verify_relators(fibonacci_presentation(2, 6), build_epimorphism(cyclic_hw(3))),
-        lambda: RelatorReport((True, False)),
     ),
     SymSequence: (("n", "k", "terms"), lambda: symbolic_sequence(5, 1), lambda: symbolic_sequence(5, 2)),
     VerificationReport: (
