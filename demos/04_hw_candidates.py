@@ -5,7 +5,7 @@ A candidate in odd dimension n is generated by n-1 isometries with the
 standard diagonal sign patterns and half-integer translations.  It is a
 Hantzsche-Wendt group when it is crystallographic (full-rank translation
 lattice) and torsion-free.  ``classify`` decides both on n-bit words; the
-steps it runs are printed below for three candidates.
+steps it runs are printed below for four candidates.
 """
 
 from fractions import Fraction
@@ -13,38 +13,37 @@ from fractions import Fraction
 from hwfib import (
     build_candidate,
     candidate_count,
+    candidate_from_index,
     classify,
     cyclic_hw,
     enumerate_candidates,
     is_torsion_free,
     translation_lattice,
 )
-from hwfib.hwgroup import _column_mask, _rep_units_raw, _schreier_lattice, _torsion_classes
+from hwfib.hwgroup import _rep_units_raw, _schreier_lattice, _torsion_classes
 
 HALF = Fraction(1, 2)
 
 
 def show_kernel(c):
-    """The moduli m_j and the normalised words of the generators, the
-    crystallographic mask read from the columns of the low words, whether
-    one generator decides torsion, a basis of the parity space V and the
-    first holonomy class holding torsion.  A word is printed bit 0 first."""
+    """The moduli m_j and the normalised word of each generator, the
+    crystallographic mask read from the columns of the words, whether one
+    generator decides torsion, and else the first holonomy class the
+    parity walk finds with torsion.  A word is printed bit 0 first."""
     n = c.dim
     bits = lambda w: format(w, f"0{n}b")[::-1]
-    mods, lows, highs = _rep_units_raw(c)
-    basis = _schreier_lattice(n, lows)
-    first = next(_torsion_classes(n, lows, highs, basis), None)
+    mods, lows = _rep_units_raw(c)
     print(f"  moduli m_j: {mods}")
-    print(f"  low words: {[bits(u) for u in lows]}, high words: {[bits(u) for u in highs]}")
-    print(f"  crystallographic mask (column mask): {bits(_column_mask(n, lows))}")
+    print(f"  words (unit parities): {[bits(u) for u in lows]}")
+    print(f"  crystallographic mask: {bits(_schreier_lattice(n, lows))}")
     own = [i for i, u in enumerate(lows) if not u >> i & 1]
     if own:
         print(f"  generator {own[0]} has no bit of its own: its class has torsion, no walk runs")
     else:
-        print("  every generator has its own bit: classify builds V and walks the classes")
-    print(f"  parity space V: dimension {len(basis)}, basis {[bits(b) for b in basis]}")
-    print("  first class with torsion (coordinates negated):",
-          "none" if first is None else bits(first))
+        first = next(_torsion_classes(n, lows), None)
+        print("  every generator has its own bit: the parity walk decides;",
+              "first class with torsion (coordinates negated):",
+              "none" if first is None else bits(first))
     print("  classification:", classify(c))
 
 
@@ -55,9 +54,9 @@ for i, g in enumerate(c.generators):
 show_kernel(c)
 
 lattice = translation_lattice(c)
-print("translation lattice (Hermite form written from the m_j and V):")
+print("translation lattice (Hermite form written from the m_j and the parity space V):")
 print("  rank", lattice.rank, "basis", lattice.basis, "denominator", lattice.den)
-print("torsion-free (Gray-code walk over the holonomy classes):", is_torsion_free(c))
+print("torsion-free (parity walk over the holonomy classes):", is_torsion_free(c))
 
 # The same group scaled by 3: every modulus is 3, and the conjugation by
 # x -> x/3 gives back the same words.
@@ -70,6 +69,13 @@ show_kernel(tripled)
 zero = build_candidate(3, [(0, 0, 0), (0, 0, 0)])
 print("\nzero-translation candidate:")
 show_kernel(zero)
+
+# Every generator has its own bit, so no single generator decides; the
+# walk finds a product of generators whose translation is even wherever
+# its sign matrix fixes a coordinate.
+owned = candidate_from_index(5, 285943)
+print("\na 5-dimensional candidate with every own bit and torsion:")
+show_kernel(owned)
 
 # Exhaustive survey of dimension 3: all 2^6 = 64 half-integer assignments.
 print(f"\nsurveying all {candidate_count(3)} candidates in dimension 3 ...")

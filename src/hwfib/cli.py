@@ -74,9 +74,8 @@ EXIT_USAGE = 2
 FULL_ENUMERATION_LIMIT = 5  # dimensions above this need --sample
 # Largest dimension verify, show and survey accept: classifying a candidate
 # walks its 2^(n-1) holonomy classes.  Measured on a 2-core x86-64 VM with
-# Python 3.11.7: classify of cyclic n=17, 19 and 21 takes 0.025 s, 0.10-0.11 s
-# and 0.34-0.40 s (0.32-0.37 s at n=21 conjugated by a dense integer
-# translation), and each step of 2 in n costs about 4x.
+# Python 3.11.7: classify of cyclic n=17, 19 and 21 takes 0.015-0.022 s,
+# 0.061-0.089 s and 0.24-0.35 s, and each step of 2 in n costs about 4x.
 MAX_DIM = 21
 # Largest dimension symbolic accepts.  The all-k run is one recursion of
 # 3n-1 terms in E(n), one inverse and two products per term, on ints of

@@ -58,57 +58,59 @@ would make coordinate j zero in every element, and that conjugation moves
 an element (A, a) only where A negates.  So a_j = 0 whenever A fixes j,
 whatever the units, and the parity masks below have no bit j (they XOR
 equal bits): such a coordinate needs neither shift nor scaling.  Every
-generator is then two n-bit words, low (bit j is u mod 2) and high (bit j
-is u div 2 mod 2).  An enumerated index is already in that form: its units
-are 0 or 1, every m_j is 0 or 1, the low words are the index bits and the
-high words are 0.
+generator g_i is then one n-bit word U_i, bit j the parity of its unit j;
+the torsion step below shows that nothing else decides a verdict.  An
+enumerated index is already in that form: its units are 0 or 1, every m_j
+is 0 or 1, and the words are the index bits.
 
 Lattice step.  With every m_j in {0, 1}, L is the set of integer vectors,
 zero where m_j = 0, whose parity mask lies in the F2 space V spanned by the
 parity masks of the normal generators: U_i & bit i for g_i^2 and
-(U_i & ~bit j) ^ (U_j & ~bit i) for [g_i, g_j], U_i the low word of g_i.
+(U_i & ~bit j) ^ (U_j & ~bit i) for [g_i, g_j], U_i the word of g_i.
 Their OR, the crystallographic mask, holds the coordinates with m_j = 1;
 the candidate is crystallographic when it holds all n.  It needs no basis:
 bit j of the word of [g_i, g_k] is U_i[j] ^ U_k[j] off {i, k}, U_i[i] at i
 and U_k[k] at k, so bit j of the OR is set when U_j[j] is 1 or when column
 j off the diagonal (the U_i[j], i != j) is not constant.  With D the OR of
 U_i & bit i, O the OR of U_i & ~bit i and A the AND of U_i | bit i, the
-mask is D | (O & ~A), as ``_column_mask`` computes it.  Undoing the
+mask is D | (O & ~A), as ``_schreier_lattice`` computes it.  Undoing the
 scaling, the lattice of the candidate as given is the set of integer
 vectors x, zero where m_j = 0, with x_j in m_j Z and parity mask (bit j is
 x_j / m_j mod 2) in V.  ``translation_lattice`` writes its Hermite form
-from the m_j and V alone.  Bring a basis of V to reduced echelon form with
-each pivot at a word's lowest set bit, so that no word has a bit at
-another word's pivot.  For each j with m_j > 0, in increasing order, take
-the row m.b (m_k wherever b has bit k) when j is the pivot of the word b,
-and 2 m_j e_j otherwise.  These rows lie in L and span it: 2 m_j e_j at a
-pivot j is 2 m.b minus the rows 2 m_k e_k at the other bits k of b, none
-of which is a pivot; so the rows span 2M, and m.v for v in V is a sum of
-rows m.b modulo 2M.  Row j has the positive pivot m_j or 2 m_j at column
-j and is zero before it.  Above a pivot k every entry is 0 when k is a
-word's pivot, and 0 or m_k < 2 m_k otherwise.  So the rows are the
-canonical Hermite form of L, with no elimination.
+from the m_j and V alone.  Bring the normal generators' words to reduced
+echelon form, dropping those that reduce to 0, with each pivot at a word's
+lowest set bit, so that no word has a bit at another word's pivot.  For
+each j with m_j > 0, in increasing order, take the row m.b (m_k wherever b
+has bit k) when j is the pivot of the word b, and 2 m_j e_j otherwise.
+These rows lie in L and span it: 2 m_j e_j at a pivot j is 2 m.b minus the
+rows 2 m_k e_k at the other bits k of b, none of which is a pivot; so the
+rows span 2M, and m.v for v in V is a sum of rows m.b modulo 2M.  Row j
+has the positive pivot m_j or 2 m_j at column j and is zero before it.
+Above a pivot k every entry is 0 when k is a word's pivot, and 0 or
+m_k < 2 m_k otherwise.  So the rows are the canonical Hermite form of L,
+with no elimination.
 
 Torsion step.  An element (A, a + λ), λ in L, has a fixed point (and then
 order two) exactly when a + λ vanishes on the coordinates F that A fixes:
 when the half units of a are even on F (and 0 where m_j = 0, which holds
 by the above) and the parity mask of a/2 on F lies in the projection of V
-to F.  That reads a mod 4 only, so the walk over the holonomy classes
-keeps the representative as two bit planes, and skips the projection test
-when V is all of F2^n.  The class of g_i alone fixes only F = {i}, and
-holds torsion exactly when bit i of the low word of g_i is 0, whatever the
-high word and V.  If m_i = 1 the mask has bit i, so the projection of V to
-{i} is all of F2; if m_i = 0 then u_i[i] = 0, as m_i divides it, so the
-high bit is 0 too.  This needs normalised words: on raw units, u_i[i] even
-says nothing of a_i / m_i.  So classify builds the basis and walks only
-when every g_i has its own bit, as every Hantzsche-Wendt candidate does.
-Then V holds every e_i = U_i & bit i, i < n-1, so V is all of F2^n when
-its OR, the mask, has bit n-1, that is when the candidate is
-crystallographic, and is spanned by e_0..e_(n-2) otherwise.  The parity
-test alone then decides each class.  At rank n the projection test passes.
-At rank n-1 it needs bit n-1 of rh to be 0 in the classes that fix n-1,
-the products of evenly many generators.  There m_(n-1) = 0, every g_i acts
-on coordinate n-1 as one reflection x -> c - x, and so a_(n-1) = 0.
+to F.  When every g_i has its own bit, bit i of U_i, as every
+Hantzsche-Wendt candidate does, the parity of a alone decides (the own-bit
+lemma).  V then holds every e_i = U_i & bit i, i < n-1, so V is all of
+F2^n when its OR, the mask, has bit n-1, that is when the candidate is
+crystallographic, and is spanned by e_0..e_(n-2) otherwise.  At rank n
+the projection of V to F is all of F2^F.  At rank n-1 it lacks only bit
+n-1, which F holds in the classes that fix n-1, the products of evenly
+many generators.  There m_(n-1) = 0, every g_i acts on coordinate n-1 as
+one reflection x -> c - x, and so a_(n-1) = 0.  The translation of a
+product is the sum of its factors' translations up to sign, so a mod 2 is
+the XOR of their words, and the walk over the holonomy classes keeps it
+as one bit plane.  Without the own bit no walk is needed: the class of g_i
+alone fixes only F = {i}, and holds torsion exactly when bit i of U_i is
+0, whatever V.  If m_i = 1 the mask has bit i, so the projection of V to
+{i} is all of F2; if m_i = 0 then u_i[i] = 0, as m_i divides it.  This
+needs normalised words: on raw units, u_i[i] even says nothing of
+a_i / m_i.  So classify walks only when every g_i has its own bit.
 
 Translation orbits.  Let F_k be the bits i*n+k of an index over the
 generators i != k: unit k of every generator but g_k.  The candidates at
@@ -296,40 +298,14 @@ def cyclic_hw(n: int) -> HWCandidate:
 # ---------------------------------------------------------------------------
 # classification on n-bit words (see the module docstring)
 
-def _xor_reduce(basis: Sequence[int], v: int) -> int:
-    """v reduced by an F2 basis sorted by decreasing leading bit."""
-    for b in basis:
-        v = min(v, v ^ b)
-    return v
-
-
-def _xor_basis(words: Iterable[int], n: int) -> list[int]:
-    """F2 basis of the span of n-bit words, sorted by decreasing leading
-    bit; stops reading words once the span is all of F2^n."""
-    pivots = [0] * n  # pivots[h]: the basis word with leading bit h
-    rank = 0
-    for v in words:
-        while v:
-            h = v.bit_length() - 1
-            if not pivots[h]:
-                pivots[h] = v
-                rank += 1
-                break
-            v ^= pivots[h]
-        if rank == n:
-            break
-    return [b for b in reversed(pivots) if b]
-
-
-def _rep_units_raw(c: HWCandidate) -> tuple[list[int], list[int], list[int]]:
-    """Normalising step of classify: the moduli m_j, then the low and high
-    words of every generator after the conjugation that makes each nonzero
-    m_j equal to 1 (see the module docstring)."""
+def _rep_units_raw(c: HWCandidate) -> tuple[list[int], list[int]]:
+    """Normalising step of classify: the moduli m_j, then the word of every
+    generator after the conjugation that makes each nonzero m_j equal to 1
+    (see the module docstring)."""
     n = c.dim
     units = c.units
     mods = [0] * n
     lows = [0] * (n - 1)
-    highs = [0] * (n - 1)
     for j in range(n):
         ref = units[1 if j == 0 else 0][j]
         m = mods[j] = gcd(
@@ -337,10 +313,8 @@ def _rep_units_raw(c: HWCandidate) -> tuple[list[int], list[int], list[int]]:
             *(u[j] - ref for i, u in enumerate(units) if i != j),
         )
         for i, u in enumerate(units):
-            q = u[j] // m if m else u[j]
-            lows[i] |= (q & 1) << j
-            highs[i] |= (q >> 1 & 1) << j
-    return mods, lows, highs
+            lows[i] |= ((u[j] // m if m else u[j]) & 1) << j
+    return mods, lows
 
 
 def _normal_generator_words(lows: Sequence[int]) -> Iterator[int]:
@@ -352,9 +326,10 @@ def _normal_generator_words(lows: Sequence[int]) -> Iterator[int]:
             yield (u & ~(1 << j)) ^ (w & ~bit)
 
 
-def _column_mask(n: int, lows: Sequence[int]) -> int:
-    """The crystallographic mask, the coordinates with m_j = 1, read from
-    the columns of the low words (see the module docstring)."""
+def _schreier_lattice(n: int, lows: Sequence[int]) -> int:
+    """Lattice step of classify: the crystallographic mask, the coordinates
+    with m_j = 1, read from the columns of the words (see the module
+    docstring)."""
     diag = off = 0
     ones = (1 << n) - 1
     for i, u in enumerate(lows):
@@ -365,48 +340,30 @@ def _column_mask(n: int, lows: Sequence[int]) -> int:
     return diag | off & ~ones
 
 
-def _schreier_lattice(n: int, lows: Sequence[int]) -> list[int]:
-    """Lattice step of classify: an F2 basis of the parity space V, sorted
-    by decreasing leading bit."""
-    return _xor_basis(_normal_generator_words(lows), n)
-
-
-def _torsion_classes(
-    n: int, lows: Sequence[int], highs: Sequence[int], basis: Sequence[int]
-) -> Iterator[int]:
+def _torsion_classes(n: int, lows: Sequence[int]) -> Iterator[int]:
     """Sign masks of the holonomy classes that hold an element of finite
-    order, at any lattice rank, from normalised words.
+    order, from normalised words in which every generator has its own bit.
 
     Walks the 2^(n-1) - 1 non-identity classes in Gray-code order,
     right-multiplying a representative (A, a) by one generator per step,
-    with a mod 4 kept as two bit planes: rl (a mod 2) and rh (a div 2
-    mod 2).  A class holds torsion when rl vanishes on the coordinates F
-    that A fixes and rh on F lies in the projection of V to F.
+    with a mod 2 kept as one bit plane rl.  By the own-bit lemma of the
+    module docstring, a class holds torsion exactly when rl vanishes on the
+    coordinates that A fixes.
     """
     full = (1 << n) - 1
-    span_all = len(basis) == n
-    rl = rh = neg = 0
+    rl = neg = 0
     for step in range(1, 1 << (n - 1)):
         k = (step & -step).bit_length() - 1
-        low = lows[k]
-        # a += A t_k: adding 1 where A fixes carries out of odd entries,
-        # subtracting 1 where A negates borrows from even ones, so bit 1
-        # flips where rl != neg; adding +-2 high is the same mod 4
-        rh ^= low & (rl ^ neg) ^ highs[k]
-        rl ^= low
+        rl ^= lows[k]
         neg ^= full ^ (1 << k)
-        if not rl & ~neg and (span_all or not _xor_reduce(
-            _xor_basis((b & ~neg for b in basis), n), rh & ~neg
-        )):
+        if not rl & ~neg:
             yield neg
 
 
-def _torsion_exists(
-    n: int, lows: Sequence[int], highs: Sequence[int], basis: Sequence[int]
-) -> bool:
+def _torsion_exists(n: int, lows: Sequence[int]) -> bool:
     """Torsion step of classify: whether the walk of _torsion_classes finds
     a class with torsion; it stops at the first."""
-    return next(_torsion_classes(n, lows, highs, basis), None) is not None
+    return next(_torsion_classes(n, lows), None) is not None
 
 
 class Classification(Record):
@@ -442,33 +399,30 @@ class Classification(Record):
         }
 
 
-def _classify_words(n: int, lows: Sequence[int], highs: Sequence[int]) -> Classification:
+def _classify_words(n: int, lows: Sequence[int]) -> Classification:
     """The classification kernel, on normalised words.  The lattice and
     torsion steps are looked up as module globals on every call, so
     wrappers installed on them see each candidate.  The holonomy is always
     the full orientation-preserving group of order 2^(n-1) (see the module
     docstring), so a candidate is Hantzsche-Wendt exactly when it is
     crystallographic and torsion-free.  A generator without its own bit
-    decides torsion before any basis is built."""
-    cryst = _column_mask(n, lows) == (1 << n) - 1
-    torsion_free = all(u >> i & 1 for i, u in enumerate(lows)) and not _torsion_exists(
-        n, lows, highs, _schreier_lattice(n, lows)
-    )
+    decides torsion before any walk."""
+    cryst = _schreier_lattice(n, lows) == (1 << n) - 1
+    torsion_free = all(u >> i & 1 for i, u in enumerate(lows)) and not _torsion_exists(n, lows)
     return Classification(cryst, torsion_free, 2 ** (n - 1), True, cryst and torsion_free)
 
 
 def classify(c: HWCandidate) -> Classification:
-    _, lows, highs = _rep_units_raw(c)
-    return _classify_words(c.dim, lows, highs)
+    return _classify_words(c.dim, _rep_units_raw(c)[1])
 
 
 def classify_index(n: int, idx: int) -> Classification:
     """Classification of ``candidate_from_index(n, idx)``, read from the
     bits of idx without building the candidate: unit j of generator i is
     bit i*n+j, 1 for a translation by 1/2 and 0 for none.  These are
-    already normalised words (low words from the bits, high words zero).
-    Raises ValueError for an even or small n and an index out of range."""
-    return _classify_words(n, _index_words(n, idx), (0,) * (n - 1))
+    already normalised words.  Raises ValueError for an even or small n and
+    an index out of range."""
+    return _classify_words(n, _index_words(n, idx))
 
 
 def orbit_key(n: int) -> Callable[[int], int]:
@@ -497,14 +451,14 @@ def is_crystallographic(c: HWCandidate) -> bool:
 def is_torsion_free(c: HWCandidate) -> bool:
     """No non-identity holonomy class contains a finite-order element;
     defined for crystallographic candidates."""
-    mods, lows, highs = _rep_units_raw(c)
+    mods, lows = _rep_units_raw(c)
     if not all(mods):
         rank = len(mods) - mods.count(0)  # only for the message
         raise ValueError(
             "torsion test requires a crystallographic candidate "
             f"(translation lattice has rank {rank} < {c.dim})"
         )
-    return _classify_words(c.dim, lows, highs).torsion_free
+    return _classify_words(c.dim, lows).torsion_free
 
 
 def is_hantzsche_wendt(c: HWCandidate) -> bool:
@@ -532,16 +486,18 @@ class Lattice(Record):
         return len(self.basis)
 
 
-def _reduced_echelon(basis: Iterable[int]) -> dict[int, int]:
-    """Reduced echelon form of independent F2 words, keyed by pivot: each
-    word's pivot is its lowest set bit, and no word has a bit at another
-    word's pivot."""
+def _reduced_echelon(words: Iterable[int]) -> dict[int, int]:
+    """Reduced echelon form of a basis of the span of F2 words, keyed by
+    pivot: each word's pivot is its lowest set bit, and no word has a bit at
+    another word's pivot."""
     pivots: dict[int, int] = {}
-    for v in basis:
+    for v in words:
         # the words held are reduced, so each XOR clears one pivot bit of v
         for p, b in pivots.items():
             if v & p:
                 v ^= b
+        if not v:
+            continue
         low = v & -v
         for p in pivots:
             if pivots[p] & low:
@@ -554,8 +510,8 @@ def translation_lattice(c: HWCandidate) -> Lattice:
     """Lattice of pure translations, its Hermite form written straight from
     the moduli m_j and the parity space V (see the module docstring)."""
     n = c.dim
-    mods, lows, _ = _rep_units_raw(c)
-    pivots = _reduced_echelon(_schreier_lattice(n, lows))
+    mods, lows = _rep_units_raw(c)
+    pivots = _reduced_echelon(_normal_generator_words(lows))
     rows = []
     for j, m in enumerate(mods):
         if m:

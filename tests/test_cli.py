@@ -393,6 +393,7 @@ CYCLIC13 = "cyclic13.json"
 SCALED9 = "scaled9.json"
 NONCRYST5 = "noncryst5.json"
 TORSION5 = "torsion5.json"
+SCALED_TORSION5 = "scaled_torsion5.json"
 CYCLIC17 = "cyclic17.json"
 NONCANON5 = "noncanonical5.json"
 Q = Fraction(1, 4)
@@ -414,6 +415,12 @@ CANDIDATE_FILES = {
     # crystallographic but not torsion-free (at n=3 every crystallographic
     # candidate in the standard form is torsion-free)
     TORSION5: lambda: candidate_from_index(5, 281782),
+    # crystallographic with torsion, every generator with its own bit, and
+    # nonzero high words once normalised: index 285943 conjugated by odd
+    # scales and a shift in Z/4
+    SCALED_TORSION5: lambda: conjugate_diagonal(
+        candidate_from_index(5, 285943), (3, 5, 1, 7, 3), (Q, -3 * Q, 2 * Q, 0, -Q)
+    ),
     CYCLIC17: lambda: cyclic_hw(17),
 }
 # candidate files written by hand rather than by candidate_to_json_dict: a
@@ -505,6 +512,22 @@ STDOUT_SHA256 = {
         "49562135265dd2fc123813660e1e5cb696ae9e188b8e34677d84deb50c2cfbb0",
     ("verify", "--input", TORSION5):
         "8364f705b4f399cacb4ecef63cc8927c7ddab53ba110394559a6ac42ded3e323",
+    # these six were recorded from the kernel that kept a high word per
+    # generator and ran a projection test on an F2 basis of the parity space
+    # in every class: TORSION5 lacks an own bit, SCALED_TORSION5 has them
+    # all and nonzero high words
+    ("verify", "--input", SCALED_TORSION5, "--format", "json"):
+        "853528cec0f710fc7dadb882b6e91f5e61dfe2c62d9c7db7f4dd0b6f71258613",
+    ("verify", "--input", SCALED_TORSION5):
+        "b851bcedf2d68b566d6edbf2c8438b267dd5c26914a3c7ed428c857e46e38bf9",
+    ("show", "--input", SCALED_TORSION5, "--format", "json"):
+        "b97bc92894a381f6ddfc2a337205a3a1c8e892783a28831d91d1d85158827b63",
+    ("show", "--input", SCALED_TORSION5):
+        "6edd5df0c669bb37bfaedbe90863f163c9d971993a9d35c25d862ce00dd988e3",
+    ("show", "--input", TORSION5, "--format", "json"):
+        "8af9ba9fb5f0c55d200dbac47a8301717e4c00d869ea79902e11a9001c90c8c0",
+    ("show", "--input", TORSION5):
+        "c2fcb5ae0c36ab5c28a346508669c78e08482819c2e207c57f0b1f3e3f6cd019",
     ("verify", "--input", CYCLIC17, "--format", "json"):
         "53c639047ea9d98730649e57994aff5ec9a5ffd47d6411e7d287b5df7bbc37cb",
     # recorded from the loader that read every entry through Fraction
@@ -581,7 +604,7 @@ def _stdout_sha256(capsys, tmp_path, argv):
     code, out, _ = run_cli(capsys, *(_argv_item(tmp_path, a) for a in argv))
     # show always exits 0; verify fails the non-crystallographic candidate
     # and the one with torsion
-    assert code == (1 if argv[0] == "verify" and {NONCRYST5, TORSION5} & set(argv) else 0)
+    assert code == (1 if argv[0] == "verify" and {NONCRYST5, TORSION5, SCALED_TORSION5} & set(argv) else 0)
     kept = [line for line in out.splitlines(keepends=True) if not line.startswith("runtime:")]
     return hashlib.sha256("".join(kept).encode()).hexdigest()
 
@@ -643,17 +666,18 @@ def test_stdout_byte_identical(capsys, tmp_path, argv):
     assert _stdout_sha256(capsys, tmp_path, argv) == STDOUT_SHA256[argv]
 
 
-@pytest.mark.parametrize("argv, calls", [
-    (("survey", "--dim", "5", "--sample", "1000", "--seed", "1"), 55),
-    (("survey", "--dim", "3"), 2),
-    (("verify", "--input", CYCLIC13), 1),
+@pytest.mark.parametrize("argv, masks, walks", [
+    (("survey", "--dim", "5", "--sample", "1000", "--seed", "1"), 978, 55),
+    (("survey", "--dim", "3"), 8, 2),
+    (("verify", "--input", CYCLIC13), 1, 1),
 ], ids=["survey-n5-seed1", "survey-n3", "verify-cyclic13"])
-def test_basis_and_walk_run_only_when_every_generator_has_its_own_bit(
-    capsys, tmp_path, monkeypatch, argv, calls
+def test_walk_runs_only_when_every_generator_has_its_own_bit(
+    capsys, tmp_path, monkeypatch, argv, masks, walks
 ):
-    # a generator whose low word lacks its own bit decides torsion, so the
-    # seeded survey builds 55 bases, not one per orbit key (978), and the
-    # n=3 survey 2, not 8; the cyclic candidate has every bit and walks once
+    # every classification reads the crystallographic mask once: one per
+    # orbit key, 978 in the seeded survey and 8 at n=3; a generator whose
+    # word lacks its own bit decides torsion, so only 55 and 2 of them
+    # walk; the cyclic candidate has every bit and walks once
     counts = dict.fromkeys(("_schreier_lattice", "_torsion_exists"), 0)
     for name in counts:
         def counted(*args, _name=name, _run=getattr(hwgroup, name)):
@@ -661,7 +685,7 @@ def test_basis_and_walk_run_only_when_every_generator_has_its_own_bit(
             return _run(*args)
         monkeypatch.setattr(hwgroup, name, counted)
     _stdout_sha256(capsys, tmp_path, argv)
-    assert counts == dict.fromkeys(counts, calls)
+    assert counts == {"_schreier_lattice": masks, "_torsion_exists": walks}
 
 
 # sha256 of the whole survey --dim 5 output (2^20 lines and the summary),

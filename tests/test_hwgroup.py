@@ -25,12 +25,12 @@ from hwfib.hwgroup import (
     translation_lattice,
 )
 from hwfib.hwgroup import (
-    _column_mask,
     _index_words,
+    _normal_generator_words,
+    _reduced_echelon,
     _rep_units_raw,
     _schreier_lattice,
     _torsion_classes,
-    _xor_reduce,
 )
 from hwfib.isometry import DiagIsometry
 
@@ -310,28 +310,36 @@ ORACLE_CANDIDATES = {
 }
 
 
-def torsion_class_signs(c):
-    n = c.dim
-    _, lows, highs = _rep_units_raw(c)
-    return {
-        tuple(-1 if neg >> j & 1 else 1 for j in range(n))
-        for neg in _torsion_classes(n, lows, highs, _schreier_lattice(n, lows))
-    }
+def _own_bits(lows):
+    return all(u >> i & 1 for i, u in enumerate(lows))
+
+
+def _sign_masks(classes):
+    """The sign vectors of hnf_torsion_classes as the masks of the
+    coordinates they negate."""
+    return {sum(1 << j for j, s in enumerate(signs) if s == -1) for signs in classes}
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CANDIDATES))
 def test_classify_matches_schreier_and_hnf_oracles(name):
     # the Schreier lattice and the per-class HNF torsion test are the
-    # previous implementation of translation_lattice and classify
+    # previous implementation of translation_lattice and classify; the walk
+    # gives the torsion classes of candidates whose generators all have
+    # their own bit, and torsion_free of every candidate
+    own = 0
     for c in ORACLE_CANDIDATES[name]():
         lat = schreier_lattice(c)
         assert translation_lattice(c) == lat, c
         cl = classify(c)
         assert cl.crystallographic == is_crystallographic(c) == (lat.rank == c.dim), c
         torsion = hnf_torsion_classes(c)
-        assert torsion_class_signs(c) == torsion, c
+        _, lows = _rep_units_raw(c)
+        if _own_bits(lows):
+            own += 1
+            assert set(_torsion_classes(c.dim, lows)) == _sign_masks(torsion), c
         assert cl.torsion_free == (not hnf_torsion_exists(c)) == (not torsion), c
         assert cl.holonomy_order == 2 ** (c.dim - 1) and cl.orientation_preserving
+    assert own
 
 
 def _general_sample():
@@ -359,39 +367,62 @@ def test_translation_lattice_is_the_hnf_of_its_generators(name):
     # general HNF of the rows 2 m_j e_j and m.b, b in V, is the reference
     for c in LATTICE_CANDIDATES[name]():
         n = c.dim
-        mods, lows, _ = _rep_units_raw(c)
+        mods, lows = _rep_units_raw(c)
         rows = [[2 * m if k == j else 0 for k in range(n)] for j, m in enumerate(mods) if m]
         rows += [
             [m if b >> j & 1 else 0 for j, m in enumerate(mods)]
-            for b in _schreier_lattice(n, lows)
+            for b in _normal_generator_words(lows)
         ]
         lat = translation_lattice(c)
         assert lat == lattice_from_scaled(n, rows, 1), c
         assert lat.rank == len(mods) - mods.count(0), c
 
 
-def _lemma_cases():
-    """(dim, moduli, low words, high words) of every n=3 index, of the
-    general sample and of seeded n=5..11 indices, whose normalised words
-    are the index words classify_index reads."""
-    cases = [(c.dim, *_rep_units_raw(c)) for c in list(enumerate_candidates(3)) + _general_sample()]
+def _lemma_candidates():
+    """Every n=3 candidate and the general and scaled samples: moduli far
+    from 1, coordinates with m_j = 0, and half units that are not 0 or 1
+    mod 4 once normalised."""
+    return list(enumerate_candidates(3)) + _general_sample() + _scaled_sample()
+
+
+def _index_cases():
+    """(dim, moduli, words) of seeded n=5..11 indices, whose normalised
+    words are the index words classify_index reads."""
+    cases = []
     rng = random.Random(43)
     for n, count in ((5, 400), (7, 150), (9, 40), (11, 12)):
         for _ in range(count):
             idx = rng.randrange(candidate_count(n))
-            mods, lows, highs = _rep_units_raw(candidate_from_index(n, idx))
-            assert lows == _index_words(n, idx) and not any(highs)
-            cases.append((n, mods, lows, highs))
+            mods, lows = _rep_units_raw(candidate_from_index(n, idx))
+            assert lows == _index_words(n, idx)
+            cases.append((n, mods, lows))
     return cases
+
+
+def _high_bits(c, mods):
+    """Bit j of word i is bit 1 of unit j of g_i once normalised: the half
+    units mod 4, which no verdict reads."""
+    return [
+        sum(((u[j] // m if m else u[j]) >> 1 & 1) << j for j, m in enumerate(mods))
+        for u in c.units
+    ]
+
+
+def _in_span(pivots, v):
+    for p, b in pivots.items():
+        if v & p:
+            v ^= b
+    return not v
 
 
 def test_column_mask_is_the_or_of_the_basis_and_the_nonzero_moduli():
     partial = 0
-    for n, mods, lows, _ in _lemma_cases():
+    cases = [(c.dim, *_rep_units_raw(c)) for c in _lemma_candidates()] + _index_cases()
+    for n, mods, lows in cases:
         span = 0
-        for b in _schreier_lattice(n, lows):
+        for b in _reduced_echelon(_normal_generator_words(lows)).values():
             span |= b
-        mask = _column_mask(n, lows)
+        mask = _schreier_lattice(n, lows)
         assert mask == span == sum(1 << j for j, m in enumerate(mods) if m), (n, lows)
         partial += 0 < mask < (1 << n) - 1
     assert partial > 100  # candidates of every rank, not only 0 and n
@@ -400,41 +431,53 @@ def test_column_mask_is_the_or_of_the_basis_and_the_nonzero_moduli():
 def test_own_bit_lemma_parity_decides_torsion():
     # the lemma of the hwgroup docstring, for words in which every generator
     # has its own bit, as every Hantzsche-Wendt candidate's do: V holds
-    # e_0..e_(n-2), the basis has rank n exactly when the candidate is
-    # crystallographic, and the walk finds the classes of the parity
-    # condition alone, whatever the high words
-    cases = [(n, lows, highs) for n, _, lows, highs in _lemma_cases()
-             if all(u >> i & 1 for i, u in enumerate(lows))]
+    # e_0..e_(n-2), its basis has rank n exactly when the candidate is
+    # crystallographic, and the parity walk finds the classes of the HNF
+    # oracle, whatever the half units mod 4
+    cases = []
+    for c in _lemma_candidates():
+        mods, lows = _rep_units_raw(c)
+        if _own_bits(lows):
+            cases.append((c.dim, lows, _sign_masks(hnf_torsion_classes(c)), any(_high_bits(c, mods))))
+    cases += [(n, lows, parity_torsion_classes(n, lows), False)
+              for n, _, lows in _index_cases() if _own_bits(lows)]
     rng = random.Random(47)
     for n, count in ((7, 200), (9, 60), (11, 16), (13, 6)):
         own = sum(1 << (i * n + i) for i in range(n - 1))
         for _ in range(count):
-            cases.append((n, _index_words(n, rng.randrange(candidate_count(n)) | own), (0,) * (n - 1)))
+            lows = _index_words(n, rng.randrange(candidate_count(n)) | own)
+            cases.append((n, lows, parity_torsion_classes(n, lows), False))
     seen = set()
-    for n, lows, highs in cases:
-        basis = _schreier_lattice(n, lows)
-        assert not any(_xor_reduce(basis, 1 << i) for i in range(n - 1)), (n, lows)
-        cryst = _column_mask(n, lows) == (1 << n) - 1
-        assert (len(basis) == n) == cryst, (n, lows)
-        torsion = set(_torsion_classes(n, lows, highs, basis))
-        assert torsion == parity_torsion_classes(n, lows), (n, lows, highs)
-        seen.add((cryst, bool(torsion), any(highs)))
+    for n, lows, expected, high in cases:
+        pivots = _reduced_echelon(_normal_generator_words(lows))
+        assert all(_in_span(pivots, 1 << i) for i in range(n - 1)), (n, lows)
+        cryst = _schreier_lattice(n, lows) == (1 << n) - 1
+        assert (len(pivots) == n) == cryst, (n, lows)
+        torsion = set(_torsion_classes(n, lows))
+        assert torsion == expected, (n, lows)
+        seen.add((cryst, bool(torsion), high))
     # both ranks, with and without torsion, with high words zero and not
     assert {(True, True, True), (True, False, True), (False, True, True),
             (True, True, False), (True, False, False), (False, True, False)} <= seen
 
 
 def test_singleton_class_has_torsion_exactly_when_its_own_bit_is_0():
-    # the lemma that lets classify skip the basis and the walk: the class of
-    # g_i alone holds torsion exactly when bit i of its low word is 0,
-    # whether m_i is 1 or 0 and whatever the high word
+    # the lemma that lets classify skip the walk: the class of g_i alone
+    # holds torsion exactly when bit i of its word is 0, whether m_i is 1 or
+    # 0 and whatever the half unit mod 4; the walk tests that class by the
+    # own bit for every candidate
     seen = set()
-    for n, mods, lows, highs in _lemma_cases():
+    for c in _lemma_candidates():
+        n = c.dim
         full = (1 << n) - 1
-        torsion = set(_torsion_classes(n, lows, highs, _schreier_lattice(n, lows)))
+        mods, lows = _rep_units_raw(c)
+        highs = _high_bits(c, mods)
+        oracle = _sign_masks(hnf_torsion_classes(c))
+        torsion = set(_torsion_classes(n, lows))
         for i, u in enumerate(lows):
             own = u >> i & 1
-            assert ((full ^ (1 << i)) in torsion) == (not own), (n, lows, highs, i)
+            singleton = full ^ (1 << i)
+            assert (singleton in torsion) == (singleton in oracle) == (not own), (c, i)
             seen.add((own, mods[i] != 0, highs[i] >> i & 1))
     assert {(0, False, 0), (0, True, 0), (0, True, 1), (1, True, 0), (1, True, 1)} <= seen
 
