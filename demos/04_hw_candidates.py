@@ -11,16 +11,14 @@ steps it runs are printed below for four candidates.
 from fractions import Fraction
 
 from hwfib import (
-    build_candidate,
+    HWCandidate,
     candidate_count,
     candidate_from_index,
     classify,
     cyclic_hw,
-    enumerate_candidates,
-    is_torsion_free,
     translation_lattice,
 )
-from hwfib.hwgroup import _rep_units_raw, _schreier_lattice, _torsion_classes
+from hwfib.hwgroup import _rep_units_raw, _schreier_lattice, _torsion_classes, candidate_indices
 
 HALF = Fraction(1, 2)
 
@@ -56,17 +54,17 @@ show_kernel(c)
 lattice = translation_lattice(c)
 print("translation lattice (Hermite form written from the m_j and the parity space V):")
 print("  rank", lattice.rank, "basis", lattice.basis, "denominator", lattice.den)
-print("torsion-free (parity walk over the holonomy classes):", is_torsion_free(c))
+print("torsion-free (parity walk over the holonomy classes):", classify(c).torsion_free)
 
 # The same group scaled by 3: every modulus is 3, and the conjugation by
 # x -> x/3 gives back the same words.
-tripled = build_candidate(3, [(3 * HALF, 3 * HALF, 0), (0, 3 * HALF, 3 * HALF)])
+tripled = HWCandidate(3, [(3 * HALF, 3 * HALF, 0), (0, 3 * HALF, 3 * HALF)])
 print("\nthe cyclic candidate scaled by 3:")
 show_kernel(tripled)
 
 # A candidate with an obvious order-two element: zero translations make
 # every generator an involution.
-zero = build_candidate(3, [(0, 0, 0), (0, 0, 0)])
+zero = HWCandidate(3, [(0, 0, 0), (0, 0, 0)])
 print("\nzero-translation candidate:")
 show_kernel(zero)
 
@@ -79,7 +77,8 @@ show_kernel(owned)
 
 # Exhaustive survey of dimension 3: all 2^6 = 64 half-integer assignments.
 print(f"\nsurveying all {candidate_count(3)} candidates in dimension 3 ...")
-hw = [cand for cand in enumerate_candidates(3) if classify(cand).hantzsche_wendt]
+candidates = (candidate_from_index(3, i) for i in candidate_indices(3))
+hw = [cand for cand in candidates if classify(cand).hantzsche_wendt]
 print(f"{len(hw)} of 64 are Hantzsche-Wendt groups; generators of the first:")
 for i, g in enumerate(hw[0].generators):
     print(f"  generator {i}: {g}")

@@ -20,12 +20,12 @@ from hwfib import (
     candidate_from_index,
     classify,
     cyclic_hw,
-    enumerate_candidates,
     fibonacci_presentation,
     symbolic_sequence,
     verify_main_theorem,
     verify_relators,
 )
+from hwfib.hwgroup import candidate_indices
 
 c = cyclic_hw(3)
 imgs = build_epimorphism(c)
@@ -69,7 +69,7 @@ for n in range(3, 14, 2):
 # cyclic ones: check the whole 3-dimensional survey.
 failures = 0
 hw = 0
-for cand in enumerate_candidates(3):
+for cand in (candidate_from_index(3, i) for i in candidate_indices(3)):
     if classify(cand).hantzsche_wendt:
         hw += 1
         failures += not verify_main_theorem(cand).passed

@@ -18,11 +18,9 @@ from .fpgroup import (
     Presentation,
     Word,
     abelianization,
-    concat,
     evaluate,
     fibonacci_presentation,
     free_reduce,
-    gen,
     relator_matrix,
     shift,
     verify_relators,
@@ -33,17 +31,12 @@ from .hwgroup import (
     Classification,
     HWCandidate,
     Lattice,
-    build_candidate,
     candidate_count,
     candidate_from_index,
     candidate_from_json_dict,
     candidate_to_json_dict,
     classify,
     cyclic_hw,
-    enumerate_candidates,
-    is_crystallographic,
-    is_hantzsche_wendt,
-    is_torsion_free,
     translation_lattice,
 )
 from .epimorphism import (

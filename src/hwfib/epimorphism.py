@@ -26,17 +26,18 @@ k, the same packed int.
   generic images.  ``verify_main_theorem`` reads its relator verdicts
   from that certificate, so a candidate costs its classification only.
   This is sound by specialisation.  A candidate's generators have the
-  standard signs, which ``HWCandidate`` enforces, and translation t_i[j]
-  at coordinate j.  Evaluating a form at d_i = t_i[j] is additive, and
-  the E(1) law only adds and negates translations while multiplying
-  signs, so evaluation commutes with products and inverses.  Hence
-  coordinate j of any word in the candidate's images is the generic one
-  evaluated at d_i = t_i[j], and a relator that is trivial generically
-  (every sign +1, every form 0) is trivial for every candidate ``verify``
-  can load, Hantzsche-Wendt or not.  The converse need not hold at
-  special translations, but the certificate is trivial on all 2n
-  relators at every dimension the command line accepts (the tests check
-  each odd n from 3 to 21), so no verdict rests on it.
+  standard signs by construction (``HWCandidate`` stores only the
+  translations) and translation t_i[j] at coordinate j.  Evaluating a
+  form at d_i = t_i[j] is additive, and the E(1) law only adds and
+  negates translations while multiplying signs, so evaluation commutes
+  with products and inverses.  Hence coordinate j of any word in the
+  candidate's images is the generic one evaluated at d_i = t_i[j], and a
+  relator that is trivial generically (every sign +1, every form 0) is
+  trivial for every candidate ``verify`` can load, Hantzsche-Wendt or
+  not.  The converse need not hold at special translations, but the
+  certificate is trivial on all 2n relators at every dimension the
+  command line accepts (the tests check each odd n from 3 to 21), so no
+  verdict rests on it.
 """
 
 from __future__ import annotations

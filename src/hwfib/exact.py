@@ -9,13 +9,14 @@ candidate is a half-integer t, and it is kept as the int u = 2t.
 ``format_half`` writes u as ``str(Fraction(u, 2))`` writes it:
 ``str(u // 2)`` for even u, and ``"u/2"`` for odd u, which is prime to 2,
 so that the fraction is in lowest terms.  ``parse_half`` is the one
-reader of a candidate entry, for candidate files and ``build_candidate``
-alike.  After ``str.strip`` it takes ASCII ``[+-]?digits(/digits)?`` or a
-decimal ``[+-]?digits?.digits?`` with at least one digit, and returns 2t
-as an int numerator and denominator in lowest terms.  It reads no other
-spelling, so a file loads the same on every interpreter.  Each digit
-string goes through ``int`` before a power of ten is built from it, so
-the interpreter's limit on the digits of an int bounds the work.
+reader of a candidate entry, for candidate files and the ``HWCandidate``
+constructor alike.  After ``str.strip`` it takes ASCII
+``[+-]?digits(/digits)?`` or a decimal ``[+-]?digits?.digits?`` with at
+least one digit, and returns 2t as an int numerator and denominator in
+lowest terms.  It reads no other spelling, so a file loads the same on
+every interpreter.  Each digit string goes through ``int`` before a power
+of ten is built from it, so the interpreter's limit on the digits of an
+int bounds the work.
 
 So the commands read and write candidates in ints, and this package
 imports ``fractions`` only inside the functions that take or return a

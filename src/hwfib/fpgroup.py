@@ -19,9 +19,7 @@ __all__ = [
     "Presentation",
     "GenImages",
     "word",
-    "gen",
     "word_inverse",
-    "concat",
     "free_reduce",
     "shift",
     "fibonacci_presentation",
@@ -48,20 +46,8 @@ def word(letters: Iterable[Letter]) -> Word:
     return tuple(out)
 
 
-def gen(i: int, exp: int = 1) -> Word:
-    """One-letter word a_i or a_i^(-1)."""
-    return word([(i, exp)])
-
-
 def word_inverse(w: Word) -> Word:
     return tuple((i, -e) for i, e in reversed(w))
-
-
-def concat(*words: Word) -> Word:
-    out: list[Letter] = []
-    for w in words:
-        out.extend(w)
-    return tuple(out)
 
 
 def free_reduce(w: Word) -> Word:

@@ -21,7 +21,7 @@ in three steps that keep the names bench/tracing.py hooks:
 ``_schreier_lattice`` and ``_torsion_exists``.
 
 Holonomy.  Products of sign matrices are XORs of their masks.
-HWCandidate enforces the standard patterns, so generator i has the mask
+A candidate stores no signs: generator i has the standard pattern, mask
 full ^ e_i (full = all n bits, e_i = bit i), i < n-1.  Over a nonempty S
 of {0..n-2} the product is e_S when |S| is even and full ^ e_S when |S|
 is odd.  Neither is 0: e_S is not, and full ^ e_S keeps bit n-1.  Two
@@ -150,30 +150,22 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from math import gcd
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .exact import ExactNumber, format_half, parse_half
 from .isometry import DiagIsometry
 from .record import Record
 
-if TYPE_CHECKING:
-    from fractions import Fraction
-
 __all__ = [
     "HWCandidate",
     "Lattice",
     "Classification",
-    "build_candidate",
     "cyclic_hw",
     "translation_lattice",
-    "is_crystallographic",
-    "is_torsion_free",
-    "is_hantzsche_wendt",
     "classify",
     "classify_index",
     "orbit_key",
     "candidate_indices",
-    "enumerate_candidates",
     "candidate_count",
     "candidate_from_index",
     "candidate_to_json_dict",
@@ -219,26 +211,36 @@ def _row_units(i: int, doubled: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _checked_units(n: int, rows: Sequence[Sequence]) -> tuple[tuple[int, ...], ...]:
+    """The half units of the candidate of dimension n whose generator i has
+    the doubled translation rows[i] (see ``_row_units``): the dimension,
+    the count and the half-integers checked, in that order.  The checked
+    tail of ``HWCandidate`` and ``candidate_from_json_dict``."""
+    _check_dim(n)
+    _check_count(n, len(rows))
+    return tuple(_row_units(i, row) for i, row in enumerate(rows))
+
+
 class HWCandidate(Record):
     """Generator data for a candidate group: dimension plus the n-1
     half-integer translations attached to the standard sign matrices,
     stored as half units (``units[i][j]`` is twice entry j of the
-    translation of generator i).  The public constructor takes the
-    generators as ``DiagIsometry`` values and checks them."""
+    translation of generator i).
+
+    The public constructor takes the dimension and one translation vector
+    of length n per generator, and reads each entry through its str by
+    ``parse_half``.  It checks each vector's length, then its entries, then
+    the dimension, the count and the half-integers."""
 
     __slots__ = ("dim", "units")
 
-    def __init__(self, dim: int, generators: Sequence[DiagIsometry]) -> None:
-        _check_dim(dim)
-        generators = tuple(generators)
-        _check_count(dim, len(generators))
-        units = []
-        for i, g in enumerate(generators):
-            if g.signs != standard_signs(dim, i):
-                raise ValueError(f"generator {i} does not carry the standard sign pattern")
-            units.append(_row_units(i, [parse_half(str(t)) for t in g.translation]))
+    def __init__(self, dim: int, translations: Sequence[Sequence[ExactNumber]]) -> None:
+        rows = []
+        for i, t in enumerate(translations):
+            _check_length(dim, i, t)
+            rows.append([parse_half(str(x)) for x in t])
         self.dim = dim
-        self.units = tuple(units)
+        self.units = _checked_units(dim, rows)
 
     @classmethod
     def _normal(cls, dim: int, units: tuple[tuple[int, ...], ...]) -> "HWCandidate":
@@ -249,42 +251,15 @@ class HWCandidate(Record):
         return c
 
     @property
-    def translations(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The translations as ``Fraction`` values, built anew on every read."""
-        from fractions import Fraction
-
-        return tuple(tuple(Fraction(u, 2) for u in row) for row in self.units)
-
-    @property
     def generators(self) -> tuple[DiagIsometry, ...]:
         """The generators as ``DiagIsometry`` values over ``Fraction``, built
         anew from the units on every read: read it once into a local."""
+        from fractions import Fraction
+
         return tuple(
-            DiagIsometry._normal(standard_signs(self.dim, i), t)
-            for i, t in enumerate(self.translations)
+            DiagIsometry._normal(standard_signs(self.dim, i), tuple(Fraction(u, 2) for u in row))
+            for i, row in enumerate(self.units)
         )
-
-
-def _from_rows(n: int, rows: Sequence[Sequence]) -> HWCandidate:
-    """The candidate of dimension n whose generator i has the doubled
-    translation rows[i] (see ``_row_units``), checked in the order of the
-    public constructor."""
-    _check_dim(n)
-    _check_count(n, len(rows))
-    return HWCandidate._normal(n, tuple(_row_units(i, row) for i, row in enumerate(rows)))
-
-
-def build_candidate(
-    n: int, translations: Sequence[Sequence[ExactNumber]]
-) -> HWCandidate:
-    """Candidate with the standard sign patterns and the given half-integer
-    translations (one vector of length n per generator), each entry read
-    through its str by ``parse_half``."""
-    rows = []
-    for i, t in enumerate(translations):
-        _check_length(n, i, t)
-        rows.append([parse_half(str(x)) for x in t])
-    return _from_rows(n, rows)
 
 
 def cyclic_hw(n: int) -> HWCandidate:
@@ -442,31 +417,6 @@ def orbit_key(n: int) -> Callable[[int], int]:
     return key
 
 
-def is_crystallographic(c: HWCandidate) -> bool:
-    """True when the pure translations span all of R^n, i.e. the group is
-    discrete and cocompact: every modulus m_j is nonzero."""
-    return all(_rep_units_raw(c)[0])
-
-
-def is_torsion_free(c: HWCandidate) -> bool:
-    """No non-identity holonomy class contains a finite-order element;
-    defined for crystallographic candidates."""
-    mods, lows = _rep_units_raw(c)
-    if not all(mods):
-        rank = len(mods) - mods.count(0)  # only for the message
-        raise ValueError(
-            "torsion test requires a crystallographic candidate "
-            f"(translation lattice has rank {rank} < {c.dim})"
-        )
-    return _classify_words(c.dim, lows).torsion_free
-
-
-def is_hantzsche_wendt(c: HWCandidate) -> bool:
-    """Crystallographic, torsion-free, full holonomy order 2^(n-1), and every
-    holonomy matrix of determinant +1."""
-    return classify(c).hantzsche_wendt
-
-
 # ---------------------------------------------------------------------------
 # translation lattice
 
@@ -577,15 +527,6 @@ def candidate_indices(
             yield rng.randrange(total)
 
 
-def enumerate_candidates(
-    n: int, sample: Optional[int] = None, seed: int = 0
-) -> Iterator[HWCandidate]:
-    """The candidates at ``candidate_indices(n, sample, seed)``: all of them
-    in index order, or a sample drawn with replacement (seed 0 by default)."""
-    for idx in candidate_indices(n, sample, seed):
-        yield candidate_from_index(n, idx)
-
-
 # ---------------------------------------------------------------------------
 # JSON wire format
 
@@ -623,8 +564,14 @@ def _json_array(value, what: str) -> list:
 
 def _doubled_entry(i: int, value) -> tuple[int, int]:
     """2t for entry t of generator i, a JSON string or number, as
-    ``parse_half`` reads it from its str."""
-    if type(value) not in (str, int, float, _NumberText):
+    ``parse_half`` reads it from its str.  A float is refused: it holds the
+    nearest binary value, not the text of the file."""
+    if type(value) is float:
+        raise ValueError(
+            f"generator {i} translation entry is a float, which is not exact: "
+            "parse the JSON with parse_float=str"
+        )
+    if type(value) not in (str, int, _NumberText):
         raise ValueError(
             f"generator {i} translation entry must be a string or a number, "
             f"got {_json_type(value)}"
@@ -652,4 +599,4 @@ def candidate_from_json_dict(data: dict) -> HWCandidate:
         raise ValueError(f"malformed candidate description: {exc}") from exc
     for i, row in enumerate(rows):
         _check_length(dim, i, row)
-    return _from_rows(dim, rows)
+    return HWCandidate._normal(dim, _checked_units(dim, rows))

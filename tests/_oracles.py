@@ -8,8 +8,8 @@ matrices over Fraction.  The general Hermite normal form lives here as the
 reference: hwfib writes its translation lattices in Hermite form without
 elimination, and is checked against this one.  The Schreier lattice and the
 per-class torsion test use it, and test_exact checks it against minor gcds.
-The brute-force torsion search runs over a coefficient box of hwfib's
-``translation_lattice``, which is checked against the Schreier lattice.
+The brute-force torsion search takes its guard and its coefficient box from
+the Schreier lattice.
 The dense Smith normal form, an elimination by xgcd row and column
 combinations, shares nothing with the nearest-remainder one it checks;
 test_exact checks both against minor gcds, and checks the divisors of
@@ -43,13 +43,7 @@ from hwfib.epimorphism import (
 )
 from hwfib.exact import IntMatrix
 from hwfib.fpgroup import GenImages, fibonacci_presentation, verify_relators
-from hwfib.hwgroup import (
-    HWCandidate,
-    Lattice,
-    build_candidate,
-    is_crystallographic,
-    translation_lattice,
-)
+from hwfib.hwgroup import HWCandidate, Lattice
 from hwfib.isometry import DiagIsometry
 
 # A candidate entry after str.strip: ASCII p or p/q, or a decimal with a digit
@@ -171,7 +165,7 @@ def conjugate_diagonal(c, scale, shift):
         m = hom_mul(hom_mul(h, hom_matrix(g.signs, g.translation)), h_inv)
         assert [m[j][j] for j in range(n)] == list(g.signs)
         translations.append([m[j][n] for j in range(n)])
-    return build_candidate(n, translations)
+    return HWCandidate(n, translations)
 
 
 def sparse_symbolic_terms(n, k):
@@ -469,9 +463,10 @@ def torsion_oracle(c):
     in [-2, 2].  The representative a is first reduced into the fundamental
     HNF cell, which is what justifies the coefficient bound.  Intended for
     n <= 5; defined for crystallographic candidates."""
-    if not is_crystallographic(c):
+    lattice = schreier_lattice(c)
+    if lattice.rank < c.dim:
         raise ValueError("torsion oracle requires a crystallographic candidate")
-    rows2 = scaled_basis(translation_lattice(c), 2)  # half units, like the representatives
+    rows2 = scaled_basis(lattice, 2)  # half units, like the representatives
     nrows = len(rows2)
     span = range(-2, 3)
     for signs, units in list(_sign_closure(c)[0].items())[1:]:

@@ -18,7 +18,6 @@ from hwfib.epimorphism import (
 from hwfib.fpgroup import (
     GenImages,
     abelianization,
-    concat,
     evaluate,
     fibonacci_presentation,
     free_reduce,
@@ -30,8 +29,6 @@ from hwfib.hwgroup import (
     candidate_from_index,
     classify,
     cyclic_hw,
-    is_crystallographic,
-    is_torsion_free,
 )
 from hwfib.isometry import DiagIsometry
 
@@ -89,10 +86,10 @@ def test_criterion_3_exhaustive_n3_survey():
     failures = []
     for idx in range(total):
         candidate = candidate_from_index(3, idx)
-        if is_crystallographic(candidate):
-            if is_torsion_free(candidate) != torsion_oracle(candidate):
-                disagreements.append(idx)
-        if classify(candidate).hantzsche_wendt:
+        cl = classify(candidate)
+        if cl.crystallographic and cl.torsion_free != torsion_oracle(candidate):
+            disagreements.append(idx)
+        if cl.hantzsche_wendt:
             hw_indices.append(idx)
             if not verify_main_theorem(candidate).passed:
                 failures.append(idx)
@@ -176,7 +173,7 @@ def test_criterion_6_property_suites():
     for _ in range(300):
         u = word([(rng.randint(0, 5), rng.choice((1, -1))) for _ in range(rng.randint(0, 8))])
         v = word([(rng.randint(0, 5), rng.choice((1, -1))) for _ in range(rng.randint(0, 8))])
-        assert evaluate(concat(u, v), imgs) == evaluate(u, imgs).compose(evaluate(v, imgs))
+        assert evaluate(u + v, imgs) == evaluate(u, imgs).compose(evaluate(v, imgs))
 
     # shift by 2n is the identity and the relator set is shift-stable
     for n in (3, 5, 7):

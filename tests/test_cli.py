@@ -14,14 +14,14 @@ from hwfib import cli, epimorphism, hwgroup
 from hwfib.cli import main
 from hwfib.epimorphism import symbolic_sequence, verify_main_theorem
 from hwfib.hwgroup import (
-    build_candidate,
+    HWCandidate,
     candidate_count,
     candidate_from_index,
+    candidate_indices,
     candidate_to_json_dict,
     classify,
     classify_index,
     cyclic_hw,
-    enumerate_candidates,
 )
 
 from _oracles import conjugate_diagonal
@@ -255,20 +255,23 @@ def test_survey_sample_deterministic(capsys):
     assert out3 != out1
 
 
-def test_survey_sample_follows_enumerate_candidates(capsys):
+def test_survey_sample_follows_candidate_indices(capsys):
     code, out, _ = run_cli(
         capsys, "survey", "--dim", "5", "--sample", "200", "--seed", "7", "--format", "json"
     )
     assert code == 0
     records = [json.loads(line) for line in out.strip().splitlines()[:-1]]
-    expected = [candidate_to_json_dict(c) for c in enumerate_candidates(5, sample=200, seed=7)]
+    expected = [
+        candidate_to_json_dict(candidate_from_index(5, i))
+        for i in candidate_indices(5, sample=200, seed=7)
+    ]
     assert [{"dim": r["dim"], "translations": r["translations"]} for r in records] == expected
 
 
 def _record_from_candidate(n, idx):
     # the survey record built through an HWCandidate, with the index bits
     # decoded to Fractions here rather than by hwgroup
-    c = build_candidate(n, [
+    c = HWCandidate(n, [
         [Fraction(1, 2) if idx >> (i * n + j) & 1 else 0 for j in range(n)]
         for i in range(n - 1)
     ])
@@ -340,7 +343,7 @@ def test_survey_record_reads_the_certificate(capsys, monkeypatch):
     # a Hantzsche-Wendt line builds no Fraction candidate, and the survey
     # classifies each of the 8 translation orbits of n=3 once
     monkeypatch.setattr(hwgroup, "candidate_from_index", _refuse)
-    monkeypatch.setattr(hwgroup, "build_candidate", _refuse)
+    monkeypatch.setattr(hwgroup.HWCandidate, "__init__", _refuse)
     monkeypatch.setattr(epimorphism, "classify", _refuse)
     monkeypatch.setattr(epimorphism, "build_epimorphism", _refuse)
     classified = []
@@ -406,7 +409,7 @@ CANDIDATE_FILES = {
     ),
     # every generator moves the last coordinate by 3/2, so no square or
     # commutator moves it and the translation lattice has rank 4
-    NONCRYST5: lambda: build_candidate(5, [
+    NONCRYST5: lambda: HWCandidate(5, [
         ("3/2", -1, "5/2", 2, "3/2"),
         ("1/2", "5/2", "-3/2", 1, "3/2"),
         (-1, 0, "7/2", "1/2", "3/2"),

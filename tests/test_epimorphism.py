@@ -27,15 +27,13 @@ from hwfib.epimorphism import (
 )
 from hwfib.fpgroup import (
     GenImages,
-    concat,
     evaluate,
     fibonacci_presentation,
-    gen,
     shift,
     verify_relators,
     word,
 )
-from hwfib.hwgroup import build_candidate, candidate_count, candidate_from_index, cyclic_hw
+from hwfib.hwgroup import HWCandidate, candidate_count, candidate_from_index, cyclic_hw
 from hwfib.isometry import DiagIsometry
 
 from _oracles import (
@@ -388,7 +386,7 @@ def _seeded_half_integer_candidates():
         for n in (5, 7) for _ in range(10)
     ]
     out += [
-        build_candidate(n, [[F(rng.randint(-5, 5), 2) for _ in range(n)] for _ in range(n - 1)])
+        HWCandidate(n, [[F(rng.randint(-5, 5), 2) for _ in range(n)] for _ in range(n - 1)])
         for n in (5, 7) for _ in range(10)
     ]
     return out
@@ -430,7 +428,7 @@ def test_verify_main_theorem_cyclic_family():
 
 
 def test_verify_main_theorem_zero_translations():
-    c = build_candidate(3, [(0, 0, 0), (0, 0, 0)])
+    c = HWCandidate(3, [(0, 0, 0), (0, 0, 0)])
     report = verify_main_theorem(c)
     # the relators are still checkable (and trivial: the sign parts alone
     # satisfy the recursion), but the candidate is no Hantzsche-Wendt group
@@ -450,7 +448,7 @@ def _random_half_units(count, seed):
     # crystallographic
     rng = random.Random(seed)
     return [
-        build_candidate(n, [[F(rng.randint(-9, 9), 2) for _ in range(n)] for _ in range(n - 1)])
+        HWCandidate(n, [[F(rng.randint(-9, 9), 2) for _ in range(n)] for _ in range(n - 1)])
         for n in (3, 5, 7) for _ in range(count)
     ]
 
@@ -570,7 +568,7 @@ def test_shift_consistency_with_symbolic_images():
             imgs = GenImages(seq.terms[k : k + 2 * n])
             assert all(verify_relators(presentation, imgs))
             for j in range(n - 1):
-                shifted = shift(gen(j), k, 2 * n)
+                shifted = shift(word([(j, 1)]), k, 2 * n)
                 assert evaluate(shifted, imgs) == seq.terms[j]
 
 
@@ -596,4 +594,4 @@ def test_epimorphism_images_homomorphy():
     for _ in range(200):
         u = word([(rng.randint(0, 5), rng.choice((1, -1))) for _ in range(rng.randint(0, 8))])
         v = word([(rng.randint(0, 5), rng.choice((1, -1))) for _ in range(rng.randint(0, 8))])
-        assert evaluate(concat(u, v), imgs) == evaluate(u, imgs).compose(evaluate(v, imgs))
+        assert evaluate(u + v, imgs) == evaluate(u, imgs).compose(evaluate(v, imgs))

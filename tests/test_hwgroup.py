@@ -7,7 +7,7 @@ import pytest
 
 from hwfib import hwgroup
 from hwfib.hwgroup import (
-    build_candidate,
+    HWCandidate,
     candidate_count,
     candidate_from_index,
     candidate_from_json_dict,
@@ -16,10 +16,6 @@ from hwfib.hwgroup import (
     classify,
     classify_index,
     cyclic_hw,
-    enumerate_candidates,
-    is_crystallographic,
-    is_hantzsche_wendt,
-    is_torsion_free,
     orbit_key,
     standard_signs,
     translation_lattice,
@@ -72,21 +68,21 @@ def word_ball_lattice(c, max_len):
     return lattice_from_vectors(c.dim, sorted(translations))
 
 
-def test_build_candidate_cyclic3():
-    c = build_candidate(3, [(HALF, HALF, 0), (0, HALF, HALF)])
+def test_candidate_constructor_cyclic3():
+    c = HWCandidate(3, [(HALF, HALF, 0), (0, HALF, HALF)])
     assert c == cyclic_hw(3)
     assert c.generators[0] == DiagIsometry((1, -1, -1), (HALF, HALF, 0))
     assert c.generators[1] == DiagIsometry((-1, 1, -1), (0, HALF, HALF))
 
 
-def test_build_candidate_rejects_even_dimension():
+def test_candidate_constructor_rejects_even_dimension():
     with pytest.raises(ValueError, match="odd"):
-        build_candidate(4, [(0,) * 4] * 3)
+        HWCandidate(4, [(0,) * 4] * 3)
 
 
-def test_build_candidate_rejects_non_half_integer():
+def test_candidate_constructor_rejects_non_half_integer():
     with pytest.raises(ValueError, match="half-integer"):
-        build_candidate(3, [(F(1, 3), 0, 0), (0, 0, 0)])
+        HWCandidate(3, [(F(1, 3), 0, 0), (0, 0, 0)])
 
 
 def test_cyclic_hw_5():
@@ -164,10 +160,10 @@ def test_translation_lattice_matches_word_ball_oracle():
 
 
 def test_translation_lattice_zero_candidate():
-    c = build_candidate(3, [(0, 0, 0), (0, 0, 0)])
+    c = HWCandidate(3, [(0, 0, 0), (0, 0, 0)])
     lat = translation_lattice(c)
     assert lat.rank == 0
-    assert not is_crystallographic(c)
+    assert not classify(c).crystallographic
 
 
 def test_translation_lattice_contains_squared_generators():
@@ -181,17 +177,17 @@ def test_translation_lattice_contains_squared_generators():
             assert lattice_contains(lat, sq.translation)
 
 
-def test_is_crystallographic_cyclic():
-    assert is_crystallographic(cyclic_hw(3))
-    assert is_crystallographic(cyclic_hw(7))
+def test_classify_cyclic_is_crystallographic():
+    assert classify(cyclic_hw(3)).crystallographic
+    assert classify(cyclic_hw(7)).crystallographic
 
 
-def test_is_torsion_free_cyclic():
-    assert is_torsion_free(cyclic_hw(3))
+def test_classify_cyclic_is_torsion_free():
+    assert classify(cyclic_hw(3)).torsion_free
     assert torsion_oracle(cyclic_hw(3))
 
 
-def test_is_torsion_free_normalises_once(monkeypatch):
+def test_classify_normalises_once(monkeypatch):
     calls = []
 
     def counted(c):
@@ -199,39 +195,37 @@ def test_is_torsion_free_normalises_once(monkeypatch):
         return _rep_units_raw(c)
 
     monkeypatch.setattr(hwgroup, "_rep_units_raw", counted)
-    assert is_torsion_free(cyclic_hw(5))
+    assert classify(cyclic_hw(5)).torsion_free
     assert len(calls) == 1
 
 
-def test_is_torsion_free_requires_crystallographic():
+def test_torsion_oracle_requires_crystallographic():
     # this candidate's translations never move the first coordinate, so the
-    # lattice cannot reach full rank and the torsion test is undefined
-    c = build_candidate(3, [(0, 0, 0), (0, HALF, HALF)])
-    assert not is_crystallographic(c)
-    with pytest.raises(ValueError, match=r"crystallographic .*\(translation lattice has rank 2 < 3\)"):
-        is_torsion_free(c)
+    # lattice cannot reach full rank and the torsion oracle is undefined
+    c = HWCandidate(3, [(0, 0, 0), (0, HALF, HALF)])
+    assert not classify(c).crystallographic
     with pytest.raises(ValueError, match="crystallographic"):
         torsion_oracle(c)
     # the group visibly has torsion (generator 0 squares to the identity),
     # and the classifier reports it as not Hantzsche-Wendt
     sq = c.generators[0].compose(c.generators[0])
     assert sq.is_identity()
-    assert not is_hantzsche_wendt(c)
+    assert not classify(c).hantzsche_wendt
 
 
 def test_torsion_detection_example():
-    c = build_candidate(3, [(HALF, HALF, 0), (0, HALF, 0)])
-    if is_crystallographic(c):
-        assert is_torsion_free(c) == torsion_oracle(c)
+    c = HWCandidate(3, [(HALF, HALF, 0), (0, HALF, 0)])
+    cl = classify(c)
+    if cl.crystallographic:
+        assert cl.torsion_free == torsion_oracle(c)
 
 
 def test_torsion_agreement_exhaustive_n3():
     disagreements = []
     for idx in range(candidate_count(3)):
         c = candidate_from_index(3, idx)
-        if not is_crystallographic(c):
-            continue
-        if is_torsion_free(c) != torsion_oracle(c):
+        cl = classify(c)
+        if cl.crystallographic and cl.torsion_free != torsion_oracle(c):
             disagreements.append(idx)
     assert disagreements == []
 
@@ -243,11 +237,16 @@ def test_torsion_agreement_random_n5():
     while checked < 1000 and attempts < 20000:
         attempts += 1
         c = candidate_from_index(5, rng.randrange(candidate_count(5)))
-        if not is_crystallographic(c):
+        cl = classify(c)
+        if not cl.crystallographic:
             continue
-        assert is_torsion_free(c) == torsion_oracle(c)
+        assert cl.torsion_free == torsion_oracle(c)
         checked += 1
     assert checked == 1000
+
+
+def _every_candidate(n):
+    return [candidate_from_index(n, i) for i in candidate_indices(n)]
 
 
 def _sample(n, count, seed):
@@ -260,13 +259,13 @@ def _wide_sample():
     # an integer translation, whose half units are dense and large
     rng = random.Random(35)
     out = [
-        build_candidate(5, [[F(rng.randint(-3, 3), 2) for _ in range(5)] for _ in range(4)])
+        HWCandidate(5, [[F(rng.randint(-3, 3), 2) for _ in range(5)] for _ in range(4)])
         for _ in range(300)
     ]
     for n in (3, 5, 7):
         for _ in range(5):
             v = [rng.randint(-3, 3) for _ in range(n)]
-            out.append(build_candidate(n, [
+            out.append(HWCandidate(n, [
                 tuple(t + x - s * x for s, t, x in zip(g.signs, g.translation, v))
                 for g in cyclic_hw(n).generators
             ]))
@@ -285,7 +284,7 @@ def _scaled_sample():
     hw5 = []
     while len(hw5) < 12:
         c = candidate_from_index(5, idx_rng.randrange(candidate_count(5)))
-        if is_hantzsche_wendt(c):
+        if classify(c).hantzsche_wendt:
             hw5.append(c)
     odd = [cyclic_hw(n) for n in range(3, 10, 2) for _ in range(3)] + hw5
     out = []
@@ -301,7 +300,7 @@ def _scaled_sample():
 
 
 ORACLE_CANDIDATES = {
-    "n3-all": lambda: list(enumerate_candidates(3)),
+    "n3-all": lambda: _every_candidate(3),
     "n5-sample": lambda: _sample(5, 2000, seed=33),
     "n7-sample": lambda: _sample(7, 100, seed=34),
     "cyclic": lambda: [cyclic_hw(n) for n in range(3, 12, 2)],
@@ -331,7 +330,7 @@ def test_classify_matches_schreier_and_hnf_oracles(name):
         lat = schreier_lattice(c)
         assert translation_lattice(c) == lat, c
         cl = classify(c)
-        assert cl.crystallographic == is_crystallographic(c) == (lat.rank == c.dim), c
+        assert cl.crystallographic == all(_rep_units_raw(c)[0]) == (lat.rank == c.dim), c
         torsion = hnf_torsion_classes(c)
         _, lows = _rep_units_raw(c)
         if _own_bits(lows):
@@ -346,14 +345,14 @@ def _general_sample():
     # units in [-9, 9]: moduli far from 1, and coordinates with m_j = 0
     rng = random.Random(39)
     return [
-        build_candidate(n, [[F(rng.randint(-9, 9), 2) for _ in range(n)] for _ in range(n - 1)])
+        HWCandidate(n, [[F(rng.randint(-9, 9), 2) for _ in range(n)] for _ in range(n - 1)])
         for n in (3, 5, 7)
         for _ in range(700 if n < 7 else 600)
     ]
 
 
 LATTICE_CANDIDATES = {
-    "n3-all": lambda: list(enumerate_candidates(3)),
+    "n3-all": lambda: _every_candidate(3),
     "n5-sample": lambda: _sample(5, 3000, seed=40),
     "n7-sample": lambda: _sample(7, 300, seed=41),
     "cyclic": lambda: [cyclic_hw(n) for n in range(3, 16, 2)],
@@ -382,7 +381,7 @@ def _lemma_candidates():
     """Every n=3 candidate and the general and scaled samples: moduli far
     from 1, coordinates with m_j = 0, and half units that are not 0 or 1
     mod 4 once normalised."""
-    return list(enumerate_candidates(3)) + _general_sample() + _scaled_sample()
+    return _every_candidate(3) + _general_sample() + _scaled_sample()
 
 
 def _index_cases():
@@ -482,13 +481,13 @@ def test_singleton_class_has_torsion_exactly_when_its_own_bit_is_0():
     assert {(0, False, 0), (0, True, 0), (0, True, 1), (1, True, 0), (1, True, 1)} <= seen
 
 
-def test_is_hantzsche_wendt_cyclic_family():
+def test_classify_cyclic_family_is_hantzsche_wendt():
     for n in (3, 5, 7):
-        assert is_hantzsche_wendt(cyclic_hw(n))
+        assert classify(cyclic_hw(n)).hantzsche_wendt
 
 
-def test_is_hantzsche_wendt_zero_translations():
-    assert not is_hantzsche_wendt(build_candidate(3, [(0, 0, 0), (0, 0, 0)]))
+def test_classify_zero_translations_is_not_hantzsche_wendt():
+    assert not classify(HWCandidate(3, [(0, 0, 0), (0, 0, 0)])).hantzsche_wendt
 
 
 def test_classification_invariant_under_integer_conjugation():
@@ -500,7 +499,7 @@ def test_classification_invariant_under_integer_conjugation():
         c = candidate_from_index(3, rng.randrange(candidate_count(3)))
         base = classify(c)
         for v in shifts:
-            moved = build_candidate(
+            moved = HWCandidate(
                 3,
                 [
                     tuple(
@@ -581,7 +580,7 @@ def test_flip_is_a_conjugation(n, indices):
             gens = list(conjugate_diagonal(c, scale, shift).generators)
             if k < n - 1:
                 gens[k] = gens[k].inverse()
-            assert [g.translation for g in gens] == list(candidate_from_index(n, idx ^ f).translations)
+            assert gens == list(candidate_from_index(n, idx ^ f).generators)
 
 
 def test_orbit_key_refuses_what_classify_index_refuses():
@@ -590,29 +589,25 @@ def test_orbit_key_refuses_what_classify_index_refuses():
             orbit_key(n)
 
 
-def test_enumerate_candidates_n3():
-    candidates = list(enumerate_candidates(3))
+def test_candidate_from_index_n3():
+    candidates = _every_candidate(3)
     assert len(candidates) == 64
     assert candidate_count(5) == 1_048_576
     assert cyclic_hw(3) in candidates
     assert len(set(candidates)) == 64
 
 
-def test_enumerate_candidates_sampling_deterministic():
-    a = [candidate_to_json_dict(c) for c in enumerate_candidates(5, sample=25, seed=42)]
-    b = [candidate_to_json_dict(c) for c in enumerate_candidates(5, sample=25, seed=42)]
-    other = [candidate_to_json_dict(c) for c in enumerate_candidates(5, sample=25, seed=7)]
-    assert a == b
-    assert a != other
+def test_candidate_indices_sampling_deterministic():
+    a = list(candidate_indices(5, sample=25, seed=42))
+    assert a == list(candidate_indices(5, sample=25, seed=42))
+    assert a != list(candidate_indices(5, sample=25, seed=7))
 
 
-def test_candidate_indices_lazy_and_shared_with_enumeration():
+def test_candidate_indices_lazy():
     # a sample of 10^12 would need terabytes if drawn up front
     head = list(islice(candidate_indices(5, sample=10**12, seed=7), 3))
     assert head == list(islice(candidate_indices(5, sample=3, seed=7), 3))
     assert list(candidate_indices(3)) == list(range(64))
-    sampled = [candidate_from_index(5, i) for i in candidate_indices(5, sample=25, seed=42)]
-    assert sampled == list(enumerate_candidates(5, sample=25, seed=42))
 
 
 def test_sampling_defaults_to_seed_zero():
@@ -620,7 +615,6 @@ def test_sampling_defaults_to_seed_zero():
     # instead of drawing from the operating system
     first = list(candidate_indices(5, 50))
     assert first == list(candidate_indices(5, 50)) == list(candidate_indices(5, 50, seed=0))
-    assert list(enumerate_candidates(5, 5)) == [candidate_from_index(5, i) for i in first[:5]]
 
 
 def test_candidate_json_round_trip():
@@ -662,15 +656,20 @@ _ENTRY_TYPE = (
     "malformed candidate description: generator 0 translation entry must be a string or a "
     "number, got "
 )
+_FLOAT = (
+    "malformed candidate description: generator 0 translation entry is a float, which is not "
+    "exact: parse the JSON with parse_float=str"
+)
 # Entry (0, 0) of the cyclic candidate of dimension 3, in other spellings,
 # and the loader's outcome: the text candidate_to_json_dict writes for it,
 # or the error message.  Recorded from the loader that read every entry
 # through Fraction, on Python 3.11, except the rows of 1_0/2, 1 / 2, the
 # Unicode digits, 1/0, the exponents and the refused literals, which come
 # from the one ASCII reader, parse_half: Fraction read the first three on
-# some interpreters and named itself in the messages.  Every row holds on
-# every interpreter; only the message for too many digits is the
-# interpreter's own.
+# some interpreters and named itself in the messages.  The float rows come
+# from the loader that refuses floats, which hold the nearest binary value
+# rather than the text of the file.  Every row holds on every interpreter;
+# only the message for too many digits is the interpreter's own.
 LOADER_CORPUS = [
     ("1/2", "1/2"), ("2/4", "1/2"), ("+1/2", "1/2"), (" -3/2 ", "-3/2"), ("4/2", "2"),
     ("1/1", "1"), ("-0", "0"), ("007/2", "7/2"), ("1/02", "1/2"), ("-5/2", "-5/2"),
@@ -690,8 +689,8 @@ LOADER_CORPUS = [
     ("½", _refused("½")), ("²", _refused("²")), ("1/²", _refused("1/²")),
     ("inf", _refused("inf")),
     ("nan", _refused("nan")),
-    # JSON numbers are read through their str
-    (1, "1"), (-3, "-3"), (0, "0"), (0.5, "1/2"), (1.5, "3/2"), (1e3, "1000"),
+    # JSON integers are read through their str, and floats are refused
+    (1, "1"), (-3, "-3"), (0, "0"), (0.5, _FLOAT), (1.5, _FLOAT), (1e3, _FLOAT),
     (10**30, str(10**30)), (-(10**30) - 1, str(-(10**30) - 1)),
     # other JSON values are refused by their type; the Fraction loader read
     # true and null as exponent notation and [1] as an invalid literal
@@ -700,7 +699,7 @@ LOADER_CORPUS = [
 
 
 @pytest.mark.parametrize("text, expected", LOADER_CORPUS, ids=lambda v: repr(v)[:20])
-def test_loader_reads_every_spelling_as_fraction_did(text, expected):
+def test_loader_reads_each_spelling_of_the_corpus(text, expected):
     got = _load_outcome({"dim": 3, "translations": [[text, "1/2", "0"], ["0", "1/2", "1/2"]]})
     assert (got[0][0] if isinstance(got, list) else got) == expected
 
@@ -757,10 +756,17 @@ def test_loader_error_precedence(data, expected):
     ('{"dim": 3, "translations": [["0", "0", "0"], null]}', "translation 1 must be a JSON array, got null"),
     ('{"dim": 3, "translations": [["0", "0", "0"], ["0", false, "0"]]}',
      "generator 1 translation entry must be a string or a number, got boolean"),
+    ('{"dim": 3, "translations": [[0.50000000000000001, "1/2", "0"], ["0", "1/2", "1/2"]]}',
+     "generator 0 translation entry is a float, which is not exact: parse the JSON with "
+     "parse_float=str"),
+    ('{"dim": 3, "translations": [["1/2", "1/2", "0"], ["0", 1e16, "1/2"]]}',
+     "generator 1 translation entry is a float, which is not exact: parse the JSON with "
+     "parse_float=str"),
 ])
 def test_loader_names_the_json_type_it_refuses(text, expected):
     # a row or a translations value that is not an array was read by its
-    # characters, keys or items, and true, false and null through their str
+    # characters, keys or items, and true, false and null through their str;
+    # a float holds the nearest binary value, not the text of the file
     assert _load_outcome(json.loads(text)) == "malformed candidate description: " + expected
 
 

@@ -23,7 +23,6 @@ from hwfib.hwgroup import (
     Classification,
     HWCandidate,
     Lattice,
-    build_candidate,
     classify,
     cyclic_hw,
 )
@@ -35,7 +34,7 @@ F = Fraction
 
 
 def _zero3():
-    return build_candidate(3, [(0, 0, 0), (0, 0, 0)])
+    return HWCandidate(3, [(0, 0, 0), (0, 0, 0)])
 
 
 # class: (fields in declaration order, a builder, a builder of an unequal value)
@@ -107,16 +106,13 @@ def test_packed_isometry_keeps_int_entries_through_pickle():
     assert copy == g and type(copy.translation[0]) is int
 
 
-G0, G1 = cyclic_hw(3).generators
-
-
 @pytest.mark.parametrize("make", [
     lambda: DiagIsometry((0, 1), (0, 0)),
     lambda: DiagIsometry((1, -1), (0,)),
-    lambda: HWCandidate(4, (G0, G1, G0)),
-    lambda: HWCandidate(5, (G0, G1)),
-    lambda: HWCandidate(3, (G1, G0)),
-    lambda: HWCandidate(3, (DiagIsometry(G0.signs, (F(1, 3), 0, 0)), G1)),
+    lambda: HWCandidate(4, [(0,) * 4] * 3),
+    lambda: HWCandidate(5, [(0,) * 5] * 2),
+    lambda: HWCandidate(3, [(0, 0), (0, 0, 0)]),
+    lambda: HWCandidate(3, [(F(1, 3), 0, 0), (0, 0, 0)]),
     lambda: Presentation(-1, ()),
     lambda: Presentation(2, (((-1, 1),),)),
     lambda: Presentation(2, (((2, 1),),)),
@@ -125,7 +121,7 @@ G0, G1 = cyclic_hw(3).generators
     lambda: GenImages(()),
     lambda: GenImages((DiagIsometry.identity(1), DiagIsometry.identity(2))),
 ], ids=[
-    "sign-0", "sign-length", "even-dim", "generator-count", "sign-pattern",
+    "sign-0", "sign-length", "even-dim", "generator-count", "translation-length",
     "third-integer", "negative-count", "negative-generator", "unknown-generator",
     "cancelled-unknown-generator", "exponent-2",
     "no-images", "mixed-dims",
