@@ -6,11 +6,15 @@ sample), ``symbolic`` for the one-dimensional periodicity engine,
 ``abelianize`` for Fibonacci-group abelianizations, and ``show`` for a
 human-readable look at one candidate.
 
-A survey classifies each translation orbit of candidates once (see the
-hwgroup docstring): every candidate of an orbit has the classification,
-and so the verdict, of the orbit's key.  It writes each line from cached
-text, the JSON text of each generator's word and the tail of each
-classification, rather than encoding a record per line.
+A survey classifies its candidates a batch of indices at a time, in one
+call of the hwgroup lane kernel, which gives each index a flags byte
+(crystallographic, torsion-free).  The holonomy is the same for every
+candidate, so the flags decide the classification and, through the
+relator certificate of the dimension, the verdict: each flags byte that
+shows is classified once, by classify_index on the first index that shows
+it.  The survey writes each line from cached text, the JSON text of each
+generator's word and the tail of each classification, rather than encoding
+a record per line, and each batch's lines in one write.
 
 The command line is a command, then its flags in any order, each spelled in
 full as ``--flag value`` or ``--flag=value``, and for ``abelianize`` the
@@ -31,7 +35,7 @@ import json
 import os
 import sys
 import time
-from functools import lru_cache
+from itertools import islice
 from types import SimpleNamespace
 from typing import Optional
 
@@ -52,11 +56,10 @@ from .hwgroup import (
     classify,
     classify_index,
     cyclic_hw,
-    orbit_key,
     standard_signs,
     translation_lattice,
 )
-from .hwgroup import _NumberText, _word_units
+from .hwgroup import _NumberText, _classify_lanes, _word_units
 from .isometry import _text
 
 # The README's usage block, printed by -h and --help.
@@ -94,14 +97,13 @@ MAX_SYMBOLIC_DIM = 151
 # are units once the content 4 is divided out, the Smith normal form takes
 # 2 ms at n=82, 10 ms at n=162 and 35 ms at n=322.
 MAX_ABELIANIZE = 322
-# Translation orbits a survey remembers: all 2^15 orbits of dimension 5
-# (see the hwgroup docstring).  Past this many the dict stops growing, so a
-# long sample at n >= 7, which seldom meets an orbit twice, holds no more
-# than the full n = 5 survey.
-SURVEY_ORBITS = 1 << 15
-# Survey lines joined into one write: one write of a line to a text stream
-# on a pipe costs about 2 us, more than formatting the line from its cached
-# parts (2-core x86-64 VM, Python 3.11.7).
+# Candidates a survey classifies in one call of the lane kernel, and whose
+# lines it joins into one write.  One write of a line to a text stream on a
+# pipe costs about 2 us, more than formatting the line from its cached
+# parts, and the kernel pays its fixed cost once per batch (2-core x86-64
+# VM, Python 3.11.7).  The batch also bounds the memory a survey holds: at
+# n = 21 its lanes make one int of 53 bytes per candidate, and it keeps the
+# JSON text of at most this many generator words (see _WordText).
 SURVEY_BATCH = 1 << 12
 # One compact encoder for every line: json.dumps builds a new one per call.
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
@@ -169,13 +171,24 @@ def cmd_verify(cfg: SimpleNamespace) -> int:
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
-@lru_cache(maxsize=1 << 12)
-def _word_json(n: int, word: int) -> str:
+class _WordText(dict):
     """JSON text of the translation of one generator of an enumerated
-    candidate, from its word, as candidate_to_json_dict writes it.  Cached
-    with a bound, as _word_units is, rather than tabulated: a table of all
-    2^n words would hold 2^21 strings at n = 21."""
-    return "[" + ",".join([f'"{format_half(u)}"' for u in _word_units(n, word)]) + "]"
+    candidate, keyed by its word, as candidate_to_json_dict writes it, each
+    built when first read.  It keeps the text of at most SURVEY_BATCH words,
+    every word for n <= 11, rather than a table of all 2^n words, which
+    would hold 2^21 strings at n = 21."""
+
+    __slots__ = ("dim",)
+
+    def __init__(self, n: int) -> None:
+        self.dim = n
+
+    def __missing__(self, word: int) -> str:
+        units = _word_units(self.dim, word)
+        text = "[" + ",".join([f'"{format_half(u)}"' for u in units]) + "]"
+        if len(self) < SURVEY_BATCH:
+            self[word] = text
+        return text
 
 
 def _survey_entry(n: int, cl: Classification, output_format: str) -> list:
@@ -224,38 +237,37 @@ def cmd_survey(cfg: SimpleNamespace) -> int:
 
     n = cfg.dim
     as_json = cfg.output_format == "json"
-    key_of = orbit_key(n)
     # generator i's word is bits i*n to i*n+n-1 of an index
     full = (1 << n) - 1
     shifts = range(0, n * (n - 1), n)
-    # the _survey_entry of each classification, keyed by its two flags: the
-    # holonomy is the same for every candidate (see the hwgroup docstring)
-    by_class: dict = {}
-    orbits: dict = {}  # orbit key -> the _survey_entry of its classification
+    # the _survey_entry of each classification, by its flags byte from
+    # _classify_lanes: the holonomy is the same for every candidate (see the
+    # hwgroup docstring)
+    by_flags: list = [None] * 4
+    text = _WordText(n)
     write = sys.stdout.write
-    batch: list = []
-    for index in candidate_indices(n, cfg.sample, cfg.seed or 0):
-        key = key_of(index)
-        entry = orbits.get(key)
-        if entry is None:
-            cl = classify_index(n, key)
-            flags = (cl.crystallographic, cl.torsion_free)
-            entry = by_class.get(flags)
-            if entry is None:
-                entry = by_class[flags] = _survey_entry(n, cl, cfg.output_format)
-            if len(orbits) < SURVEY_ORBITS:
-                orbits[key] = entry
-        entry[3] += 1
-        tail = entry[2]
+    indices = candidate_indices(n, cfg.sample, cfg.seed or 0)
+    while batch := list(islice(indices, SURVEY_BATCH)):
+        flags = _classify_lanes(n, batch)
+        for f, entry in enumerate(by_flags):
+            lines = flags.count(f)
+            if lines:
+                if entry is None:
+                    cl = classify_index(n, batch[flags.index(f)])
+                    entry = by_flags[f] = _survey_entry(n, cl, cfg.output_format)
+                entry[3] += lines
+        tails = [by_flags[f][2] for f in flags]
         if as_json:
-            words = ",".join([_word_json(n, index >> s & full) for s in shifts])
-            batch.append(f'{{"index":{index},"dim":{n},"translations":[{words}],{tail}\n')
+            # each line's word texts, read a column (one generator) at a time
+            columns = [map(text.__getitem__, [i >> s & full for i in batch]) for s in shifts]
+            words = map(",".join, zip(*columns))
+            out = [
+                f'{{"index":{i},"dim":{n},"translations":[{w}],{t}\n'
+                for i, w, t in zip(batch, words, tails)
+            ]
         else:
-            batch.append(f"index={index}{tail}\n")
-        if len(batch) == SURVEY_BATCH:
-            write("".join(batch))
-            batch.clear()
-    write("".join(batch))
+            out = [f"index={i}{t}\n" for i, t in zip(batch, tails)]
+        write("".join(out))
 
     summary = {
         "summary": True,
@@ -267,7 +279,7 @@ def cmd_survey(cfg: SimpleNamespace) -> int:
         "verified_pass": 0,
         "verified_fail": 0,
     }
-    for cl, verdict, _, lines in by_class.values():
+    for cl, verdict, _, lines in filter(None, by_flags):
         summary["candidates"] += lines
         summary["crystallographic"] += cl.crystallographic * lines
         summary["torsion_free"] += cl.torsion_free * lines

@@ -18,7 +18,11 @@ the coordinates its sign matrix negates.  ``classify`` takes an
 candidate straight from the bits of its index.  Both run the same kernel,
 in three steps that keep the names bench/tracing.py hooks:
 ``_rep_units_raw`` (normalise, for an ``HWCandidate`` only),
-``_schreier_lattice`` and ``_torsion_exists``.
+``_schreier_lattice`` and ``_torsion_exists``.  A survey instead gives a
+whole batch of indices to the lane kernel ``_classify_lanes``, which reads
+both flags of every index, crystallographic and torsion-free, in one pass
+of bitwise operations on one int; the lattice step and the own-bit lemma
+below are its proof (see Lanes).
 
 Holonomy.  Products of sign matrices are XORs of their masks.
 A candidate stores no signs: generator i has the standard pattern, mask
@@ -112,6 +116,21 @@ alone fixes only F = {i}, and holds torsion exactly when bit i of U_i is
 needs normalised words: on raw units, u_i[i] even says nothing of
 a_i / m_i.  So classify walks only when every g_i has its own bit.
 
+Lanes.  ``_classify_lanes`` packs each index of a batch into a lane of
+w = ceil(n(n-1)/8) bytes of one int, so that word i of the lane is bits
+i*n to i*n+n-1 and the lane has more than n bits, as n(n-1) > n.  A
+pattern below 2^n times the int with bit 0 of every lane set is that
+pattern in every lane, and a bitwise operation never mixes two lanes.
+Shifting the int down by i*n and masking with n ones per lane gives word i
+of every lane at once; on these words the lattice step's D | (O & ~A)
+gives every lane's crystallographic mask, each bit j read from column j
+alone, and adding 1 at bit 0 of a lane carries into its bit n exactly when
+the mask holds all n bits.  By the own-bit lemma a lane that lacks an own
+bit holds torsion; the AND over i of word i shifted down by i marks the
+lanes with every own bit, and only those walk, one at a time through
+``_torsion_exists``: 1 in 2^(n-1) of uniform draws.  Byte 0 of each lane,
+read back with a stride of w bytes, is that lane's flags byte.
+
 Translation orbits.  Let F_k be the bits i*n+k of an index over the
 generators i != k: unit k of every generator but g_k.  The candidates at
 idx and idx ^ F_k have the same classification.  Conjugating by the
@@ -149,6 +168,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from itertools import compress, repeat
 from math import gcd
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -211,6 +231,17 @@ def _row_units(i: int, doubled: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _refuse_float(i: int, value) -> None:
+    """Refuse a float entry of generator i: it holds the nearest binary
+    value, not the text it was written from, so its str need not be that
+    text (0.50000000000000001 reads as 0.5, 1e16 as '1e+16')."""
+    if isinstance(value, float):
+        raise ValueError(
+            f"generator {i} translation entry is a float, which is not exact: "
+            "parse the JSON with parse_float=str"
+        )
+
+
 def _checked_units(n: int, rows: Sequence[Sequence]) -> tuple[tuple[int, ...], ...]:
     """The half units of the candidate of dimension n whose generator i has
     the doubled translation rows[i] (see ``_row_units``): the dimension,
@@ -229,8 +260,9 @@ class HWCandidate(Record):
 
     The public constructor takes the dimension and one translation vector
     of length n per generator, and reads each entry through its str by
-    ``parse_half``.  It checks each vector's length, then its entries, then
-    the dimension, the count and the half-integers."""
+    ``parse_half``, refusing a Python float as the JSON loader does.  It
+    checks each vector's length, then its entries, then the dimension, the
+    count and the half-integers."""
 
     __slots__ = ("dim", "units")
 
@@ -238,6 +270,8 @@ class HWCandidate(Record):
         rows = []
         for i, t in enumerate(translations):
             _check_length(dim, i, t)
+            for x in t:
+                _refuse_float(i, x)
             rows.append([parse_half(str(x)) for x in t])
         self.dim = dim
         self.units = _checked_units(dim, rows)
@@ -400,12 +434,45 @@ def classify_index(n: int, idx: int) -> Classification:
     return _classify_words(n, _index_words(n, idx))
 
 
+def _classify_lanes(n: int, indices: Sequence[int]) -> bytes:
+    """The flags of the candidate at each of the indices, one byte each: bit
+    0 crystallographic and bit 1 torsion-free, as ``classify_index`` gives
+    them, read from one lane per index of one int (see Lanes in the module
+    docstring).  It takes indices of dimension n in range, and checks them
+    only in the lanes that walk."""
+    width = (n * (n - 1) + 7) // 8
+    size = width * len(indices)
+    lanes = int.from_bytes(
+        b"".join(map(int.to_bytes, indices, repeat(width), repeat("little"))), "little"
+    )
+    # bit 0 of every lane, and the n bits of a word in every lane
+    low = int.from_bytes((b"\x01" + bytes(width - 1)) * len(indices), "little")
+    fields = low * ((1 << n) - 1)
+    diag = off = 0
+    ones = fields
+    own = low
+    for i in range(n - 1):
+        u = lanes >> (i * n) & fields
+        bit = low << i
+        diag |= u & bit
+        off |= u & ~bit
+        ones &= u | bit
+        own &= u >> i
+    cryst = ((diag | off & ~ones) + low) >> n & low
+    flags = bytearray((cryst | own << 1).to_bytes(size, "little")[::width])
+    # by the own-bit lemma, only the lanes with every own bit walk
+    walks = own.to_bytes(size, "little")[::width]
+    for k, idx in compress(enumerate(indices), walks):
+        if _torsion_exists(n, _index_words(n, idx)):
+            flags[k] &= 1
+    return bytes(flags)
+
+
 def orbit_key(n: int) -> Callable[[int], int]:
     """The function that sends an index of dimension n to the key of its
     translation orbit: the member whose pivot bits are all zero.  Indices
-    in one orbit have one classification (see the module docstring), so a
-    survey classifies each key once.  The function checks nothing: it
-    takes an index in range."""
+    in one orbit have one classification (see the module docstring).  The
+    function checks nothing: it takes an index in range."""
     _check_dim(n)
     pivots = (1 << n) - 2
     rows = sum(1 << (i * n) for i in range(n - 1))
@@ -564,13 +631,8 @@ def _json_array(value, what: str) -> list:
 
 def _doubled_entry(i: int, value) -> tuple[int, int]:
     """2t for entry t of generator i, a JSON string or number, as
-    ``parse_half`` reads it from its str.  A float is refused: it holds the
-    nearest binary value, not the text of the file."""
-    if type(value) is float:
-        raise ValueError(
-            f"generator {i} translation entry is a float, which is not exact: "
-            "parse the JSON with parse_float=str"
-        )
+    ``parse_half`` reads it from its str (see ``_refuse_float``)."""
+    _refuse_float(i, value)
     if type(value) not in (str, int, _NumberText):
         raise ValueError(
             f"generator {i} translation entry must be a string or a number, "

@@ -23,6 +23,7 @@ from hwfib.hwgroup import (
     classify_index,
     cyclic_hw,
 )
+from hwfib.hwgroup import _classify_lanes
 
 from _oracles import conjugate_diagonal
 
@@ -312,7 +313,7 @@ _RECORD_SEEDS = {5: 51, 7: 52}
     (7, _seeded_indices(7, 200, seed=_RECORD_SEEDS[7])),
 ])
 def test_survey_record_from_index_matches_candidate_path(capsys, n, indices):
-    # the survey's lines, written from cached orbit tails and word text,
+    # the survey's lines, written from cached class tails and word text,
     # against records built through an HWCandidate, byte for byte
     argv = ["survey", "--dim", str(n)]
     if n in _RECORD_SEEDS:
@@ -339,21 +340,41 @@ def test_survey_record_from_index_matches_candidate_path(capsys, n, indices):
     assert counts["hw"] > 0 or n == 7
 
 
+def _first_index_of_each_class(n, indices):
+    """The first of the indices that shows each flags byte of the lane
+    kernel (bit 0 crystallographic, bit 1 torsion-free), in the order of the
+    bytes: where a survey of one batch builds its class entries."""
+    firsts = {}
+    for idx in indices:
+        cl = classify_index(n, idx)
+        firsts.setdefault(cl.crystallographic | cl.torsion_free << 1, idx)
+    return [firsts[f] for f in sorted(firsts)]
+
+
 def test_survey_record_reads_the_certificate(capsys, monkeypatch):
-    # a Hantzsche-Wendt line builds no Fraction candidate, and the survey
-    # classifies each of the 8 translation orbits of n=3 once
+    # a Hantzsche-Wendt line builds no Fraction candidate; the survey
+    # classifies the 64 candidates of n=3 in one call of the lane kernel and
+    # builds the entry of each flags byte once, by classify_index on the
+    # first index that shows it
+    firsts = _first_index_of_each_class(3, range(64))
     monkeypatch.setattr(hwgroup, "candidate_from_index", _refuse)
     monkeypatch.setattr(hwgroup.HWCandidate, "__init__", _refuse)
     monkeypatch.setattr(epimorphism, "classify", _refuse)
     monkeypatch.setattr(epimorphism, "build_epimorphism", _refuse)
-    classified = []
+    batches, classified = [], []
+
+    def counting_classify_lanes(n, indices):
+        batches.append(len(indices))
+        return _classify_lanes(n, indices)
 
     def counting_classify_index(n, idx):
         classified.append(idx)
         return classify_index(n, idx)
 
+    monkeypatch.setattr(cli, "_classify_lanes", counting_classify_lanes)
     monkeypatch.setattr(cli, "classify_index", counting_classify_index)
     for output_format in ("json", "text"):
+        batches.clear()
         classified.clear()
         code, out, _ = run_cli(capsys, "survey", "--dim", "3", "--format", output_format)
         assert code == 0
@@ -363,20 +384,20 @@ def test_survey_record_reads_the_certificate(capsys, monkeypatch):
         else:
             verdicts = [line.rsplit(" verdict=", 1)[1] for line in lines]
         assert verdicts.count("pass") == 8 and len(verdicts) == 64
-        assert len(classified) == len(set(classified)) == 8
+        assert batches == [64]
+        assert classified == firsts
 
 
-@pytest.mark.parametrize("orbits, batch", [(1, 1), (3, 7)])
-def test_survey_output_does_not_depend_on_its_bounds(capsys, monkeypatch, orbits, batch):
-    # past SURVEY_ORBITS the survey classifies every new orbit again, and
-    # SURVEY_BATCH only groups lines into writes
+@pytest.mark.parametrize("batch", [1, 7])
+def test_survey_output_does_not_depend_on_its_bounds(capsys, monkeypatch, batch):
+    # SURVEY_BATCH only groups candidates into kernel calls and lines into
+    # writes, and bounds the word texts a survey keeps
     argvs = [
         ("survey", "--dim", "3"),
         ("survey", "--dim", "3", "--format", "json"),
         ("survey", "--dim", "5", "--sample", "300", "--seed", "4", "--format", "json"),
     ]
     expected = [run_cli(capsys, *argv) for argv in argvs]
-    monkeypatch.setattr(cli, "SURVEY_ORBITS", orbits)
     monkeypatch.setattr(cli, "SURVEY_BATCH", batch)
     assert [run_cli(capsys, *argv) for argv in argvs] == expected
 
@@ -669,18 +690,30 @@ def test_stdout_byte_identical(capsys, tmp_path, argv):
     assert _stdout_sha256(capsys, tmp_path, argv) == STDOUT_SHA256[argv]
 
 
-@pytest.mark.parametrize("argv, masks, walks", [
-    (("survey", "--dim", "5", "--sample", "1000", "--seed", "1"), 978, 55),
-    (("survey", "--dim", "3"), 8, 2),
-    (("verify", "--input", CYCLIC13), 1, 1),
+def _has_own_bits(n, idx):
+    return all(idx >> (i * n + i) & 1 for i in range(n - 1))
+
+
+@pytest.mark.parametrize("argv, n, draws", [
+    (("survey", "--dim", "5", "--sample", "1000", "--seed", "1"), 5, _seeded_indices(5, 1000, 1)),
+    (("survey", "--dim", "3"), 3, range(64)),
+    (("verify", "--input", CYCLIC13), None, None),
 ], ids=["survey-n5-seed1", "survey-n3", "verify-cyclic13"])
 def test_walk_runs_only_when_every_generator_has_its_own_bit(
-    capsys, tmp_path, monkeypatch, argv, masks, walks
+    capsys, tmp_path, monkeypatch, argv, n, draws
 ):
-    # every classification reads the crystallographic mask once: one per
-    # orbit key, 978 in the seeded survey and 8 at n=3; a generator whose
-    # word lacks its own bit decides torsion, so only 55 and 2 of them
-    # walk; the cyclic candidate has every bit and walks once
+    # a generator whose word lacks its own bit decides torsion, so the lane
+    # kernel walks only the draws with every own bit, and each class entry,
+    # built by classify_index on the first index of its flags byte, reads
+    # the crystallographic mask once and walks when that index has every
+    # own bit; the cyclic candidate has every bit and walks once
+    if draws is None:
+        masks = walks = 1
+    else:
+        firsts = _first_index_of_each_class(n, draws)
+        masks = len(firsts)
+        walks = sum(_has_own_bits(n, idx) for idx in [*draws, *firsts])
+        assert 0 < walks < len(draws)
     counts = dict.fromkeys(("_schreier_lattice", "_torsion_exists"), 0)
     for name in counts:
         def counted(*args, _name=name, _run=getattr(hwgroup, name)):
@@ -725,7 +758,7 @@ def _refuse(*args, **kwargs):
 
 def _refuse_survey_work(monkeypatch):
     # everything the survey loop calls before it writes a line
-    for name in ("orbit_key", "candidate_indices", "classify_index"):
+    for name in ("candidate_indices", "_classify_lanes", "classify_index"):
         monkeypatch.setattr(cli, name, _refuse)
 
 

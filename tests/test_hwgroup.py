@@ -5,7 +5,7 @@ from itertools import islice, product
 
 import pytest
 
-from hwfib import hwgroup
+from hwfib import cli, hwgroup
 from hwfib.hwgroup import (
     HWCandidate,
     candidate_count,
@@ -21,6 +21,7 @@ from hwfib.hwgroup import (
     translation_lattice,
 )
 from hwfib.hwgroup import (
+    _classify_lanes,
     _index_words,
     _normal_generator_words,
     _reduced_echelon,
@@ -83,6 +84,21 @@ def test_candidate_constructor_rejects_even_dimension():
 def test_candidate_constructor_rejects_non_half_integer():
     with pytest.raises(ValueError, match="half-integer"):
         HWCandidate(3, [(F(1, 3), 0, 0), (0, 0, 0)])
+
+
+@pytest.mark.parametrize("translations, i", [
+    ([(0.50000000000000001, 0.5, 0), (0, 0.5, 0.5)], 0),
+    ([(HALF, HALF, 0), (0, HALF, 1e16)], 1),
+])
+def test_candidate_constructor_refuses_floats_as_the_loader_does(translations, i):
+    # a float holds the nearest binary value: 0.50000000000000001 is 0.5,
+    # and the str of 1e16 is '1e+16', text the caller never wrote
+    with pytest.raises(ValueError) as caught:
+        HWCandidate(3, translations)
+    assert str(caught.value) == (
+        f"generator {i} translation entry is a float, which is not exact: "
+        "parse the JSON with parse_float=str"
+    )
 
 
 def test_cyclic_hw_5():
@@ -581,6 +597,56 @@ def test_flip_is_a_conjugation(n, indices):
             if k < n - 1:
                 gens[k] = gens[k].inverse()
             assert gens == list(candidate_from_index(n, idx ^ f).generators)
+
+
+def _own_bit_positions(n):
+    # bit i*n+i of an index: bit i of the word of generator i
+    return sum(1 << (i * n + i) for i in range(n - 1))
+
+
+def _lane_inputs():
+    yield "n3", 3, range(64)
+    # lanes of 3, 6, 9, 14 and 53 bytes; with every own bit forced on, each
+    # lane walks
+    for n, count in ((5, 600), (7, 300), (9, 200), (11, 100), (21, 12)):
+        drawn = list(candidate_indices(n, count, 70 + n))
+        yield f"n{n}", n, drawn
+        yield f"n{n}-own", n, [idx | _own_bit_positions(n) for idx in drawn]
+
+
+LANE_INPUTS = {name: (n, indices) for name, n, indices in _lane_inputs()}
+
+
+@pytest.mark.parametrize("batch", [1, 7, cli.SURVEY_BATCH])
+@pytest.mark.parametrize("name", LANE_INPUTS)
+def test_lane_kernel_matches_classify_index(name, batch):
+    n, indices = LANE_INPUTS[name]
+    expected = []
+    for idx in indices:
+        cl = classify_index(n, idx)
+        expected.append((cl.crystallographic, cl.torsion_free))
+    it = iter(indices)
+    got = []
+    while chunk := list(islice(it, batch)):
+        got += [(f & 1, f >> 1) for f in _classify_lanes(n, chunk)]
+    assert got == expected
+
+
+def test_lane_kernel_golden_counts():
+    # over the whole index space: (2^(n-1) - 2)^n crystallographic
+    # candidates (Lemma A of the roadmap), and every torsion-free one is
+    # crystallographic (Lemma B), so the torsion-free count is the HW count;
+    # a flags byte has bit 0 crystallographic and bit 1 torsion-free
+    for n, cryst, hw in ((3, 8, 8), (5, 537_824, 4_608)):
+        assert cryst == (2 ** (n - 1) - 2) ** n
+        flags = _classify_lanes(n, range(candidate_count(n)))
+        assert len(flags) == candidate_count(n)
+        assert flags.count(1) + flags.count(3) == cryst
+        assert flags.count(2) == 0 and flags.count(3) == hw
+
+
+def test_lane_kernel_takes_an_empty_batch():
+    assert _classify_lanes(5, []) == b""
 
 
 def test_orbit_key_refuses_what_classify_index_refuses():

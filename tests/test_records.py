@@ -113,6 +113,8 @@ def test_packed_isometry_keeps_int_entries_through_pickle():
     lambda: HWCandidate(5, [(0,) * 5] * 2),
     lambda: HWCandidate(3, [(0, 0), (0, 0, 0)]),
     lambda: HWCandidate(3, [(F(1, 3), 0, 0), (0, 0, 0)]),
+    lambda: HWCandidate(3, [(0.50000000000000001, 0.5, 0), (0, 0.5, 0.5)]),
+    lambda: HWCandidate(3, [(1e16, 0, 0), (0, 0, 0)]),
     lambda: Presentation(-1, ()),
     lambda: Presentation(2, (((-1, 1),),)),
     lambda: Presentation(2, (((2, 1),),)),
@@ -122,7 +124,7 @@ def test_packed_isometry_keeps_int_entries_through_pickle():
     lambda: GenImages((DiagIsometry.identity(1), DiagIsometry.identity(2))),
 ], ids=[
     "sign-0", "sign-length", "even-dim", "generator-count", "translation-length",
-    "third-integer", "negative-count", "negative-generator", "unknown-generator",
+    "third-integer", "float-half", "float-exponent", "negative-count", "negative-generator", "unknown-generator",
     "cancelled-unknown-generator", "exponent-2",
     "no-images", "mixed-dims",
 ])
