@@ -10,11 +10,11 @@ A survey classifies its candidates a batch of indices at a time, in one
 call of the hwgroup lane kernel, which gives each index a flags byte
 (crystallographic, torsion-free).  The holonomy is the same for every
 candidate, so the flags decide the classification and, through the
-relator certificate of the dimension, the verdict: each flags byte that
-shows is classified once, by classify_index on the first index that shows
-it.  The survey writes each line from cached text, the JSON text of each
-generator's word and the tail of each classification, rather than encoding
-a record per line, and each batch's lines in one write.
+relator certificate of the dimension, the verdict: the entry of each flags
+byte that shows is built once.  The survey writes each line from cached
+text, the JSON text of each generator's word and the tail of each
+classification, rather than encoding a record per line, and each batch's
+lines in one write.
 
 The command line is a command, then its flags in any order, each spelled in
 full as ``--flag value`` or ``--flag=value``, and for ``abelianize`` the
@@ -49,17 +49,15 @@ from .exact import format_half
 from .fpgroup import abelianization, fibonacci_presentation
 from .hwgroup import (
     Classification,
-    candidate_count,
     candidate_from_json_dict,
     candidate_indices,
     candidate_to_json_dict,
     classify,
-    classify_index,
     cyclic_hw,
     standard_signs,
     translation_lattice,
 )
-from .hwgroup import _NumberText, _classify_lanes, _word_units
+from .hwgroup import _NumberText, _classification, _classify_lanes, _word_units
 from .isometry import _text
 
 # The README's usage block, printed by -h and --help.
@@ -220,13 +218,13 @@ def cmd_survey(cfg: SimpleNamespace) -> int:
         return _fail_usage("survey needs --dim N")
     if cfg.dim % 2 == 0 or cfg.dim < 3:
         return _fail_usage(f"dimension must be odd and >= 3, got {cfg.dim}")
-    if cfg.dim > FULL_ENUMERATION_LIMIT and cfg.sample is None:
-        return _fail_usage(
-            f"full enumeration of dimension {cfg.dim} has {candidate_count(cfg.dim)} "
-            f"candidates; pass --sample N (with --seed) instead"
-        )
     if cfg.dim > MAX_DIM:
         return _fail_usage(_over_cap(cfg.dim))
+    if cfg.dim > FULL_ENUMERATION_LIMIT and cfg.sample is None:
+        return _fail_usage(
+            f"full enumeration of dimension {cfg.dim} has 2^{cfg.dim * (cfg.dim - 1)} "
+            f"candidates; pass --sample N (with --seed) instead"
+        )
     if cfg.sample is not None and cfg.sample < 1:
         return _fail_usage("--sample must be positive")
     if cfg.seed is not None and cfg.sample is None:
@@ -253,7 +251,7 @@ def cmd_survey(cfg: SimpleNamespace) -> int:
             lines = flags.count(f)
             if lines:
                 if entry is None:
-                    cl = classify_index(n, batch[flags.index(f)])
+                    cl = _classification(n, f)
                     entry = by_flags[f] = _survey_entry(n, cl, cfg.output_format)
                 entry[3] += lines
         tails = [by_flags[f][2] for f in flags]

@@ -13,16 +13,15 @@ tuples of ints (``HWCandidate.units``), read and written as text through
 gives the grammar and says where ``fractions`` remains.
 
 Classification runs on n-bit words.  A holonomy class is the bitmask of
-the coordinates its sign matrix negates.  ``classify`` takes an
-``HWCandidate``; ``classify_index`` reads the words of an enumerated
-candidate straight from the bits of its index.  Both run the same kernel,
-in three steps that keep the names bench/tracing.py hooks:
+the coordinates its sign matrix negates.  One kernel, ``_classify_lanes``,
+classifies: it reads both flags of a batch of indices, crystallographic
+and torsion-free, in one pass of bitwise operations on one int (see
+Lanes), and ``_classification`` turns a flags byte into a
+``Classification``.  ``classify`` normalises an ``HWCandidate`` and packs
+its words into an index; ``classify_index`` and a survey's batches are
+indices already.  The steps keep the names bench/tracing.py hooks:
 ``_rep_units_raw`` (normalise, for an ``HWCandidate`` only),
-``_schreier_lattice`` and ``_torsion_exists``.  A survey instead gives a
-whole batch of indices to the lane kernel ``_classify_lanes``, which reads
-both flags of every index, crystallographic and torsion-free, in one pass
-of bitwise operations on one int; the lattice step and the own-bit lemma
-below are its proof (see Lanes).
+``_schreier_lattice`` and ``_torsion_exists``.
 
 Holonomy.  Products of sign matrices are XORs of their masks.
 A candidate stores no signs: generator i has the standard pattern, mask
@@ -114,7 +113,7 @@ alone fixes only F = {i}, and holds torsion exactly when bit i of U_i is
 0, whatever V.  If m_i = 1 the mask has bit i, so the projection of V to
 {i} is all of F2; if m_i = 0 then u_i[i] = 0, as m_i divides it.  This
 needs normalised words: on raw units, u_i[i] even says nothing of
-a_i / m_i.  So classify walks only when every g_i has its own bit.
+a_i / m_i.  So the kernel walks only when every g_i has its own bit.
 
 Lanes.  ``_classify_lanes`` packs each index of a batch into a lane of
 w = ceil(n(n-1)/8) bytes of one int, so that word i of the lane is bits
@@ -122,14 +121,14 @@ i*n to i*n+n-1 and the lane has more than n bits, as n(n-1) > n.  A
 pattern below 2^n times the int with bit 0 of every lane set is that
 pattern in every lane, and a bitwise operation never mixes two lanes.
 Shifting the int down by i*n and masking with n ones per lane gives word i
-of every lane at once; on these words the lattice step's D | (O & ~A)
-gives every lane's crystallographic mask, each bit j read from column j
-alone, and adding 1 at bit 0 of a lane carries into its bit n exactly when
-the mask holds all n bits.  By the own-bit lemma a lane that lacks an own
-bit holds torsion; the AND over i of word i shifted down by i marks the
-lanes with every own bit, and only those walk, one at a time through
-``_torsion_exists``: 1 in 2^(n-1) of uniform draws.  Byte 0 of each lane,
-read back with a stride of w bytes, is that lane's flags byte.
+of every lane at once; on these words ``_schreier_lattice``, given that
+pattern, computes every lane's crystallographic mask, each bit j read from
+column j alone, and adding 1 at bit 0 of a lane carries into its bit n
+exactly when the mask holds all n bits.  By the own-bit lemma a lane that
+lacks an own bit holds torsion; the AND over i of word i shifted down by i
+marks the lanes with every own bit, and only those walk, one at a time
+through ``_torsion_exists``: 1 in 2^(n-1) of uniform draws.  Byte 0 of each
+lane, read back with a stride of w bytes, is that lane's flags byte.
 
 Translation orbits.  Let F_k be the bits i*n+k of an index over the
 generators i != k: unit k of every generator but g_k.  The candidates at
@@ -154,23 +153,15 @@ from the classification and the relator certificate of the dimension, is
 the same too.  The F_k lie in distinct columns k, and each is nonzero as
 n - 1 >= 2 generators exist, so they generate a free action of (Z/2)^n on
 the indices: 2^(n(n-2)) orbits of 2^n indices, 8 at n = 3 and 2^15 at
-n = 5.  ``orbit_key`` names each orbit by one member.  Take the pivot
-bit of F_k at generator p(k), with p(0) = 1 and p(k) = 0 otherwise;
-it lies in F_k and in no other F_j, so each orbit has exactly one member
-with every pivot bit zero.  That member is idx ^ (the sum of the F_k whose
-pivot bit idx sets).  K = (idx & full & ~1) | (idx >> n & 1) holds pivot
-bit k at bit k; K R, with R = the sum of 2^(i*n), copies K into every
-generator's word without carries, as K < 2^n; and clearing the bits
-i*n+i, which no F_k holds, leaves exactly the sum of those F_k.
+n = 5.
 """
 
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 from itertools import compress, repeat
 from math import gcd
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .exact import ExactNumber, format_half, parse_half
 from .isometry import DiagIsometry
@@ -184,7 +175,6 @@ __all__ = [
     "translation_lattice",
     "classify",
     "classify_index",
-    "orbit_key",
     "candidate_indices",
     "candidate_count",
     "candidate_from_index",
@@ -335,14 +325,15 @@ def _normal_generator_words(lows: Sequence[int]) -> Iterator[int]:
             yield (u & ~(1 << j)) ^ (w & ~bit)
 
 
-def _schreier_lattice(n: int, lows: Sequence[int]) -> int:
-    """Lattice step of classify: the crystallographic mask, the coordinates
-    with m_j = 1, read from the columns of the words (see the module
-    docstring)."""
+def _schreier_lattice(n: int, lows: Iterable[int], low: int = 1) -> int:
+    """Lattice step of the kernel: the crystallographic mask, the
+    coordinates with m_j = 1, read from the columns of the words (see the
+    module docstring); in every lane of the words at once when low has bit
+    0 of each lane set (see Lanes)."""
     diag = off = 0
-    ones = (1 << n) - 1
+    ones = low * ((1 << n) - 1)
     for i, u in enumerate(lows):
-        bit = 1 << i
+        bit = low << i
         diag |= u & bit
         off |= u & ~bit
         ones &= u | bit
@@ -370,7 +361,7 @@ def _torsion_classes(n: int, lows: Sequence[int]) -> Iterator[int]:
 
 
 def _torsion_exists(n: int, lows: Sequence[int]) -> bool:
-    """Torsion step of classify: whether the walk of _torsion_classes finds
+    """Torsion step of the kernel: whether the walk of _torsion_classes finds
     a class with torsion; it stops at the first."""
     return next(_torsion_classes(n, lows), None) is not None
 
@@ -408,21 +399,19 @@ class Classification(Record):
         }
 
 
-def _classify_words(n: int, lows: Sequence[int]) -> Classification:
-    """The classification kernel, on normalised words.  The lattice and
-    torsion steps are looked up as module globals on every call, so
-    wrappers installed on them see each candidate.  The holonomy is always
-    the full orientation-preserving group of order 2^(n-1) (see the module
+def _classification(n: int, flags: int) -> Classification:
+    """The classification of a candidate of dimension n with the flags byte
+    of ``_classify_lanes``.  The holonomy is always the full
+    orientation-preserving group of order 2^(n-1) (see the module
     docstring), so a candidate is Hantzsche-Wendt exactly when it is
-    crystallographic and torsion-free.  A generator without its own bit
-    decides torsion before any walk."""
-    cryst = _schreier_lattice(n, lows) == (1 << n) - 1
-    torsion_free = all(u >> i & 1 for i, u in enumerate(lows)) and not _torsion_exists(n, lows)
-    return Classification(cryst, torsion_free, 2 ** (n - 1), True, cryst and torsion_free)
+    crystallographic and torsion-free."""
+    return Classification(bool(flags & 1), bool(flags & 2), 2 ** (n - 1), True, flags == 3)
 
 
 def classify(c: HWCandidate) -> Classification:
-    return _classify_words(c.dim, _rep_units_raw(c)[1])
+    n = c.dim
+    idx = sum(w << i * n for i, w in enumerate(_rep_units_raw(c)[1]))
+    return _classification(n, _classify_lanes(n, [idx])[0])
 
 
 def classify_index(n: int, idx: int) -> Classification:
@@ -431,15 +420,18 @@ def classify_index(n: int, idx: int) -> Classification:
     bit i*n+j, 1 for a translation by 1/2 and 0 for none.  These are
     already normalised words.  Raises ValueError for an even or small n and
     an index out of range."""
-    return _classify_words(n, _index_words(n, idx))
+    _check_index(n, idx)
+    return _classification(n, _classify_lanes(n, [idx])[0])
 
 
 def _classify_lanes(n: int, indices: Sequence[int]) -> bytes:
     """The flags of the candidate at each of the indices, one byte each: bit
-    0 crystallographic and bit 1 torsion-free, as ``classify_index`` gives
-    them, read from one lane per index of one int (see Lanes in the module
-    docstring).  It takes indices of dimension n in range, and checks them
-    only in the lanes that walk."""
+    0 crystallographic and bit 1 torsion-free, read from one lane per index
+    of one int (see Lanes in the module docstring).  The lattice and
+    torsion steps are looked up as module globals on every call, so
+    wrappers installed on them see each batch and each walk.  It takes
+    indices of dimension n in range, and checks them only in the lanes that
+    walk."""
     width = (n * (n - 1) + 7) // 8
     size = width * len(indices)
     lanes = int.from_bytes(
@@ -448,17 +440,12 @@ def _classify_lanes(n: int, indices: Sequence[int]) -> bytes:
     # bit 0 of every lane, and the n bits of a word in every lane
     low = int.from_bytes((b"\x01" + bytes(width - 1)) * len(indices), "little")
     fields = low * ((1 << n) - 1)
-    diag = off = 0
-    ones = fields
+    words = (lanes >> (i * n) & fields for i in range(n - 1))
+    cryst = (_schreier_lattice(n, words, low) + low) >> n & low
+    # bit i*n+i of a lane is the own bit of generator i
     own = low
     for i in range(n - 1):
-        u = lanes >> (i * n) & fields
-        bit = low << i
-        diag |= u & bit
-        off |= u & ~bit
-        ones &= u | bit
-        own &= u >> i
-    cryst = ((diag | off & ~ones) + low) >> n & low
+        own &= lanes >> (i * (n + 1))
     flags = bytearray((cryst | own << 1).to_bytes(size, "little")[::width])
     # by the own-bit lemma, only the lanes with every own bit walk
     walks = own.to_bytes(size, "little")[::width]
@@ -466,22 +453,6 @@ def _classify_lanes(n: int, indices: Sequence[int]) -> bytes:
         if _torsion_exists(n, _index_words(n, idx)):
             flags[k] &= 1
     return bytes(flags)
-
-
-def orbit_key(n: int) -> Callable[[int], int]:
-    """The function that sends an index of dimension n to the key of its
-    translation orbit: the member whose pivot bits are all zero.  Indices
-    in one orbit have one classification (see the module docstring).  The
-    function checks nothing: it takes an index in range."""
-    _check_dim(n)
-    pivots = (1 << n) - 2
-    rows = sum(1 << (i * n) for i in range(n - 1))
-    off_diagonal = ~sum(1 << (i * n + i) for i in range(n - 1))
-
-    def key(idx: int) -> int:
-        return idx ^ ((idx & pivots | idx >> n & 1) * rows & off_diagonal)
-
-    return key
 
 
 # ---------------------------------------------------------------------------
@@ -548,35 +519,30 @@ def candidate_count(n: int) -> int:
     return 2 ** (n * (n - 1))
 
 
-def _index_words(n: int, idx: int) -> list[int]:
-    """The n-bit words of the candidate at idx: word i holds bits i*n to
-    i*n+n-1, bit j for coordinate j of generator i."""
+def _check_index(n: int, idx: int) -> None:
     _check_dim(n)
     if idx < 0 or idx >> (n * (n - 1)):
         raise ValueError(f"index {idx} out of range for dimension {n}")
+
+
+def _index_words(n: int, idx: int) -> list[int]:
+    """The n-bit words of the candidate at idx: word i holds bits i*n to
+    i*n+n-1, bit j for coordinate j of generator i."""
+    _check_index(n, idx)
     full = (1 << n) - 1
     return [idx >> (i * n) & full for i in range(n - 1)]
 
 
-@lru_cache(maxsize=1 << 12)
 def _word_units(n: int, word: int) -> tuple[int, ...]:
     """The half units of one generator, the n bits of its word lowest
-    first.  Candidates decoded from indices, and the word text of a
-    survey's lines, share few distinct words, so they are cached; the bound
-    holds all of them for n <= 11 and keeps a sampled survey at larger n
-    from filling memory."""
+    first."""
     return tuple(word >> j & 1 for j in range(n))
-
-
-def _index_units(n: int, idx: int) -> tuple[tuple[int, ...], ...]:
-    """Half units of the candidate at idx, one tuple per generator."""
-    return tuple([_word_units(n, w) for w in _index_words(n, idx)])
 
 
 def candidate_from_index(n: int, idx: int) -> HWCandidate:
     """Bit i*n+j of idx decides whether generator i translates by 1/2 along
     coordinate j; indices enumerate the whole space deterministically."""
-    return HWCandidate._normal(n, _index_units(n, idx))
+    return HWCandidate._normal(n, tuple([_word_units(n, w) for w in _index_words(n, idx)]))
 
 
 def candidate_indices(

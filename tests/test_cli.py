@@ -23,7 +23,7 @@ from hwfib.hwgroup import (
     classify_index,
     cyclic_hw,
 )
-from hwfib.hwgroup import _classify_lanes
+from hwfib.hwgroup import _classification, _classify_lanes
 
 from _oracles import conjugate_diagonal
 
@@ -340,39 +340,29 @@ def test_survey_record_from_index_matches_candidate_path(capsys, n, indices):
     assert counts["hw"] > 0 or n == 7
 
 
-def _first_index_of_each_class(n, indices):
-    """The first of the indices that shows each flags byte of the lane
-    kernel (bit 0 crystallographic, bit 1 torsion-free), in the order of the
-    bytes: where a survey of one batch builds its class entries."""
-    firsts = {}
-    for idx in indices:
-        cl = classify_index(n, idx)
-        firsts.setdefault(cl.crystallographic | cl.torsion_free << 1, idx)
-    return [firsts[f] for f in sorted(firsts)]
-
-
 def test_survey_record_reads_the_certificate(capsys, monkeypatch):
-    # a Hantzsche-Wendt line builds no Fraction candidate; the survey
-    # classifies the 64 candidates of n=3 in one call of the lane kernel and
-    # builds the entry of each flags byte once, by classify_index on the
-    # first index that shows it
-    firsts = _first_index_of_each_class(3, range(64))
+    # a Hantzsche-Wendt line builds no Fraction candidate, and a survey
+    # calls neither classify nor classify_index: it classifies the 64
+    # candidates of n=3 in one call of the lane kernel and builds the entry
+    # of each flags byte that shows once, from the byte alone
     monkeypatch.setattr(hwgroup, "candidate_from_index", _refuse)
     monkeypatch.setattr(hwgroup.HWCandidate, "__init__", _refuse)
-    monkeypatch.setattr(epimorphism, "classify", _refuse)
     monkeypatch.setattr(epimorphism, "build_epimorphism", _refuse)
+    for module in (cli, hwgroup, epimorphism):
+        monkeypatch.setattr(module, "classify", _refuse)
+    monkeypatch.setattr(hwgroup, "classify_index", _refuse)
     batches, classified = [], []
 
     def counting_classify_lanes(n, indices):
         batches.append(len(indices))
         return _classify_lanes(n, indices)
 
-    def counting_classify_index(n, idx):
-        classified.append(idx)
-        return classify_index(n, idx)
+    def counting_classification(n, flags):
+        classified.append(flags)
+        return _classification(n, flags)
 
     monkeypatch.setattr(cli, "_classify_lanes", counting_classify_lanes)
-    monkeypatch.setattr(cli, "classify_index", counting_classify_index)
+    monkeypatch.setattr(cli, "_classification", counting_classification)
     for output_format in ("json", "text"):
         batches.clear()
         classified.clear()
@@ -385,7 +375,8 @@ def test_survey_record_reads_the_certificate(capsys, monkeypatch):
             verdicts = [line.rsplit(" verdict=", 1)[1] for line in lines]
         assert verdicts.count("pass") == 8 and len(verdicts) == 64
         assert batches == [64]
-        assert classified == firsts
+        # flags 0 and 3 only: every torsion-free candidate is crystallographic
+        assert classified == [0, 3]
 
 
 @pytest.mark.parametrize("batch", [1, 7])
@@ -703,25 +694,28 @@ def test_walk_runs_only_when_every_generator_has_its_own_bit(
     capsys, tmp_path, monkeypatch, argv, n, draws
 ):
     # a generator whose word lacks its own bit decides torsion, so the lane
-    # kernel walks only the draws with every own bit, and each class entry,
-    # built by classify_index on the first index of its flags byte, reads
-    # the crystallographic mask once and walks when that index has every
-    # own bit; the cyclic candidate has every bit and walks once
+    # kernel walks only the draws with every own bit, and it reads the
+    # crystallographic masks of a whole batch of 300 in one lattice step;
+    # the cyclic candidate has every bit and walks once
+    monkeypatch.setattr(cli, "SURVEY_BATCH", 300)
     if draws is None:
-        masks = walks = 1
+        batches = walks = 1
     else:
-        firsts = _first_index_of_each_class(n, draws)
-        masks = len(firsts)
-        walks = sum(_has_own_bits(n, idx) for idx in [*draws, *firsts])
+        batches = -(-len(draws) // 300)
+        walks = sum(_has_own_bits(n, idx) for idx in draws)
         assert 0 < walks < len(draws)
-    counts = dict.fromkeys(("_schreier_lattice", "_torsion_exists"), 0)
+    counts = dict.fromkeys(("_classify_lanes", "_schreier_lattice", "_torsion_exists"), 0)
     for name in counts:
         def counted(*args, _name=name, _run=getattr(hwgroup, name)):
             counts[_name] += 1
             return _run(*args)
         monkeypatch.setattr(hwgroup, name, counted)
+    # the survey calls the kernel through its own binding
+    monkeypatch.setattr(cli, "_classify_lanes", hwgroup._classify_lanes)
     _stdout_sha256(capsys, tmp_path, argv)
-    assert counts == {"_schreier_lattice": masks, "_torsion_exists": walks}
+    assert counts == {
+        "_classify_lanes": batches, "_schreier_lattice": batches, "_torsion_exists": walks
+    }
 
 
 # sha256 of the whole survey --dim 5 output (2^20 lines and the summary),
@@ -758,7 +752,7 @@ def _refuse(*args, **kwargs):
 
 def _refuse_survey_work(monkeypatch):
     # everything the survey loop calls before it writes a line
-    for name in ("candidate_indices", "_classify_lanes", "classify_index"):
+    for name in ("candidate_indices", "_classify_lanes", "_classification"):
         monkeypatch.setattr(cli, name, _refuse)
 
 
@@ -784,6 +778,23 @@ def test_dimension_cap_refuses_before_classifying(tmp_path, capsys, monkeypatch)
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert f"limit of {cli.MAX_DIM}" in err
+        assert out == ""
+
+
+def test_survey_refuses_a_dimension_above_the_cap_before_counting(capsys, monkeypatch):
+    # the count of a full enumeration is never built: at n = 121 it has more
+    # than 4,300 digits, and at n = 1000001 about 3 * 10^11
+    _refuse_survey_work(monkeypatch)
+    monkeypatch.setattr(hwgroup, "candidate_count", _refuse)
+    for dim in ("121", "1000001"):
+        code, out, err = run_cli(capsys, "survey", "--dim", dim)
+        assert code == 2, dim
+        assert f"limit of {cli.MAX_DIM}" in err
+        assert out == ""
+    for dim in (7, cli.MAX_DIM):
+        code, out, err = run_cli(capsys, "survey", "--dim", str(dim))
+        assert code == 2, dim
+        assert f"has 2^{dim * (dim - 1)} candidates; pass --sample N" in err
         assert out == ""
 
 

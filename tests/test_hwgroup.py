@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import islice, product
 
 import pytest
@@ -16,7 +17,6 @@ from hwfib.hwgroup import (
     classify,
     classify_index,
     cyclic_hw,
-    orbit_key,
     standard_signs,
     translation_lattice,
 )
@@ -563,26 +563,6 @@ def test_translation_orbit_keeps_the_classification(n, indices):
     assert hw > 0
 
 
-@pytest.mark.parametrize("n, indices", ORBIT_INPUTS, ids=ORBIT_IDS)
-def test_orbit_key_is_a_member_shared_by_the_orbit(n, indices):
-    flips = _flips(n)
-    key = orbit_key(n)
-    for idx in indices:
-        k = key(idx)
-        assert all(key(idx ^ f) == k for f in flips), idx
-        # idx ^ k is a sum of flips: in each column all of F_k or none of it
-        moved = idx ^ k
-        assert moved & ~sum(flips) == 0 and all(moved & f in (0, f) for f in flips), idx
-
-
-def test_dim3_splits_into_eight_orbits_of_eight():
-    key = orbit_key(3)
-    sizes = {}
-    for idx in range(64):
-        sizes[key(idx)] = sizes.get(key(idx), 0) + 1
-    assert sorted(sizes.values()) == [8] * 8
-
-
 @pytest.mark.parametrize("n, indices", ORBIT_INPUTS[:2], ids=ORBIT_IDS[:2])
 def test_flip_is_a_conjugation(n, indices):
     # the proof in the hwgroup docstring: conjugate by x -> D x + e_k/4, D = -1
@@ -617,19 +597,42 @@ def _lane_inputs():
 LANE_INPUTS = {name: (n, indices) for name, n, indices in _lane_inputs()}
 
 
+@cache
+def _lane_oracle(name):
+    """(crystallographic, torsion-free) of each index of LANE_INPUTS[name],
+    from oracles that share no step with the lane kernel: at n <= 7 the
+    Schreier lattice's rank and the HNF torsion test; above, the rank of
+    the reduced echelon form of the normal generators' words and the parity
+    test of every class, for the lanes with every own bit (a lane without
+    one holds torsion, as the singleton test above checks)."""
+    n, indices = LANE_INPUTS[name]
+    out = []
+    for idx in indices:
+        if n <= 7:
+            c = candidate_from_index(n, idx)
+            out.append((schreier_lattice(c).rank == n, not hnf_torsion_exists(c)))
+        else:
+            lows = [idx >> (i * n) & ((1 << n) - 1) for i in range(n - 1)]
+            rank = len(_reduced_echelon(_normal_generator_words(lows)))
+            out.append((rank == n, _own_bits(lows) and not parity_torsion_classes(n, lows)))
+    return out
+
+
 @pytest.mark.parametrize("batch", [1, 7, cli.SURVEY_BATCH])
 @pytest.mark.parametrize("name", LANE_INPUTS)
 def test_lane_kernel_matches_classify_index(name, batch):
+    # every lane of every batch against the oracles; classify_index, the
+    # kernel on a lane of its own, gives the same verdicts
     n, indices = LANE_INPUTS[name]
-    expected = []
-    for idx in indices:
-        cl = classify_index(n, idx)
-        expected.append((cl.crystallographic, cl.torsion_free))
+    expected = _lane_oracle(name)
     it = iter(indices)
     got = []
     while chunk := list(islice(it, batch)):
         got += [(f & 1, f >> 1) for f in _classify_lanes(n, chunk)]
     assert got == expected
+    if batch == 1:
+        got = [classify_index(n, idx) for idx in indices]
+        assert [(cl.crystallographic, cl.torsion_free) for cl in got] == expected
 
 
 def test_lane_kernel_golden_counts():
@@ -647,12 +650,6 @@ def test_lane_kernel_golden_counts():
 
 def test_lane_kernel_takes_an_empty_batch():
     assert _classify_lanes(5, []) == b""
-
-
-def test_orbit_key_refuses_what_classify_index_refuses():
-    for n in (1, 4):
-        with pytest.raises(ValueError):
-            orbit_key(n)
 
 
 def test_candidate_from_index_n3():
