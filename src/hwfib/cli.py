@@ -9,12 +9,12 @@ human-readable look at one candidate.
 A survey classifies its candidates a batch of indices at a time, in one
 call of the hwgroup lane kernel, which gives each index a flags byte
 (crystallographic, torsion-free).  The holonomy is the same for every
-candidate, so the flags decide the classification and, through the
-relator certificate of the dimension, the verdict: the entry of each flags
-byte that shows is built once.  The survey writes each line from cached
-text, the JSON text of each generator's word and the tail of each
-classification, rather than encoding a record per line, and each batch's
-lines in one write.
+candidate, so the byte decides the classification and, through the
+relator certificate of the dimension, the verdict.  Each line is written
+from cached text, the JSON text of each generator's word and the tail of
+its byte, built once per byte that shows, and each batch's lines in one
+write.  The summary is computed from four counts, one per byte, and the
+verdict of the Hantzsche-Wendt byte.
 
 The command line is a command, then its flags in any order, each spelled in
 full as ``--flag value`` or ``--flag=value``, and for ``abelianize`` the
@@ -36,6 +36,7 @@ import os
 import sys
 import time
 from itertools import islice
+from math import prod
 from types import SimpleNamespace
 from typing import Optional
 
@@ -48,7 +49,6 @@ from .epimorphism import (
 from .exact import format_half
 from .fpgroup import abelianization, fibonacci_presentation
 from .hwgroup import (
-    Classification,
     candidate_from_json_dict,
     candidate_indices,
     candidate_to_json_dict,
@@ -123,16 +123,34 @@ def _over_cap(dim: int) -> str:
     )
 
 
+def _dim_error(command: str, dim: Optional[int]) -> Optional[str]:
+    """The usage error of a missing, even or small --dim, or None."""
+    if dim is None:
+        return f"{command} needs --dim N"
+    if dim % 2 == 0 or dim < 3:
+        return f"dimension must be odd and >= 3, got {dim}"
+    return None
+
+
 def _dumps(data: dict) -> str:
     return _ENCODER.encode(data)
 
 
-def _load_candidate(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh, parse_float=_NumberText, parse_constant=_NumberText)
-    candidate = candidate_from_json_dict(data)
-    if candidate.dim > MAX_DIM:
-        raise ValueError(_over_cap(candidate.dim))
+def _load_candidate(cfg: SimpleNamespace):
+    """The candidate in the file of --input, else the cyclic candidate of
+    show's --dim; ValueError with the usage error if there is none."""
+    if not cfg.input_path:
+        if cfg.dim > MAX_DIM:
+            raise ValueError(_over_cap(cfg.dim))
+        return cyclic_hw(cfg.dim)
+    try:
+        with open(cfg.input_path, "r", encoding="utf-8") as fh:
+            data = json.load(fh, parse_float=_NumberText, parse_constant=_NumberText)
+        candidate = candidate_from_json_dict(data)
+        if candidate.dim > MAX_DIM:
+            raise ValueError(_over_cap(candidate.dim))
+    except (OSError, RecursionError, ValueError) as exc:
+        raise ValueError(f"cannot load candidate: {exc}") from None
     return candidate
 
 
@@ -144,9 +162,9 @@ def cmd_verify(cfg: SimpleNamespace) -> int:
     if not cfg.input_path:
         return _fail_usage("verify needs --input FILE")
     try:
-        candidate = _load_candidate(cfg.input_path)
-    except (OSError, RecursionError, ValueError) as exc:
-        return _fail_usage(f"cannot load candidate: {exc}")
+        candidate = _load_candidate(cfg)
+    except ValueError as exc:
+        return _fail_usage(str(exc))
     report = verify_main_theorem(candidate)
     if cfg.output_format == "json":
         _emit(_dumps(report.to_json_dict()))
@@ -189,35 +207,30 @@ class _WordText(dict):
         return text
 
 
-def _survey_entry(n: int, cl: Classification, output_format: str) -> list:
-    """[classification, verdict, line tail, lines written] for the
-    candidates of a survey with the classification cl; the survey counts
-    the lines.  A Hantzsche-Wendt candidate takes its verdict from the
-    relator certificate of the dimension, as verify does.  The JSON tail is
-    the record after its translations, as _dumps writes it; the text tail
-    is the line after its index."""
+def _survey_tail(n: int, flags: int, as_json: bool) -> tuple[Optional[str], str]:
+    """The verdict and the line tail of the candidates of dimension n with
+    the flags byte of _classify_lanes.  A Hantzsche-Wendt candidate takes
+    its verdict from the relator certificate of the dimension, as verify
+    does, and the others have none.  The JSON tail is the record after its
+    translations, as _dumps writes it, and the text tail the line after its
+    index, with the same fields."""
+    cl = _classification(n, flags)
     verdict = _certified_report(n, cl).verdict if cl.hantzsche_wendt else None
-    if output_format == "json":
-        tail = _dumps({
-            "crystallographic": cl.crystallographic,
-            "torsion_free": cl.torsion_free,
-            "hw": cl.hantzsche_wendt,
-            "verdict": verdict,
-        })[1:]
-    else:
-        tail = (
-            f" crystallographic={'y' if cl.crystallographic else 'n'} "
-            f"torsion_free={'y' if cl.torsion_free else 'n'} "
-            f"hw={'y' if cl.hantzsche_wendt else 'n'} verdict={verdict or '-'}"
-        )
-    return [cl, verdict, tail, 0]
+    fields = {
+        "crystallographic": cl.crystallographic,
+        "torsion_free": cl.torsion_free,
+        "hw": cl.hantzsche_wendt,
+        "verdict": verdict,
+    }
+    if as_json:
+        return verdict, _dumps(fields)[1:]
+    marks = {True: "y", False: "n", None: "-"}
+    return verdict, "".join(f" {key}={marks.get(value, value)}" for key, value in fields.items())
 
 
 def cmd_survey(cfg: SimpleNamespace) -> int:
-    if cfg.dim is None:
-        return _fail_usage("survey needs --dim N")
-    if cfg.dim % 2 == 0 or cfg.dim < 3:
-        return _fail_usage(f"dimension must be odd and >= 3, got {cfg.dim}")
+    if error := _dim_error("survey", cfg.dim):
+        return _fail_usage(error)
     if cfg.dim > MAX_DIM:
         return _fail_usage(_over_cap(cfg.dim))
     if cfg.dim > FULL_ENUMERATION_LIMIT and cfg.sample is None:
@@ -238,71 +251,60 @@ def cmd_survey(cfg: SimpleNamespace) -> int:
     # generator i's word is bits i*n to i*n+n-1 of an index
     full = (1 << n) - 1
     shifts = range(0, n * (n - 1), n)
-    # the _survey_entry of each classification, by its flags byte from
-    # _classify_lanes: the holonomy is the same for every candidate (see the
-    # hwgroup docstring)
-    by_flags: list = [None] * 4
+    # per flags byte of _classify_lanes, which decides a line since every
+    # candidate has the same holonomy: its lines, verdict and line tail
+    counts = [0] * 4
+    verdicts, tails = {}, {}
     text = _WordText(n)
     write = sys.stdout.write
     indices = candidate_indices(n, cfg.sample, cfg.seed or 0)
     while batch := list(islice(indices, SURVEY_BATCH)):
         flags = _classify_lanes(n, batch)
-        for f, entry in enumerate(by_flags):
-            lines = flags.count(f)
-            if lines:
-                if entry is None:
-                    cl = _classification(n, f)
-                    entry = by_flags[f] = _survey_entry(n, cl, cfg.output_format)
-                entry[3] += lines
-        tails = [by_flags[f][2] for f in flags]
+        for f in range(4):
+            counts[f] += flags.count(f)
+            if counts[f] and f not in tails:
+                verdicts[f], tails[f] = _survey_tail(n, f, as_json)
+        ends = map(tails.__getitem__, flags)
         if as_json:
             # each line's word texts, read a column (one generator) at a time
             columns = [map(text.__getitem__, [i >> s & full for i in batch]) for s in shifts]
             words = map(",".join, zip(*columns))
             out = [
                 f'{{"index":{i},"dim":{n},"translations":[{w}],{t}\n'
-                for i, w, t in zip(batch, words, tails)
+                for i, w, t in zip(batch, words, ends)
             ]
         else:
-            out = [f"index={i}{t}\n" for i, t in zip(batch, tails)]
+            out = [f"index={i}{t}\n" for i, t in zip(batch, ends)]
         write("".join(out))
 
+    # bit 0 of a flags byte is crystallographic, bit 1 torsion-free, and only
+    # byte 3, Hantzsche-Wendt, has a verdict
+    hw, verdict = counts[3], verdicts.get(3)
     summary = {
         "summary": True,
         "dim": n,
-        "candidates": 0,
-        "crystallographic": 0,
-        "torsion_free": 0,
-        "hantzsche_wendt": 0,
-        "verified_pass": 0,
-        "verified_fail": 0,
+        "candidates": sum(counts),
+        "crystallographic": counts[1] + hw,
+        "torsion_free": counts[2] + hw,
+        "hantzsche_wendt": hw,
+        "verified_pass": hw if verdict == "pass" else 0,
+        "verified_fail": hw if verdict == "fail" else 0,
     }
-    for cl, verdict, _, lines in filter(None, by_flags):
-        summary["candidates"] += lines
-        summary["crystallographic"] += cl.crystallographic * lines
-        summary["torsion_free"] += cl.torsion_free * lines
-        summary["hantzsche_wendt"] += cl.hantzsche_wendt * lines
-        if verdict is not None:
-            summary[f"verified_{verdict}"] += lines
     if as_json:
         _emit(_dumps(summary))
     else:
         _emit(
-            f"surveyed {summary['candidates']} candidates in dimension {n}: "
-            f"{summary['crystallographic']} crystallographic, "
-            f"{summary['hantzsche_wendt']} hantzsche-wendt, "
-            f"{summary['verified_pass']} verified pass, "
-            f"{summary['verified_fail']} verified fail"
+            "surveyed {candidates} candidates in dimension {dim}: {crystallographic} "
+            "crystallographic, {hantzsche_wendt} hantzsche-wendt, {verified_pass} "
+            "verified pass, {verified_fail} verified fail".format_map(summary)
         )
     return EXIT_PASS if summary["verified_fail"] == 0 else EXIT_FAIL
 
 
 def cmd_symbolic(cfg: SimpleNamespace) -> int:
-    if cfg.dim is None:
-        return _fail_usage("symbolic needs --dim N")
+    if error := _dim_error("symbolic", cfg.dim):
+        return _fail_usage(error)
     n = cfg.dim
-    if n % 2 == 0 or n < 3:
-        return _fail_usage(f"dimension must be odd and >= 3, got {n}")
     if n > MAX_SYMBOLIC_DIM:
         return _fail_usage(
             f"dimension {n} is above the limit of {MAX_SYMBOLIC_DIM}: the "
@@ -321,27 +323,23 @@ def cmd_symbolic(cfg: SimpleNamespace) -> int:
         for k, (periodic, consistent) in verdicts
     ]
     elapsed = time.perf_counter() - started
-    all_ok = all(c["periodic"] and c["recursion_consistent"] for c in checks)
+    failed = [str(c["k"]) for c in checks if not (c["periodic"] and c["recursion_consistent"])]
     if cfg.output_format == "json":
         _emit(_dumps({
             "command": "symbolic",
             "dim": n,
             "period": 2 * n,
             "checks": checks,
-            "verdict": "pass" if all_ok else "fail",
+            "verdict": "fail" if failed else "pass",
         }))
     else:
-        confirmed = [str(c["k"]) for c in checks if c["periodic"] and c["recursion_consistent"]]
-        if all_ok:
-            _emit(f"period {2 * n} confirmed for k={','.join(confirmed)}")
-        else:
-            bad = [str(c["k"]) for c in checks if not (c["periodic"] and c["recursion_consistent"])]
-            _emit(f"period {2 * n} FAILED for k={','.join(bad)}")
+        word, ks = ("FAILED", failed) if failed else ("confirmed", [str(c["k"]) for c in checks])
+        _emit(f"period {2 * n} {word} for k={','.join(ks)}")
         if cfg.k is not None:
             for i in range(len(seq.terms)):
                 _emit(f"term {i}: {seq.term_text(i)}")
         _emit(f"runtime: {elapsed:.3f}s")
-    return EXIT_PASS if all_ok else EXIT_FAIL
+    return EXIT_FAIL if failed else EXIT_PASS
 
 
 def cmd_abelianize(cfg: SimpleNamespace) -> int:
@@ -355,13 +353,9 @@ def cmd_abelianize(cfg: SimpleNamespace) -> int:
         )
     divisors = abelianization(fibonacci_presentation(r, n))
     nontrivial = [x for x in divisors if x not in (0, 1)]
-    free_rank = sum(1 for x in divisors if x == 0)
-    order = None
-    if free_rank == 0:
-        order = 1
-        for x in divisors:
-            order *= x
-    even = sum(1 for x in divisors if x == 0 or x % 2 == 0)
+    free_rank = divisors.count(0)
+    order = None if free_rank else prod(divisors)
+    even = sum(x % 2 == 0 for x in divisors)
     # compare against the expected holonomy 2-rank when (r, n) = (m-1, 2m)
     holonomy_rank = r if (n == 2 * (r + 1)) else None
     if cfg.output_format == "json":
@@ -391,20 +385,12 @@ def cmd_abelianize(cfg: SimpleNamespace) -> int:
 
 
 def cmd_show(cfg: SimpleNamespace) -> int:
-    if cfg.input_path:
-        try:
-            candidate = _load_candidate(cfg.input_path)
-        except (OSError, RecursionError, ValueError) as exc:
-            return _fail_usage(f"cannot load candidate: {exc}")
-    elif cfg.dim is not None:
-        if cfg.dim > MAX_DIM:
-            return _fail_usage(_over_cap(cfg.dim))
-        try:
-            candidate = cyclic_hw(cfg.dim)
-        except ValueError as exc:
-            return _fail_usage(str(exc))
-    else:
+    if not cfg.input_path and cfg.dim is None:
         return _fail_usage("show needs --input FILE or --dim N")
+    try:
+        candidate = _load_candidate(cfg)
+    except ValueError as exc:
+        return _fail_usage(str(exc))
     cl = classify(candidate)
     lattice = translation_lattice(candidate)
     if cfg.output_format == "json":

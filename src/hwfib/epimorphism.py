@@ -87,18 +87,13 @@ class SymSequence(Record):
 
     Every translation is an integer linear form in d_0..d_(n-2), stored
     packed as in ``_symbolic_terms``, whose check keeps every coefficient
-    in [-4, 4) and makes the comparisons of both checks exact.
+    in [-4, 4) and makes the comparisons of both checks exact.  ``terms``
+    is the tuple of the 3n-1 terms as isometries of the line whose
+    translation entry is the packed ``int``, so printing a term shows that
+    integer; ``term_text`` shows its sign and form.
     """
 
     __slots__ = ("n", "k", "terms")
-
-    def __init__(self, n: int, k: int, terms: Sequence[DiagIsometry]) -> None:
-        self.n = n
-        self.k = k
-        self.terms = tuple(terms)
-        """The 3n-1 terms as isometries of the line whose translation entry
-        is the packed ``int``, so printing a term shows that integer;
-        ``term_text`` shows its sign and form."""
 
     def coefficients(self, i: int) -> tuple[int, ...]:
         """Coefficients of d_0..d_(n-2) in the translation of term i: the
@@ -277,7 +272,7 @@ def _recursion_consistent(n: int, terms: Sequence[DiagIsometry]) -> tuple[bool, 
 
 def symbolic_sequence(n: int, k: int) -> SymSequence:
     _check_dimension(n, k)
-    return SymSequence(n, k, _symbolic_terms(n, (k,)))
+    return SymSequence(n, k, tuple(_symbolic_terms(n, (k,))))
 
 
 def symbolic_checks(n: int) -> tuple[tuple[bool, bool], ...]:
@@ -315,18 +310,6 @@ class VerificationReport(Record):
     generators.  The field stays for the JSON report and the text line."""
 
     __slots__ = ("candidate", "classification", "relators_trivial", "surjective")
-
-    def __init__(
-        self,
-        candidate: Optional[HWCandidate],
-        classification: Classification,
-        relators_trivial: tuple[bool, ...],
-        surjective: bool,
-    ) -> None:
-        self.candidate = candidate
-        self.classification = classification
-        self.relators_trivial = relators_trivial
-        self.surjective = surjective
 
     @property
     def homomorphism(self) -> bool:

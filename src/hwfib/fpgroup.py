@@ -94,15 +94,6 @@ class Presentation(Record):
         self.generator_count = generator_count
         self.relators = tuple(reduced)
 
-    @classmethod
-    def _normal(cls, generator_count: int, relators: tuple[Word, ...]) -> "Presentation":
-        """Wrap freely reduced relators over generators 0..generator_count-1,
-        skipping the checks of the public constructor."""
-        p = object.__new__(cls)
-        p.generator_count = generator_count
-        p.relators = relators
-        return p
-
 
 def fibonacci_presentation(r: int, n: int) -> Presentation:
     """The Fibonacci presentation F(r, n): n generators a_0..a_(n-1) and the

@@ -195,11 +195,6 @@ def _check_dim(n: int) -> None:
         )
 
 
-def _check_count(n: int, count: int) -> None:
-    if count != n - 1:
-        raise ValueError(f"expected {n - 1} generators, got {count}")
-
-
 def _check_length(n: int, i: int, row: Sequence) -> None:
     if len(row) != n:
         raise ValueError(f"translation {i} has length {len(row)}, expected {n}")
@@ -238,7 +233,8 @@ def _checked_units(n: int, rows: Sequence[Sequence]) -> tuple[tuple[int, ...], .
     the count and the half-integers checked, in that order.  The checked
     tail of ``HWCandidate`` and ``candidate_from_json_dict``."""
     _check_dim(n)
-    _check_count(n, len(rows))
+    if len(rows) != n - 1:
+        raise ValueError(f"expected {n - 1} generators, got {len(rows)}")
     return tuple(_row_units(i, row) for i, row in enumerate(rows))
 
 
@@ -265,14 +261,6 @@ class HWCandidate(Record):
             rows.append([parse_half(str(x)) for x in t])
         self.dim = dim
         self.units = _checked_units(dim, rows)
-
-    @classmethod
-    def _normal(cls, dim: int, units: tuple[tuple[int, ...], ...]) -> "HWCandidate":
-        """Wrap checked half units, skipping the public constructor."""
-        c = object.__new__(cls)
-        c.dim = dim
-        c.units = units
-        return c
 
     @property
     def generators(self) -> tuple[DiagIsometry, ...]:
@@ -375,28 +363,8 @@ class Classification(Record):
         "hantzsche_wendt",
     )
 
-    def __init__(
-        self,
-        crystallographic: bool,
-        torsion_free: bool,
-        holonomy_order: int,
-        orientation_preserving: bool,
-        hantzsche_wendt: bool,
-    ) -> None:
-        self.crystallographic = crystallographic
-        self.torsion_free = torsion_free
-        self.holonomy_order = holonomy_order
-        self.orientation_preserving = orientation_preserving
-        self.hantzsche_wendt = hantzsche_wendt
-
     def to_json_dict(self) -> dict:
-        return {
-            "crystallographic": self.crystallographic,
-            "torsion_free": self.torsion_free,
-            "holonomy_order": self.holonomy_order,
-            "orientation_preserving": self.orientation_preserving,
-            "hantzsche_wendt": self.hantzsche_wendt,
-        }
+        return dict(zip(self.__slots__, self._fields()))
 
 
 def _classification(n: int, flags: int) -> Classification:
@@ -463,11 +431,6 @@ class Lattice(Record):
     by one global denominator.  Canonicity makes equality structural."""
 
     __slots__ = ("dim", "den", "basis")
-
-    def __init__(self, dim: int, den: int, basis: tuple[tuple[int, ...], ...]) -> None:
-        self.dim = dim
-        self.den = den
-        self.basis = basis
 
     @property
     def rank(self) -> int:

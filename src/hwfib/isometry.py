@@ -63,19 +63,19 @@ class DiagIsometry(Record):
                 f"has length {len(self.translation)}"
             )
 
+    # Record's _normal and equality without their loops over the fields, for
+    # the symbolic hot path: compose and inverse build a value per call, in
+    # 0.25 us against 0.96-1.22 us through Record's (2-core x86-64 VM, Python
+    # 3.11.7).  Defining __eq__ would otherwise leave the class unhashable.
     @classmethod
     def _normal(cls, signs: tuple[int, ...], translation: tuple) -> "DiagIsometry":
-        """Wrap int ±1 signs and equally many translation entries of one
-        type, all ``Fraction`` or all ``int``, skipping the validation of
-        the public constructor."""
+        """Wrap int ±1 signs and as many translation entries, all ``Fraction``
+        or all ``int``, skipping the validation of the public constructor."""
         g = object.__new__(cls)
         g.signs = signs
         g.translation = translation
         return g
 
-    # Record's equality without its loop over the fields: the symbolic
-    # checks compare thousands of terms.  Defining __eq__ would otherwise
-    # leave the class unhashable.
     def __eq__(self, other):
         if other.__class__ is not DiagIsometry:
             return NotImplemented

@@ -3,10 +3,12 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -343,8 +345,9 @@ def test_survey_record_from_index_matches_candidate_path(capsys, n, indices):
 def test_survey_record_reads_the_certificate(capsys, monkeypatch):
     # a Hantzsche-Wendt line builds no Fraction candidate, and a survey
     # calls neither classify nor classify_index: it classifies the 64
-    # candidates of n=3 in one call of the lane kernel and builds the entry
-    # of each flags byte that shows once, from the byte alone
+    # candidates of n=3 in one call of the lane kernel per batch and builds
+    # the line tail of each flags byte that shows once, from the byte alone,
+    # however many batches it shows in; the summary classifies nothing
     monkeypatch.setattr(hwgroup, "candidate_from_index", _refuse)
     monkeypatch.setattr(hwgroup.HWCandidate, "__init__", _refuse)
     monkeypatch.setattr(epimorphism, "build_epimorphism", _refuse)
@@ -363,7 +366,8 @@ def test_survey_record_reads_the_certificate(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "_classify_lanes", counting_classify_lanes)
     monkeypatch.setattr(cli, "_classification", counting_classification)
-    for output_format in ("json", "text"):
+    for batch, output_format in product((cli.SURVEY_BATCH, 7), ("json", "text")):
+        monkeypatch.setattr(cli, "SURVEY_BATCH", batch)
         batches.clear()
         classified.clear()
         code, out, _ = run_cli(capsys, "survey", "--dim", "3", "--format", output_format)
@@ -374,7 +378,7 @@ def test_survey_record_reads_the_certificate(capsys, monkeypatch):
         else:
             verdicts = [line.rsplit(" verdict=", 1)[1] for line in lines]
         assert verdicts.count("pass") == 8 and len(verdicts) == 64
-        assert batches == [64]
+        assert batches == ([64] if batch >= 64 else [7] * 9 + [1])
         # flags 0 and 3 only: every torsion-free candidate is crystallographic
         assert classified == [0, 3]
 
@@ -679,6 +683,71 @@ def test_survey_stdout_byte_identical(capsys, tmp_path, args):
 )
 def test_stdout_byte_identical(capsys, tmp_path, argv):
     assert _stdout_sha256(capsys, tmp_path, argv) == STDOUT_SHA256[argv]
+
+
+_TALLY_KEYS = (
+    "candidates", "crystallographic", "torsion_free", "hantzsche_wendt",
+    "verified_pass", "verified_fail",
+)
+_TEXT_SUMMARY = re.compile(
+    r"surveyed (\d+) candidates in dimension (\d+): (\d+) crystallographic, "
+    r"(\d+) hantzsche-wendt, (\d+) verified pass, (\d+) verified fail"
+)
+
+
+def _recount(lines, output_format):
+    # the summary's counts, recounted from the survey's own lines
+    tally = dict.fromkeys(_TALLY_KEYS, 0)
+    for line in lines:
+        if output_format == "json":
+            record = json.loads(line)
+            flags = [record[key] for key in ("crystallographic", "torsion_free", "hw")]
+            verdict = record["verdict"]
+        else:
+            fields = dict(word.split("=") for word in line.split()[1:])
+            flags = [fields[key] == "y" for key in ("crystallographic", "torsion_free", "hw")]
+            verdict = None if fields["verdict"] == "-" else fields["verdict"]
+        tally["candidates"] += 1
+        for key, flag in zip(_TALLY_KEYS[1:4], flags):
+            tally[key] += flag
+        if verdict is not None:
+            tally[f"verified_{verdict}"] += 1
+    return tally
+
+
+# the command lines of the pinned survey rows, without their --format
+_SURVEY_ROWS = sorted({
+    tuple(a for a in argv if a not in ("--format", "json", "--format=json"))
+    for argv in STDOUT_SHA256 if argv[0] == "survey"
+})
+
+
+@pytest.mark.parametrize("batch", [1, 7, None])
+@pytest.mark.parametrize("argv", _SURVEY_ROWS, ids=" ".join)
+def test_survey_summary_counts_its_own_lines(capsys, monkeypatch, argv, batch):
+    # the summary is computed from four counts, one per flags byte, and the
+    # verdict of the Hantzsche-Wendt byte; it must tally the lines written,
+    # however the candidates are batched
+    if batch is not None:
+        monkeypatch.setattr(cli, "SURVEY_BATCH", batch)
+    n = int(argv[argv.index("--dim") + 1])
+    for output_format in ("json", "text"):
+        code, out, _ = run_cli(capsys, *argv, "--format", output_format)
+        *lines, last = out.splitlines()
+        tally = _recount(lines, output_format)
+        if output_format == "json":
+            assert json.loads(last) == {"summary": True, "dim": n, **tally}
+        else:
+            match = _TEXT_SUMMARY.fullmatch(last)
+            assert match, last
+            assert [int(v) for v in match.groups()] == [
+                tally["candidates"], n, tally["crystallographic"], tally["hantzsche_wendt"],
+                tally["verified_pass"], tally["verified_fail"],
+            ]
+        assert code == (1 if tally["verified_fail"] else 0)
+        assert tally["crystallographic"] >= tally["hantzsche_wendt"] == (
+            tally["verified_pass"] + tally["verified_fail"]
+        )
 
 
 def _has_own_bits(n, idx):

@@ -298,10 +298,16 @@ def _scaled_sample():
     rng = random.Random(36)
     idx_rng = random.Random(37)
     hw5 = []
-    while len(hw5) < 12:
+    # the seeded stream needs 2,546 draws; the bound turns a kernel that
+    # never reports a Hantzsche-Wendt candidate into a failure, not a hang
+    for _ in range(20_000):
         c = candidate_from_index(5, idx_rng.randrange(candidate_count(5)))
         if classify(c).hantzsche_wendt:
             hw5.append(c)
+            if len(hw5) == 12:
+                break
+    else:
+        pytest.fail(f"20,000 draws at n=5 gave {len(hw5)} Hantzsche-Wendt candidates, not 12")
     odd = [cyclic_hw(n) for n in range(3, 10, 2) for _ in range(3)] + hw5
     out = []
     for c, scales in [(c, (1, 3, 5, 7, -1, -3)) for c in odd] + [
